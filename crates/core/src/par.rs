@@ -7,6 +7,7 @@
 //! Built on the standard library only — the build image has no registry
 //! access, so no rayon.
 
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
@@ -20,7 +21,8 @@ use std::thread;
 /// map with no thread overhead.
 ///
 /// # Panics
-/// Propagates a panic from any invocation of `f` once all workers finish.
+/// Once all workers finish, re-raises the payload of the first worker (in
+/// spawn order) whose invocation of `f` panicked.
 ///
 /// [`available_parallelism`]: std::thread::available_parallelism
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
@@ -39,22 +41,36 @@ where
 
     let cursor = AtomicUsize::new(0);
     let (sender, receiver) = mpsc::channel::<(usize, R)>();
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            let sender = sender.clone();
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move || loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(index) else {
-                    break;
-                };
-                if sender.send((index, f(item))).is_err() {
-                    break;
-                }
-            });
+    let first_panic = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let sender = sender.clone();
+                let cursor = &cursor;
+                let f = &f;
+                scope.spawn(move || loop {
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(index) else {
+                        break;
+                    };
+                    if sender.send((index, f(item))).is_err() {
+                        break;
+                    }
+                })
+            })
+            .collect();
+        // Join every worker by hand: a scope left to join a panicked worker
+        // itself re-panics with a generic message and loses the payload.
+        let mut first_panic = None;
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                first_panic.get_or_insert(payload);
+            }
         }
+        first_panic
     });
+    if let Some(payload) = first_panic {
+        panic::resume_unwind(payload);
+    }
     drop(sender);
 
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();

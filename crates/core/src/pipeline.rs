@@ -192,13 +192,7 @@ pub struct SynthesisResult {
 impl SynthesisResult {
     /// Emits the register-transfer-level VHDL of the design.
     pub fn vhdl(&self) -> String {
-        VhdlEmitter::new(
-            &self.function,
-            &self.graph,
-            &self.schedule,
-            &self.controller,
-        )
-        .emit()
+        VhdlEmitter::new(&self.function, &self.controller).emit()
     }
 
     /// Simulates the generated design (RTL semantics) on one input set.

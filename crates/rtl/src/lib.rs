@@ -35,7 +35,7 @@
 //! let controller = Controller::build(&f, &graph, &sched);
 //! let report = DatapathReport::build(&f, &sched, &binding, &controller, &library);
 //! assert_eq!(report.states, 1);
-//! let vhdl = VhdlEmitter::new(&f, &graph, &sched, &controller).emit();
+//! let vhdl = VhdlEmitter::new(&f, &controller).emit();
 //! assert!(vhdl.contains("entity incr"));
 //! # Ok(())
 //! # }
