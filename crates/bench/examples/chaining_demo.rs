@@ -9,7 +9,7 @@
 
 use spark_ir::{Cfg, FunctionBuilder, OpKind, Type, Value};
 use spark_sched::{
-    insert_wire_variables_logged, schedule, validate_chaining, Constraints, DependenceGraph,
+    insert_wire_variables, schedule, validate_chaining, Constraints, DependenceGraph,
     ResourceLibrary,
 };
 
@@ -53,10 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Schedule for a single cycle and insert wire-variables. The insertion
-    // emits a structured edit log, and the dependence graph is patched in
-    // place from it instead of being rebuilt (debug builds cross-check the
-    // patch against a from-scratch rebuild).
-    let mut graph = DependenceGraph::build(&f)?;
+    // adds copies and redirects operands, so the dependence graph the
+    // trails are validated against is rebuilt from the rewritten function.
+    let graph = DependenceGraph::build(&f)?;
     let library = ResourceLibrary::new();
     let mut sched = schedule(
         &f,
@@ -64,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &library,
         &Constraints::microprocessor_block(10.0),
     )?;
-    let (wires, edits) = insert_wire_variables_logged(&mut f, &mut sched);
-    graph.apply_wire_edits(&f, &edits);
+    let wires = insert_wire_variables(&mut f, &mut sched);
+    let graph = DependenceGraph::build(&f)?;
     let chaining = validate_chaining(&f, &graph, &sched, &library)?;
 
     println!("\n== after wire-variable insertion (Figures 6-7) ==\n{f}");

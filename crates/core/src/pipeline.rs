@@ -18,8 +18,8 @@ use spark_bind::{Binding, LifetimeAnalysis};
 use spark_ir::{Env, Function, FunctionStats, OpId, Program, RegionId};
 use spark_rtl::{DatapathReport, RtlOutcome, RtlSimError, RtlSimulator, VhdlEmitter};
 use spark_sched::{
-    insert_wire_variables_logged, schedule_in, validate_chaining, ChainingReport, Constraints,
-    Controller, DependenceGraph, ResourceLibrary, SchedContext, SchedError, Schedule, WireReport,
+    insert_wire_variables, schedule_in, validate_chaining, ChainingReport, Constraints, Controller,
+    DependenceGraph, ResourceLibrary, SchedContext, SchedError, Schedule, WireReport,
 };
 use spark_transforms as xf;
 
@@ -621,8 +621,8 @@ pub struct PhaseBreakdown {
     pub sched_deps_ms: f64,
     /// Schedule sub-phase: the chaining-aware list scheduler itself.
     pub sched_list_ms: f64,
-    /// Schedule sub-phase: wire-variable insertion plus the incremental
-    /// dependence-graph patch.
+    /// Schedule sub-phase: wire-variable insertion plus the post-wire
+    /// dependence-graph build.
     pub sched_wires_ms: f64,
     /// Schedule sub-phase: chaining-trail validation.
     pub sched_validate_ms: f64,
@@ -707,13 +707,11 @@ pub fn synthesize_transformed_timed(
     let mut sched = schedule_in(&function, context, &library, &constraints)?;
     breakdown.sched_list_ms = ms_since(started);
 
-    // Wire insertion adds blocks/ops and redirects operands; instead of
-    // rebuilding the dependence graph from scratch, patch a copy of the
-    // shared pre-wire graph from the structured edit log.
+    // Wire insertion adds blocks/ops and redirects operands, so the
+    // post-wire graph is built afresh for this point.
     let started = Instant::now();
-    let (wire_report, wire_edits) = insert_wire_variables_logged(&mut function, &mut sched);
-    let mut graph = context.graph.clone();
-    graph.apply_wire_edits(&function, &wire_edits);
+    let wire_report = insert_wire_variables(&mut function, &mut sched);
+    let graph = DependenceGraph::build(&function)?;
     breakdown.sched_wires_ms = ms_since(started);
 
     let started = Instant::now();

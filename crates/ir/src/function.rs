@@ -1,6 +1,7 @@
 //! Behavioral functions: the unit of synthesis.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write;
 
 use crate::arena::Arena;
 use crate::block::{BasicBlock, BlockId};
@@ -93,6 +94,21 @@ impl Function {
     /// Creates a fresh uniquely-named register temporary of type `ty`.
     pub fn fresh_temp(&mut self, prefix: &str, ty: Type) -> VarId {
         let name = format!("{prefix}_{}", self.next_temp);
+        self.next_temp += 1;
+        self.add_var(Var::register(name, ty))
+    }
+
+    /// Creates a fresh uniquely-named register temporary of type `ty` named
+    /// after an existing variable: `{prefix}_{base name}_{n}`, the name built
+    /// in a single allocation.
+    pub fn fresh_temp_from(&mut self, prefix: &str, base: VarId, ty: Type) -> VarId {
+        let base_name = &self.vars[base].name;
+        let mut name = String::with_capacity(prefix.len() + base_name.len() + 12);
+        name.push_str(prefix);
+        name.push('_');
+        name.push_str(base_name);
+        name.push('_');
+        write!(name, "{}", self.next_temp).expect("writing to a String cannot fail");
         self.next_temp += 1;
         self.add_var(Var::register(name, ty))
     }
@@ -599,6 +615,18 @@ mod tests {
         let b = f.fresh_wire("tmp", Type::Bits(8));
         assert_ne!(f.vars[a].name, f.vars[b].name);
         assert!(f.vars[b].is_wire());
+    }
+
+    #[test]
+    fn fresh_temp_from_names_after_the_base_variable() {
+        let mut f = Function::new("t");
+        let x = f.add_var(Var::register("x", Type::Bits(8)));
+        let first = f.fresh_temp("t", Type::Bool);
+        let derived = f.fresh_temp_from("spec", x, Type::Bits(16));
+        assert_eq!(f.vars[first].name, "t_0");
+        assert_eq!(f.vars[derived].name, "spec_x_1");
+        assert_eq!(f.vars[derived].ty, Type::Bits(16));
+        assert_eq!(f.var_by_name("spec_x_1"), Some(derived));
     }
 
     #[test]

@@ -228,20 +228,26 @@ pub struct Dependence {
 }
 
 /// Data-dependence information for one loop-free, call-free function.
+///
+/// Edges are stored flat: one `Vec<Dependence>` grouped by consumer in
+/// `order`, with a per-operation range into it. Consumers take
+/// [`DependenceGraph::preds_of`] slices; nothing allocates per operation.
 #[derive(Clone, Debug, Default)]
 pub struct DependenceGraph {
     /// Live operations in program order (a valid topological order).
     pub order: Vec<OpId>,
-    /// Incoming edges per operation.
-    pub(crate) preds: SecondaryMap<OpId, Vec<Dependence>>,
+    /// Incoming edges of every operation, grouped by consumer in `order`.
+    edges: Vec<Dependence>,
+    /// `start..end` of each operation's incoming edges in `edges`.
+    ranges: SecondaryMap<OpId, (u32, u32)>,
     /// Interned guard per operation.
-    pub(crate) guard_ids: SecondaryMap<OpId, GuardId>,
+    guard_ids: SecondaryMap<OpId, GuardId>,
     /// The guard interner and exclusion bitset.
-    pub(crate) guard_table: GuardTable,
+    guard_table: GuardTable,
 }
 
-/// Global count of from-scratch [`DependenceGraph::build`] executions, for
-/// the one-build-per-synthesis-point assertions in tests.
+/// Global count of [`DependenceGraph::build`] executions, for the
+/// graph-build counting assertions in tests.
 static GRAPH_BUILDS: AtomicUsize = AtomicUsize::new(0);
 
 impl DependenceGraph {
@@ -252,42 +258,40 @@ impl DependenceGraph {
     /// if coarse-grain transformations have not yet removed loops and calls.
     pub fn build(function: &Function) -> Result<Self, SchedError> {
         GRAPH_BUILDS.fetch_add(1, Ordering::Relaxed);
-        Self::build_uncounted(function)
-    }
-
-    /// Number of from-scratch builds in this process. Incremental patches
-    /// ([`DependenceGraph::apply_wire_edits`]) and the debug cross-check
-    /// rebuilds behind them do not count.
-    pub fn build_count() -> usize {
-        GRAPH_BUILDS.load(Ordering::Relaxed)
-    }
-
-    /// [`DependenceGraph::build`] without bumping the build counter — the
-    /// from-scratch reference for the debug cross-check of incremental
-    /// patching.
-    pub(crate) fn build_uncounted(function: &Function) -> Result<Self, SchedError> {
         if function.loop_count() > 0 {
             return Err(SchedError::ContainsLoops);
         }
-        let mut graph = DependenceGraph::default();
+        let mut graph = DependenceGraph {
+            ranges: SecondaryMap::with_capacity(function.ops.len()),
+            guard_ids: SecondaryMap::with_capacity(function.ops.len()),
+            ..DependenceGraph::default()
+        };
         let mut guard_stack = Guard::default();
         collect(function, function.body, &mut guard_stack, &mut graph)?;
         graph.guard_table.seal();
 
-        // Data dependences by program order.
+        // Data dependences by program order. The edges of each consumer are
+        // appended to the flat list as they are found, so every operation's
+        // range is contiguous and the ranges follow `order`.
+        let DependenceGraph {
+            ref order,
+            ref mut edges,
+            ref mut ranges,
+            ref guard_ids,
+            ref guard_table,
+        } = graph;
         let mut last_defs: SecondaryMap<VarId, Vec<OpId>> =
             SecondaryMap::with_capacity(function.vars.len());
         let mut last_uses: SecondaryMap<VarId, Vec<OpId>> =
             SecondaryMap::with_capacity(function.vars.len());
-        for index in 0..graph.order.len() {
-            let op_id = graph.order[index];
+        for &op_id in order {
             let op = &function.ops[op_id];
-            let gid = graph.guard_ids[&op_id];
-            let mut edges = Vec::new();
+            let gid = guard_ids[&op_id];
+            let start = edges.len() as u32;
 
             // Control dependences: the op depends on the producers of every
             // condition in its guard.
-            for &(cond, _) in &graph.guard_table.guard(gid).terms {
+            for &(cond, _) in &guard_table.guard(gid).terms {
                 if let Some(cond_var) = cond.as_var() {
                     for &producer in last_defs.get(&cond_var).into_iter().flatten() {
                         edges.push(Dependence {
@@ -302,10 +306,7 @@ impl DependenceGraph {
             // Flow dependences on every operand.
             for used in op.uses_iter() {
                 for &producer in last_defs.get(&used).into_iter().flatten() {
-                    if !graph
-                        .guard_table
-                        .mutually_exclusive(graph.guard_ids[&producer], gid)
-                    {
+                    if !guard_table.mutually_exclusive(guard_ids[&producer], gid) {
                         edges.push(Dependence {
                             from: producer,
                             kind: DepKind::Flow,
@@ -318,10 +319,7 @@ impl DependenceGraph {
             if let Some(defined) = op.def() {
                 // Output dependences on earlier defs, anti dependences on earlier uses.
                 for &producer in last_defs.get(&defined).into_iter().flatten() {
-                    if !graph
-                        .guard_table
-                        .mutually_exclusive(graph.guard_ids[&producer], gid)
-                    {
+                    if !guard_table.mutually_exclusive(guard_ids[&producer], gid) {
                         edges.push(Dependence {
                             from: producer,
                             kind: DepKind::Output,
@@ -330,11 +328,7 @@ impl DependenceGraph {
                     }
                 }
                 for &reader in last_uses.get(&defined).into_iter().flatten() {
-                    if reader != op_id
-                        && !graph
-                            .guard_table
-                            .mutually_exclusive(graph.guard_ids[&reader], gid)
-                    {
+                    if reader != op_id && !guard_table.mutually_exclusive(guard_ids[&reader], gid) {
                         edges.push(Dependence {
                             from: reader,
                             kind: DepKind::Anti,
@@ -352,9 +346,14 @@ impl DependenceGraph {
                 last_defs.get_or_insert_with(defined, Vec::new).push(op_id);
             }
 
-            graph.preds.insert(op_id, edges);
+            ranges.insert(op_id, (start, edges.len() as u32));
         }
         Ok(graph)
+    }
+
+    /// Number of [`DependenceGraph::build`] calls in this process.
+    pub fn build_count() -> usize {
+        GRAPH_BUILDS.load(Ordering::Relaxed)
     }
 
     /// Guard of an operation (unconditional if unknown).
@@ -389,44 +388,13 @@ impl DependenceGraph {
         }
     }
 
-    /// Incoming dependences of an operation.
+    /// Incoming dependences of an operation (empty if it is not part of the
+    /// graph).
     pub fn preds_of(&self, op: OpId) -> &[Dependence] {
-        self.preds.get(&op).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Checks that `self` and `other` describe the same dependence structure:
-    /// identical operation order, equal guards per operation, and — per
-    /// operation — the same multiset of incoming edges. Edge *order* within a
-    /// predecessor list is not significant (no consumer depends on it), which
-    /// is what lets the incremental patcher append recomputed edges instead
-    /// of reproducing the from-scratch interleaving.
-    ///
-    /// # Errors
-    /// Returns a description of the first divergence.
-    pub fn same_dependences(&self, other: &DependenceGraph) -> Result<(), String> {
-        if self.order != other.order {
-            return Err(format!(
-                "operation order differs: {} vs {} ops",
-                self.order.len(),
-                other.order.len()
-            ));
+        match self.ranges.get(&op) {
+            Some(&(start, end)) => &self.edges[start as usize..end as usize],
+            None => &[],
         }
-        for &op in &self.order {
-            if self.guard_ref(op) != other.guard_ref(op) {
-                return Err(format!("guard of op{} differs", op.raw()));
-            }
-            let mut mine: Vec<&Dependence> = self.preds_of(op).iter().collect();
-            let mut theirs: Vec<&Dependence> = other.preds_of(op).iter().collect();
-            mine.sort();
-            theirs.sort();
-            if mine != theirs {
-                return Err(format!(
-                    "incoming edges of op{} differ: {mine:?} vs {theirs:?}",
-                    op.raw()
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -556,6 +524,46 @@ mod tests {
         // Other tests run concurrently in this process, so the counter may
         // move by more than our own two builds — never by less.
         assert!(DependenceGraph::build_count() >= before + 2);
+    }
+
+    #[test]
+    fn flat_ranges_cover_edges_in_order() {
+        // Nested conditionals and a redefinition give every edge kind.
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let c = b.var("c", Type::Bool);
+        let x = b.var("x", Type::Bits(8));
+        b.assign(OpKind::Gt, c, vec![Value::Var(a), Value::word(3)]);
+        b.assign(OpKind::Add, x, vec![Value::Var(a), Value::word(1)]);
+        b.if_begin(Value::Var(c));
+        b.assign(OpKind::Add, x, vec![Value::Var(x), Value::Var(x)]);
+        b.else_begin();
+        b.copy(x, Value::word(2));
+        b.if_end();
+        let dead = b.assign(OpKind::Add, x, vec![Value::Var(x), Value::Var(a)]);
+        let mut f = b.finish();
+        f.ops[dead].dead = true;
+        let graph = DependenceGraph::build(&f).unwrap();
+        // Consecutive ranges in `order` tile the flat edge list exactly.
+        let mut next = 0;
+        for &op in &graph.order {
+            let (start, end) = graph.ranges[&op];
+            assert_eq!(
+                start as usize, next,
+                "range of {op:?} starts where the last ended"
+            );
+            assert!(start <= end);
+            assert_eq!(
+                graph.preds_of(op),
+                &graph.edges[start as usize..end as usize]
+            );
+            next = end as usize;
+        }
+        assert_eq!(next, graph.edges.len());
+        assert!(!graph.edges.is_empty());
+        // An op outside the graph (here: a dead one) has no edges.
+        assert!(!graph.order.contains(&dead));
+        assert_eq!(graph.preds_of(dead), &[]);
     }
 
     #[test]

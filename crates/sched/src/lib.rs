@@ -42,7 +42,6 @@
 mod deps;
 mod fsm;
 mod resources;
-mod rewrite;
 mod scheduler;
 mod trails;
 mod wires;
@@ -50,7 +49,6 @@ mod wires;
 pub use deps::{DepKind, Dependence, DependenceGraph, Guard, GuardId, GuardTable, SchedError};
 pub use fsm::{ControlStep, Controller, ScheduledOp};
 pub use resources::{Allocation, FuClass, FuSpec, ResourceLibrary};
-pub use rewrite::{WireEdit, WireEditLog, WireInit};
 pub use scheduler::{schedule, schedule_in, Constraints, SchedContext, Schedule};
 pub use trails::{validate_chaining, ChainingReport};
-pub use wires::{insert_wire_variables, insert_wire_variables_logged, WireReport};
+pub use wires::{insert_wire_variables, WireReport};

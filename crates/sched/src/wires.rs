@@ -10,17 +10,14 @@
 //! conditional so that every chaining trail supplies a value (the situation
 //! of Figures 6 and 7).
 //!
-//! Every rewrite is recorded in a [`WireEditLog`], the structured record
-//! that lets the pipeline patch the pre-insertion
-//! [`DependenceGraph`](crate::DependenceGraph) in place instead of
-//! rebuilding it from scratch (see
-//! [`DependenceGraph::apply_wire_edits`](crate::DependenceGraph::apply_wire_edits)).
+//! The rewrites add operations and redirect operands, so a
+//! [`DependenceGraph`](crate::DependenceGraph) built before insertion no
+//! longer describes the function: callers build a fresh one afterwards.
 
 use spark_ir::{
     BlockId, Function, HtgNode, NodeId, OpId, OpKind, RegionId, SecondaryMap, Value, VarId,
 };
 
-use crate::rewrite::{WireEdit, WireEditLog, WireInit};
 use crate::scheduler::Schedule;
 
 /// Statistics of a wire-variable insertion run.
@@ -46,17 +43,7 @@ pub struct WireReport {
 /// preserves sequential semantics (checked by the interpreter-equivalence
 /// tests) and leaves registers holding exactly the values they held before.
 pub fn insert_wire_variables(function: &mut Function, schedule: &mut Schedule) -> WireReport {
-    insert_wire_variables_logged(function, schedule).0
-}
-
-/// [`insert_wire_variables`] returning the structured [`WireEditLog`] of
-/// every rewrite, for incremental dependence-graph patching.
-pub fn insert_wire_variables_logged(
-    function: &mut Function,
-    schedule: &mut Schedule,
-) -> (WireReport, WireEditLog) {
     let mut report = WireReport::default();
-    let mut log = WireEditLog::default();
 
     // Group same-state flow pairs by (variable, state).
     // For determinism iterate ops in program order.
@@ -144,12 +131,6 @@ pub fn insert_wire_variables_logged(
             let wire_name = format!("w_{}_{}", function.vars[var].name, state);
             let wire = function.add_var(spark_ir::Var::wire(wire_name, ty));
             report.wires_created += 1;
-            let mut edit = WireEdit {
-                var,
-                wire,
-                initializer: None,
-                commits: Vec::new(),
-            };
 
             // Figure 7 case: if any relevant writer is conditional, pre-initialise
             // the wire from the register before the outermost conditional that
@@ -171,8 +152,6 @@ pub fn insert_wire_variables_logged(
                         .iter()
                         .position(|&n| n == conditional)
                         .expect("outermost compound sits in the body region");
-                    let anchor = first_live_op_under(function, conditional)
-                        .expect("the conditional contains the (live) first writer");
                     let init_block =
                         function.add_block(format!("winit_{}", function.vars[var].name));
                     let init_op = function.push_op(
@@ -185,10 +164,6 @@ pub fn insert_wire_variables_logged(
                     function.regions[region].nodes.insert(index, node);
                     schedule.record(init_op, state, 0.0, 0.0, 0);
                     report.initializers += 1;
-                    edit.initializer = Some(WireInit {
-                        op: init_op,
-                        before: anchor,
-                    });
                 }
             }
 
@@ -213,7 +188,6 @@ pub fn insert_wire_variables_logged(
                 schedule.record(commit, state, finish, finish, 0);
                 report.producers_rewritten += 1;
                 report.commit_copies += 1;
-                edit.commits.push((writer, commit));
             }
 
             // Redirect chained readers to the wire.
@@ -225,10 +199,9 @@ pub fn insert_wire_variables_logged(
                     }
                 }
             }
-            log.edits.push(edit);
         }
     }
-    (report, log)
+    report
 }
 
 /// Maps every basic block nested under a top-level compound node of the body
@@ -270,32 +243,10 @@ fn outermost_compounds(function: &Function) -> SecondaryMap<BlockId, NodeId> {
     map
 }
 
-/// First live operation, in program (walk) order, under an HTG node — the
-/// anchor an initializer copy is spliced in front of.
-fn first_live_op_under(function: &Function, node: NodeId) -> Option<OpId> {
-    match &function.nodes[node] {
-        HtgNode::Block(b) => function.blocks[*b]
-            .ops
-            .iter()
-            .copied()
-            .find(|&op| !function.ops[op].dead),
-        HtgNode::If(i) => first_live_op_in_region(function, i.then_region)
-            .or_else(|| first_live_op_in_region(function, i.else_region)),
-        HtgNode::Loop(l) => first_live_op_in_region(function, l.body),
-    }
-}
-
-fn first_live_op_in_region(function: &Function, region: RegionId) -> Option<OpId> {
-    function.regions[region]
-        .nodes
-        .iter()
-        .find_map(|&node| first_live_op_under(function, node))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deps::DependenceGraph;
+    use crate::deps::{DepKind, DependenceGraph};
     use crate::resources::ResourceLibrary;
     use crate::scheduler::{schedule, Constraints};
     use spark_ir::{verify, Env, FunctionBuilder, Interpreter, Program, StorageClass, Type};
@@ -479,5 +430,166 @@ mod tests {
                 .with_scalar("len2", 3)
                 .with_scalar("len3", 4)],
         );
+    }
+
+    /// Schedules at `period`, inserts wires and rebuilds the dependence
+    /// graph, returning the pre- and post-wire graphs. The post-wire graph
+    /// must list every live op in program order with forward edges only.
+    fn pre_and_post_wire_graphs(
+        f: &mut Function,
+        period: f64,
+    ) -> (DependenceGraph, DependenceGraph, WireReport) {
+        let pre = DependenceGraph::build(f).unwrap();
+        let lib = ResourceLibrary::new();
+        let mut sched =
+            schedule(f, &pre, &lib, &Constraints::microprocessor_block(period)).unwrap();
+        let report = insert_wire_variables(f, &mut sched);
+        let post = DependenceGraph::build(f).unwrap();
+        assert_eq!(post.order, f.live_ops());
+        let position: SecondaryMap<OpId, usize> = post
+            .order
+            .iter()
+            .enumerate()
+            .map(|(i, &o)| (o, i))
+            .collect();
+        for &op in &post.order {
+            for dep in post.preds_of(op) {
+                assert!(position[&dep.from] < position[&op], "edge into {op:?}");
+            }
+        }
+        (pre, post, report)
+    }
+
+    /// The commit copies (`register = wire`) of a rewritten function.
+    fn commits(f: &Function) -> Vec<OpId> {
+        f.live_ops()
+            .into_iter()
+            .filter(|&op| {
+                let op = &f.ops[op];
+                op.kind == OpKind::Copy
+                    && op.dest.is_some_and(|d| !f.vars[d].is_wire())
+                    && op.args[0].as_var().is_some_and(|v| f.vars[v].is_wire())
+            })
+            .collect()
+    }
+
+    /// The op defining `var` immediately before `op` in program order.
+    fn writer_before(f: &Function, graph: &DependenceGraph, op: OpId, var: VarId) -> OpId {
+        let at = graph.order.iter().position(|&o| o == op).unwrap();
+        *graph.order[..at]
+            .iter()
+            .rev()
+            .find(|&&o| f.ops[o].dest == Some(var))
+            .expect("a writer precedes the commit")
+    }
+
+    #[test]
+    fn straight_line_chain_post_wire_graph_links_writer_commit_and_reader() {
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let r1 = b.var("r1", Type::Bits(8));
+        let r2 = b.var("r2", Type::Bits(8));
+        let writer = b.assign(OpKind::Add, r1, vec![Value::Var(a), Value::word(1)]);
+        let reader = b.assign(OpKind::Add, r2, vec![Value::Var(r1), Value::word(2)]);
+        let mut f = b.finish();
+        let (_, post, report) = pre_and_post_wire_graphs(&mut f, 10.0);
+        assert_eq!(report.wires_created, 1);
+        let wire = f.ops[writer].dest.unwrap();
+        assert!(f.vars[wire].is_wire());
+        // The commit follows its writer, and both it and the redirected
+        // reader depend on the writer through the wire.
+        let commit = commits(&f)[0];
+        assert_eq!(post.order, vec![writer, commit, reader]);
+        for consumer in [commit, reader] {
+            assert!(post
+                .preds_of(consumer)
+                .iter()
+                .any(|d| d.from == writer && d.kind == DepKind::Flow && d.var == wire));
+        }
+    }
+
+    #[test]
+    fn conditional_writers_post_wire_graph_orders_initializer_and_commits() {
+        // The Figure 6/7 shape: conditional writers force an initializer and
+        // per-branch commits. The initializer (`wire = o1`) is unconditional
+        // and precedes every writer of the wire (output edges) and every
+        // commit back into `o1` (anti edges); each commit runs under its
+        // writer's guard.
+        let mut b = FunctionBuilder::new("fig6");
+        let a = b.param("a", Type::Bits(8));
+        let bb = b.param("b", Type::Bits(8));
+        let d = b.param("d", Type::Bits(8));
+        let e = b.param("e", Type::Bits(8));
+        let cond = b.param("cond", Type::Bool);
+        let o1 = b.var("o1", Type::Bits(8));
+        let o2 = b.output("o2", Type::Bits(8));
+        b.if_begin(Value::Var(cond));
+        b.assign(OpKind::Add, o1, vec![Value::Var(a), Value::Var(bb)]);
+        b.else_begin();
+        b.copy(o1, Value::Var(d));
+        b.if_end();
+        b.assign(OpKind::Add, o2, vec![Value::Var(o1), Value::Var(e)]);
+        let mut f = b.finish();
+        let (_, post, report) = pre_and_post_wire_graphs(&mut f, 10.0);
+        assert_eq!(report.initializers, 1);
+        let initializer = post.order[0];
+        let wire = f.ops[initializer].dest.unwrap();
+        assert_eq!(f.ops[initializer].args, vec![Value::Var(o1)]);
+        assert!(post.guard_of(initializer).is_unconditional());
+        let commits = commits(&f);
+        assert!(commits.len() >= 2);
+        for commit in commits {
+            let writer = writer_before(&f, &post, commit, wire);
+            assert_eq!(post.guard_id_of(commit), post.guard_id_of(writer));
+            assert!(post
+                .preds_of(writer)
+                .iter()
+                .any(|d| d.from == initializer && d.kind == DepKind::Output && d.var == wire));
+            assert!(post
+                .preds_of(commit)
+                .iter()
+                .any(|d| d.from == initializer && d.kind == DepKind::Anti && d.var == o1));
+        }
+    }
+
+    #[test]
+    fn ripple_chain_post_wire_graph_chains_every_commit() {
+        let mut b = FunctionBuilder::new("ripple");
+        let nsb = b.output("nsb", Type::Bits(16));
+        let len1 = b.param("len1", Type::Bits(8));
+        let len2 = b.param("len2", Type::Bits(8));
+        b.copy(nsb, Value::word(1));
+        b.assign(OpKind::Add, nsb, vec![Value::Var(nsb), Value::Var(len1)]);
+        b.assign(OpKind::Add, nsb, vec![Value::Var(nsb), Value::Var(len2)]);
+        let mut f = b.finish();
+        let (_, post, report) = pre_and_post_wire_graphs(&mut f, 10.0);
+        assert_eq!(report.commit_copies, 3);
+        for commit in commits(&f) {
+            let wire = f.ops[commit].args[0].as_var().unwrap();
+            let writer = writer_before(&f, &post, commit, wire);
+            assert!(post
+                .preds_of(commit)
+                .iter()
+                .any(|d| d.from == writer && d.kind == DepKind::Flow && d.var == wire));
+        }
+    }
+
+    #[test]
+    fn without_wires_post_wire_graph_equals_pre_wire() {
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let r1 = b.var("r1", Type::Bits(8));
+        let r2 = b.var("r2", Type::Bits(8));
+        b.assign(OpKind::Add, r1, vec![Value::Var(a), Value::word(1)]);
+        b.assign(OpKind::Add, r2, vec![Value::Var(r1), Value::word(2)]);
+        let mut f = b.finish();
+        // The clock fits one adder: the chain spans two states, no wires.
+        let (pre, post, report) = pre_and_post_wire_graphs(&mut f, 2.5);
+        assert_eq!(report.wires_created, 0);
+        assert_eq!(pre.order, post.order);
+        for &op in &pre.order {
+            assert_eq!(pre.preds_of(op), post.preds_of(op));
+            assert_eq!(pre.guard_id_of(op), post.guard_id_of(op));
+        }
     }
 }

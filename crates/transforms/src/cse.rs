@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use spark_ir::{EditLog, Function, OpId, OpKind, Rewriter, Value, VarId};
+use spark_ir::{EditLog, Function, OpId, OpKind, Rewriter, Type, Value, VarId};
 
 use crate::fine::FineState;
 use crate::report::{Invalidation, Report};
@@ -64,29 +64,31 @@ pub fn common_subexpression_elimination_seeded(
     for block in blocks {
         let ops: Vec<_> = rw.function().blocks[block].ops.clone();
         // Available expressions: key -> dest var of the defining op.
-        let mut available: HashMap<String, VarId> = HashMap::new();
+        let mut available: HashMap<ExprKey, VarId> = HashMap::new();
         for op_id in ops {
-            if rw.function().ops[op_id].dead {
+            let function = rw.function();
+            let op = &function.ops[op_id];
+            if op.dead {
                 continue;
             }
-            let op = rw.function().ops[op_id].clone();
-            // Invalidate expressions that used the variable this op defines.
+            // Invalidate expressions that read or wrote the variable this op
+            // defines.
             if let Some(defined) = op.def() {
-                available.retain(|key, dest| {
-                    *dest != defined && !key.contains(&format!("v{}", defined.raw()))
-                });
+                available.retain(|key, dest| *dest != defined && !key.reads(defined));
             }
             let pure = !op.kind.has_side_effects()
                 && !matches!(op.kind, OpKind::Copy | OpKind::ArrayRead { .. });
-            if !pure || op.dest.is_none() {
+            let Some(dest) = op.dest.filter(|_| pure) else {
                 continue;
-            }
-            let key = expression_key(&op.kind, &op.args);
+            };
+            let Some(key) = ExprKey::of(&op.kind, &op.args, function.vars[dest].ty) else {
+                continue;
+            };
             if let Some(&prev_dest) = available.get(&key) {
                 rw.rewrite_op(op_id, OpKind::Copy, vec![Value::Var(prev_dest)]);
                 report.add(1);
             } else {
-                available.insert(key, op.dest.unwrap());
+                available.insert(key, dest);
             }
         }
     }
@@ -96,30 +98,60 @@ pub fn common_subexpression_elimination_seeded(
     (report, effects)
 }
 
-fn expression_key(kind: &OpKind, args: &[Value]) -> String {
-    let mut parts: Vec<String> = args
-        .iter()
-        .map(|a| match a {
-            Value::Var(v) => format!("v{}", v.raw()),
-            Value::Const(c) => format!("c{}", c.value()),
+/// One operand of an [`ExprKey`]. Constants are keyed by value alone, so
+/// equal values of different literal widths still match.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum KeyOperand {
+    Absent,
+    Var(VarId),
+    Const(u64),
+}
+
+/// What makes two pure operations compute the same value: the kind (with
+/// its parameters, e.g. a slice's `hi:lo`), the operands — sorted for
+/// commutative kinds — and the destination type, since the result is
+/// truncated to it (`u8 a = x + 200` and `u16 b = x + 200` differ).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct ExprKey {
+    kind: OpKind,
+    operands: [KeyOperand; 3],
+    ty: Type,
+}
+
+impl ExprKey {
+    /// The key of `kind(args)` written to a destination of type `ty`, or
+    /// `None` for an operand list longer than any pure kind takes.
+    fn of(kind: &OpKind, args: &[Value], ty: Type) -> Option<Self> {
+        let mut operands = [KeyOperand::Absent; 3];
+        if args.len() > operands.len() {
+            return None;
+        }
+        for (slot, arg) in operands.iter_mut().zip(args) {
+            *slot = match *arg {
+                Value::Var(v) => KeyOperand::Var(v),
+                Value::Const(c) => KeyOperand::Const(c.value()),
+            };
+        }
+        if kind.is_commutative() {
+            operands[..args.len()].sort_unstable();
+        }
+        Some(ExprKey {
+            kind: kind.clone(),
+            operands,
+            ty,
         })
-        .collect();
-    if kind.is_commutative() {
-        parts.sort();
     }
-    // The mnemonic alone is not a sound key for parameterized kinds:
-    // `x[1:1]` and `x[0:0]` are both "slice(v0)" but extract different bits.
-    let kind_key = match kind {
-        OpKind::Slice { hi, lo } => format!("slice[{hi}:{lo}]"),
-        other => other.to_string(),
-    };
-    format!("{kind_key}({})", parts.join(","))
+
+    /// Returns `true` if the expression reads `var`.
+    fn reads(&self, var: VarId) -> bool {
+        self.operands.contains(&KeyOperand::Var(var))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spark_ir::{FunctionBuilder, Type};
+    use spark_ir::{Constant, FunctionBuilder};
 
     #[test]
     fn shares_repeated_partial_sums() {
@@ -189,6 +221,48 @@ mod tests {
         assert_eq!(report.changes, 1);
         let ops = f.live_ops();
         assert_eq!(f.ops[ops[1]].kind, OpKind::Slice { hi: 0, lo: 0 });
+        assert_eq!(f.ops[ops[2]].kind, OpKind::Copy);
+        assert_eq!(f.ops[ops[2]].args[0], Value::Var(t1));
+    }
+
+    #[test]
+    fn destination_width_separates_expressions() {
+        // u8 a = x + 200; u16 b = x + 200 — `a` is truncated to 8 bits, so
+        // `b` must not become a copy of it.
+        let mut b = FunctionBuilder::new("f");
+        let x = b.param("x", Type::Bits(8));
+        let a = b.var("a", Type::Bits(8));
+        let wide = b.var("b", Type::Bits(16));
+        let c200 = Value::Const(Constant::new(200, Type::Bits(8)));
+        b.assign(OpKind::Add, a, vec![Value::Var(x), c200]);
+        b.assign(OpKind::Add, wide, vec![Value::Var(x), c200]);
+        let mut f = b.finish();
+        let report = common_subexpression_elimination(&mut f);
+        assert!(report.is_noop());
+        let ops = f.live_ops();
+        assert_eq!(f.ops[ops[1]].kind, OpKind::Add);
+    }
+
+    #[test]
+    fn redefinition_invalidates_only_the_exact_variable() {
+        // Eleven variables so that v1 and v10 both exist: redefining v1 must
+        // not discard `v10 + a`, which does not read it.
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let vars: Vec<_> = (1..=10)
+            .map(|i| b.var(&format!("u{i}"), Type::Bits(8)))
+            .collect();
+        let (v1, v10) = (vars[0], vars[9]);
+        assert_eq!((v1.raw(), v10.raw()), (1, 10));
+        let t1 = b.var("t1", Type::Bits(8));
+        let t2 = b.var("t2", Type::Bits(8));
+        b.assign(OpKind::Add, t1, vec![Value::Var(v10), Value::Var(a)]);
+        b.copy(v1, Value::word(0));
+        b.assign(OpKind::Add, t2, vec![Value::Var(v10), Value::Var(a)]);
+        let mut f = b.finish();
+        let report = common_subexpression_elimination(&mut f);
+        assert_eq!(report.changes, 1);
+        let ops = f.live_ops();
         assert_eq!(f.ops[ops[2]].kind, OpKind::Copy);
         assert_eq!(f.ops[ops[2]].args[0], Value::Var(t1));
     }

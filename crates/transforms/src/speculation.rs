@@ -180,8 +180,7 @@ fn hoist_branch(
                             })
                             .collect();
                         let ty = function.vars[dest].ty;
-                        let fresh =
-                            function.fresh_temp(&format!("spec_{}", function.vars[dest].name), ty);
+                        let fresh = function.fresh_temp_from("spec", dest, ty);
                         spec_ops.push((kind, fresh, args, dest));
                         // The original op becomes a commit copy.
                         let op_mut = &mut function.ops[op_id];
