@@ -1,5 +1,8 @@
 //! Property-based tests over the core invariants of the reproduction.
 
+#[path = "support/deps_reference.rs"]
+mod deps_reference;
+
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -143,6 +146,26 @@ fn fine_only_options() -> FlowOptions {
     options.speculate = false;
     options.unroll = false;
     options
+}
+
+/// A generated program, unrolled and scheduled at 50 ns: the function and
+/// its dependence graph before wire insertion, then after it (the graph
+/// rebuilt from the rewritten function).
+fn pre_and_post_wire_graphs(script: &[u8]) -> [(Function, DependenceGraph); 2] {
+    let mut f = build_scripted_function(script);
+    xf::unroll_all_loops(&mut f);
+    let graph = DependenceGraph::build(&f).unwrap();
+    let mut sched = schedule(
+        &f,
+        &graph,
+        &ResourceLibrary::new(),
+        &Constraints::microprocessor_block(50.0),
+    )
+    .unwrap();
+    let pre_wire = f.clone();
+    insert_wire_variables(&mut f, &mut sched);
+    let post_wire = DependenceGraph::build(&f).unwrap();
+    [(pre_wire, graph), (f, post_wire)]
 }
 
 const ILD_N: usize = 8;
@@ -339,19 +362,7 @@ proptest! {
     fn interned_guard_exclusion_matches_reference(
         script in proptest::collection::vec(any::<u8>(), 64),
     ) {
-        let mut f = build_scripted_function(&script);
-        xf::unroll_all_loops(&mut f);
-        let graph = DependenceGraph::build(&f).unwrap();
-        let library = ResourceLibrary::new();
-        let mut sched = schedule(
-            &f,
-            &graph,
-            &library,
-            &Constraints::microprocessor_block(50.0),
-        )
-        .unwrap();
-        insert_wire_variables(&mut f, &mut sched);
-        let post_wire = DependenceGraph::build(&f).unwrap();
+        let [(_, graph), (_, post_wire)] = pre_and_post_wire_graphs(&script);
         for g in [&graph, &post_wire] {
             for &a in &g.order {
                 for &b in &g.order {
@@ -362,6 +373,22 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// The dependence graph's flat def/use histories give every operation
+    /// the same incoming edges, in the same order, as the per-variable
+    /// history scan, on generated programs before and after wire insertion.
+    #[test]
+    fn flat_dependence_histories_match_per_variable_reference(
+        script in proptest::collection::vec(any::<u8>(), 96),
+    ) {
+        for (stage, (f, graph)) in ["pre-wire", "post-wire"]
+            .into_iter()
+            .zip(pre_and_post_wire_graphs(&script))
+        {
+            let check = deps_reference::check_preds_match_reference(&f, &graph);
+            prop_assert!(check.is_ok(), "{}: {:?}", stage, check);
         }
     }
 

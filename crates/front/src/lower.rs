@@ -16,6 +16,7 @@ use crate::ast::{
 };
 use crate::sema::Analysis;
 use spark_ir::{FunctionBuilder, OpKind, Program, Type, Value, VarId};
+use std::collections::HashMap;
 
 /// Lowers an analyzed program to behavioral IR.
 ///
@@ -29,10 +30,11 @@ pub fn lower(program: &ProgramAst, analysis: &Analysis) -> Program {
     out
 }
 
-fn lower_function(function: &FunctionAst, analysis: &Analysis) -> spark_ir::Function {
+fn lower_function<'a>(function: &'a FunctionAst, analysis: &'a Analysis) -> spark_ir::Function {
     let mut lowerer = Lowerer {
         builder: FunctionBuilder::new(&function.name),
         analysis,
+        names: HashMap::new(),
     };
     for param in &function.params {
         lowerer.declare(param, true);
@@ -47,52 +49,41 @@ fn lower_function(function: &FunctionAst, analysis: &Analysis) -> spark_ir::Func
 struct Lowerer<'a> {
     builder: FunctionBuilder,
     analysis: &'a Analysis,
+    /// Declared name → variable, first declaration wins. Temporaries are
+    /// never looked up by name, so they stay out of the map.
+    names: HashMap<&'a str, VarId>,
 }
 
-impl Lowerer<'_> {
+impl<'a> Lowerer<'a> {
     /// Resolves a (sema-checked) name to its variable id.
-    fn var(&mut self, name: &str) -> VarId {
-        self.builder
-            .function_mut()
-            .var_by_name(name)
-            .expect("sema resolved every name")
+    fn var(&self, name: &str) -> VarId {
+        *self.names.get(name).expect("sema resolved every name")
     }
 
-    fn declare(&mut self, decl: &Decl, is_param: bool) {
-        match (decl.array_len, decl.out, is_param) {
+    fn declare(&mut self, decl: &'a Decl, is_param: bool) {
+        let id = match (decl.array_len, decl.out, is_param) {
             // `out` parameters and locals are primary outputs, not inputs.
-            (Some(len), true, _) => {
-                self.builder.output_array(&decl.name, decl.ty, len);
-            }
-            (Some(len), false, true) => {
-                self.builder.param_array(&decl.name, decl.ty, len);
-            }
-            (Some(len), false, false) => {
-                self.builder.array(&decl.name, decl.ty, len);
-            }
-            (None, true, _) => {
-                self.builder.output(&decl.name, decl.ty);
-            }
-            (None, false, true) => {
-                self.builder.param(&decl.name, decl.ty);
-            }
-            (None, false, false) => {
-                self.builder.var(&decl.name, decl.ty);
-            }
-        }
+            (Some(len), true, _) => self.builder.output_array(&decl.name, decl.ty, len),
+            (Some(len), false, true) => self.builder.param_array(&decl.name, decl.ty, len),
+            (Some(len), false, false) => self.builder.array(&decl.name, decl.ty, len),
+            (None, true, _) => self.builder.output(&decl.name, decl.ty),
+            (None, false, true) => self.builder.param(&decl.name, decl.ty),
+            (None, false, false) => self.builder.var(&decl.name, decl.ty),
+        };
+        self.names.entry(&decl.name).or_insert(id);
         if let Some(init) = &decl.init {
             let dest = self.var(&decl.name);
             self.assign_into(dest, init);
         }
     }
 
-    fn stmts(&mut self, stmts: &[Stmt]) {
+    fn stmts(&mut self, stmts: &'a [Stmt]) {
         for stmt in stmts {
             self.stmt(stmt);
         }
     }
 
-    fn stmt(&mut self, stmt: &Stmt) {
+    fn stmt(&mut self, stmt: &'a Stmt) {
         match &stmt.kind {
             StmtKind::Decl(decl) => self.declare(decl, false),
             StmtKind::Assign { target, value, .. } => {

@@ -361,14 +361,14 @@ impl<'a> Rewriter<'a> {
         self.log.touched.push(op);
     }
 
-    /// Erases `op`: marks it dead, detaches it from its block and unlinks
-    /// all of its chains. O(degree) — no block scan.
+    /// Erases `op`: marks it dead, drops its operands, detaches it from its
+    /// block and unlinks all of its chains. O(degree) — no block scan.
     pub fn erase_op(&mut self, op: OpId) {
         for v in self.function.ops[op].uses() {
             self.log.released.push(v);
         }
         self.graph.unlink_op(self.function, op);
-        self.function.ops[op].dead = true;
+        self.function.ops[op].kill();
         if let Some(block) = self.graph.op_block.remove(&op) {
             self.function.blocks[block].remove(op);
         }
@@ -482,6 +482,21 @@ mod tests {
         assert!(f.ops[def_x].dead);
         assert!(graph.block_of(def_x).is_none());
         assert!(graph.defs_of(x).is_empty());
+        graph.assert_consistent(&f);
+    }
+
+    #[test]
+    fn erase_op_drops_operands_and_keeps_the_function_valid() {
+        let (mut f, _, x, _) = sample();
+        let mut graph = DefUseGraph::compute(&f);
+        let def_x = graph.defs_of(x)[0];
+        assert!(!f.ops[def_x].args.is_empty());
+        let mut rw = Rewriter::new(&mut f, &mut graph);
+        rw.erase_op(def_x);
+        rw.finish();
+        assert!(f.ops[def_x].args.is_empty());
+        let verdict = crate::verify(&f);
+        assert!(verdict.is_ok(), "{verdict:?}");
         graph.assert_consistent(&f);
     }
 

@@ -1,6 +1,6 @@
 //! Behavioral functions: the unit of synthesis.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use crate::arena::Arena;
@@ -41,10 +41,6 @@ pub struct Function {
     pub body: RegionId,
     /// Counter used to generate unique temporary names.
     next_temp: u32,
-    /// First-declaration name → id index backing [`Function::var_by_name`].
-    /// Maintained by [`Function::add_var`]; names are immutable after
-    /// declaration, so the index never goes stale.
-    name_index: HashMap<String, VarId>,
 }
 
 impl Function {
@@ -63,7 +59,6 @@ impl Function {
             regions,
             body,
             next_temp: 0,
-            name_index: HashMap::new(),
         }
     }
 
@@ -73,12 +68,7 @@ impl Function {
 
     /// Declares a variable and returns its id.
     pub fn add_var(&mut self, var: Var) -> VarId {
-        let name = var.name.clone();
-        let id = self.vars.alloc(var);
-        // First declaration wins, preserving `var_by_name`'s historical
-        // first-match semantics for duplicate names.
-        self.name_index.entry(name).or_insert(id);
-        id
+        self.vars.alloc(var)
     }
 
     /// Declares a parameter variable. Parameters default to primary inputs.
@@ -324,13 +314,16 @@ impl Function {
         map
     }
 
-    /// Finds a variable by name (first match, O(1)).
+    /// Finds a variable by name (first match, a linear scan).
     ///
-    /// Backed by a name index maintained at declaration time — this is a hot
-    /// path for the frontend lowering, which resolves every identifier
-    /// through it.
+    /// The function keeps no name index: clones of it are made per design
+    /// point, and only tests and tools look names up. The frontend lowering
+    /// keeps its own name map while it declares.
     pub fn var_by_name(&self, name: &str) -> Option<VarId> {
-        self.name_index.get(name).copied()
+        self.vars
+            .iter()
+            .find(|(_, v)| v.name == name)
+            .map(|(id, _)| id)
     }
 
     /// Primary output variables of the function.
@@ -355,9 +348,10 @@ impl Function {
     // Mutation helpers used by transformations
     // ------------------------------------------------------------------
 
-    /// Marks an operation dead and detaches it from its block.
+    /// Marks an operation dead, drops its operands ([`Operation::kill`]) and
+    /// detaches it from its block.
     pub fn kill_op(&mut self, op: OpId) {
-        self.ops[op].dead = true;
+        self.ops[op].kill();
         if let Some(block) = self.block_of(op) {
             self.blocks[block].remove(op);
         }
@@ -562,6 +556,19 @@ mod tests {
     }
 
     #[test]
+    fn kill_op_drops_operands_and_keeps_the_function_valid() {
+        let (mut f, ..) = sample_function();
+        let op = f.live_ops()[0];
+        assert!(!f.ops[op].args.is_empty());
+        f.kill_op(op);
+        assert!(f.ops[op].args.is_empty());
+        let verdict = crate::verify(&f);
+        assert!(verdict.is_ok(), "{verdict:?}");
+        // A clone carries the dead op without operands.
+        assert!(f.clone().ops[op].args.is_empty());
+    }
+
+    #[test]
     fn replace_uses_rewrites_operands() {
         let (mut f, a, _, _) = sample_function();
         let n = f.replace_uses(a, Value::Const(Constant::word(7)));
@@ -630,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn var_by_name_is_indexed_with_first_match_semantics() {
+    fn var_by_name_keeps_first_match_semantics() {
         let mut f = Function::new("n");
         let a = f.add_param(Var::register("a", Type::Bits(8)));
         let dup_first = f.add_var(Var::register("dup", Type::Bits(8)));
@@ -640,7 +647,7 @@ mod tests {
         assert_eq!(f.var_by_name("dup"), Some(dup_first));
         assert_eq!(f.var_by_name(&f.vars[t].name.clone()), Some(t));
         assert_eq!(f.var_by_name("missing"), None);
-        // Clones carry the index.
+        // Clones answer the same way.
         assert_eq!(f.clone().var_by_name("dup"), Some(dup_first));
     }
 

@@ -200,6 +200,14 @@ impl Operation {
         }
     }
 
+    /// Marks the operation dead and drops its operands. A dead operation
+    /// keeps its arena slot (ids stay stable) and its kind, but no operand
+    /// `Vec`, so cloning the owning function allocates nothing for it.
+    pub fn kill(&mut self) {
+        self.dead = true;
+        self.args = Vec::new();
+    }
+
     /// Variables read by this operation (operands plus array sources).
     pub fn uses(&self) -> Vec<VarId> {
         self.uses_iter().collect()

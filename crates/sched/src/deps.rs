@@ -280,10 +280,7 @@ impl DependenceGraph {
             ref guard_ids,
             ref guard_table,
         } = graph;
-        let mut last_defs: SecondaryMap<VarId, Vec<OpId>> =
-            SecondaryMap::with_capacity(function.vars.len());
-        let mut last_uses: SecondaryMap<VarId, Vec<OpId>> =
-            SecondaryMap::with_capacity(function.vars.len());
+        let (mut last_defs, mut last_uses) = Histories::sized_for(function, order);
         for &op_id in order {
             let op = &function.ops[op_id];
             let gid = guard_ids[&op_id];
@@ -293,7 +290,7 @@ impl DependenceGraph {
             // condition in its guard.
             for &(cond, _) in &guard_table.guard(gid).terms {
                 if let Some(cond_var) = cond.as_var() {
-                    for &producer in last_defs.get(&cond_var).into_iter().flatten() {
+                    for &producer in last_defs.of(cond_var) {
                         edges.push(Dependence {
                             from: producer,
                             kind: DepKind::Control,
@@ -305,7 +302,7 @@ impl DependenceGraph {
 
             // Flow dependences on every operand.
             for used in op.uses_iter() {
-                for &producer in last_defs.get(&used).into_iter().flatten() {
+                for &producer in last_defs.of(used) {
                     if !guard_table.mutually_exclusive(guard_ids[&producer], gid) {
                         edges.push(Dependence {
                             from: producer,
@@ -318,7 +315,7 @@ impl DependenceGraph {
 
             if let Some(defined) = op.def() {
                 // Output dependences on earlier defs, anti dependences on earlier uses.
-                for &producer in last_defs.get(&defined).into_iter().flatten() {
+                for &producer in last_defs.of(defined) {
                     if !guard_table.mutually_exclusive(guard_ids[&producer], gid) {
                         edges.push(Dependence {
                             from: producer,
@@ -327,7 +324,7 @@ impl DependenceGraph {
                         });
                     }
                 }
-                for &reader in last_uses.get(&defined).into_iter().flatten() {
+                for &reader in last_uses.of(defined) {
                     if reader != op_id && !guard_table.mutually_exclusive(guard_ids[&reader], gid) {
                         edges.push(Dependence {
                             from: reader,
@@ -340,10 +337,10 @@ impl DependenceGraph {
 
             // Update access history.
             for used in op.uses_iter() {
-                last_uses.get_or_insert_with(used, Vec::new).push(op_id);
+                last_uses.push(used, op_id);
             }
             if let Some(defined) = op.def() {
-                last_defs.get_or_insert_with(defined, Vec::new).push(op_id);
+                last_defs.push(defined, op_id);
             }
 
             ranges.insert(op_id, (start, edges.len() as u32));
@@ -395,6 +392,77 @@ impl DependenceGraph {
             Some(&(start, end)) => &self.edges[start as usize..end as usize],
             None => &[],
         }
+    }
+}
+
+/// The def (or use) history of every variable during the program-order
+/// scan of [`DependenceGraph::build`], in one flat array.
+///
+/// A counting pre-pass gives each variable one range, sized to its total
+/// number of accesses; the scan fills a variable's range front to back as it
+/// reaches the accesses, so the filled prefix is the history so far, in
+/// program order.
+struct Histories {
+    /// Accessing operations, grouped by variable.
+    ops: Vec<OpId>,
+    /// Start of each variable's range in `ops`.
+    start: Vec<u32>,
+    /// One past the last filled slot of each variable's range.
+    end: Vec<u32>,
+}
+
+impl Histories {
+    /// Empty def and use histories with one range per variable of
+    /// `function`, sized by the accesses of the operations in `order`.
+    fn sized_for(function: &Function, order: &[OpId]) -> (Histories, Histories) {
+        let vars = function.vars.len();
+        let mut def_counts = vec![0u32; vars];
+        let mut use_counts = vec![0u32; vars];
+        for &op_id in order {
+            let op = &function.ops[op_id];
+            for used in op.uses_iter() {
+                use_counts[used.index()] += 1;
+            }
+            if let Some(defined) = op.def() {
+                def_counts[defined.index()] += 1;
+            }
+        }
+        (
+            Histories::with_counts(def_counts),
+            Histories::with_counts(use_counts),
+        )
+    }
+
+    /// Turns per-variable access counts into empty ranges (the counts
+    /// become the start offsets in place).
+    fn with_counts(mut counts: Vec<u32>) -> Histories {
+        let mut total = 0u32;
+        for count in &mut counts {
+            let len = *count;
+            *count = total;
+            total += len;
+        }
+        Histories {
+            // Placeholders: a slot is always written before `of` exposes it.
+            ops: vec![OpId::from_raw(0); total as usize],
+            end: counts.clone(),
+            start: counts,
+        }
+    }
+
+    /// The history of `var` so far.
+    #[inline]
+    fn of(&self, var: VarId) -> &[OpId] {
+        let v = var.index();
+        &self.ops[self.start[v] as usize..self.end[v] as usize]
+    }
+
+    /// Appends `op` to the history of `var`.
+    #[inline]
+    fn push(&mut self, var: VarId, op: OpId) {
+        let slot = &mut self.end[var.index()];
+        self.ops[*slot as usize] = op;
+        *slot += 1;
     }
 }
 

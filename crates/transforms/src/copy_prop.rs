@@ -7,7 +7,7 @@
 //! lists it among the "standard compiler transformations" that support the
 //! coarse-grain ones (Section 3).
 
-use spark_ir::{EditLog, Function, OpId, OpKind, Rewriter, Value};
+use spark_ir::{EditLog, Function, OpId, OpKind, Rewriter, Value, VarId};
 
 use crate::fine::{FineState, OpQueue};
 use crate::report::{Invalidation, Report};
@@ -19,10 +19,15 @@ use crate::report::{Invalidation, Report};
 ///
 /// A copy `x = y` is forwarded to a use of `x` when:
 /// * `x` has exactly one live definition (the copy itself),
-/// * the copy structurally dominates the use, and
+/// * the copy structurally dominates the use,
 /// * `y` is never redefined (it has a single definition that dominates the
 ///   copy, or it is only defined as a parameter/primary input), so its value
-///   at the use site equals its value at the copy site.
+///   at the use site equals its value at the copy site, and
+/// * the copy is lossless: `y` is a variable no wider than `x`, or a
+///   constant whose value fits `x`'s width. A narrowing copy truncates, so
+///   reading `y` in place of `x` would change the value. A concatenation's
+///   low operand also needs `y` exactly as wide as `x`, because its width
+///   sets the shift of the high operand.
 pub fn copy_propagation(function: &mut Function) -> Report {
     let mut state = FineState::new(function);
     let seed = function.live_ops();
@@ -104,7 +109,8 @@ pub fn copy_propagation_seeded(
                 continue;
             }
             let source = copy_op.args[0];
-            if stable(&rw, positions, source, copy_op_id)
+            if lossless(rw.function(), var, source, op_id, index)
+                && stable(&rw, positions, source, copy_op_id)
                 && positions.dominates(copy_op_id, op_id)
                 && rw.replace_operand(op_id, index, source)
             {
@@ -137,6 +143,7 @@ pub fn copy_propagation_seeded(
             let mut rewrote = false;
             for index in 0..rw.function().ops[use_op].args.len() {
                 if rw.function().ops[use_op].args[index] == Value::Var(dest)
+                    && lossless(rw.function(), dest, source, use_op, index)
                     && rw.replace_operand(use_op, index, source)
                 {
                     changed += 1;
@@ -153,6 +160,22 @@ pub fn copy_propagation_seeded(
     let effects = rw.finish();
     state.debug_check(function);
     (report, effects)
+}
+
+/// Returns `true` if operand `index` of `reader`, which reads the copy
+/// `dest = source`, may read `source` instead: the copy keeps every bit of
+/// `source`, and the reader sees the same value either way.
+fn lossless(function: &Function, dest: VarId, source: Value, reader: OpId, index: usize) -> bool {
+    let ty = function.vars[dest].ty;
+    let source_width = match source {
+        Value::Const(c) if c.value() & ty.mask() == c.value() => c.ty().width(),
+        Value::Var(src) if function.vars[src].ty.width() <= ty.width() => {
+            function.vars[src].ty.width()
+        }
+        _ => return false,
+    };
+    // A concatenation shifts its high operand by the width of its low one.
+    function.ops[reader].kind != OpKind::Concat || index != 1 || source_width == ty.width()
 }
 
 #[cfg(test)]
@@ -227,6 +250,56 @@ mod tests {
         let ops = f.live_ops();
         let last = &f.ops[*ops.last().unwrap()];
         assert_eq!(last.args[0], Value::word(7));
+    }
+
+    #[test]
+    fn does_not_forward_through_a_narrowing_copy() {
+        // u8 b = y (u16); r = b + 1 -- reading y would skip the truncation.
+        let mut b = FunctionBuilder::new("f");
+        let y = b.param("y", Type::Bits(16));
+        let narrow = b.var("b", Type::Bits(8));
+        let r = b.output("r", Type::Bits(16));
+        b.copy(narrow, Value::Var(y));
+        let add = b.assign(OpKind::Add, r, vec![Value::Var(narrow), Value::word(1)]);
+        let mut f = b.finish();
+        let report = copy_propagation(&mut f);
+        assert_eq!(report.changes, 0);
+        assert_eq!(f.ops[add].args[0], Value::Var(narrow));
+    }
+
+    #[test]
+    fn forwards_widening_copies_and_fitting_constants_only() {
+        let mut b = FunctionBuilder::new("f");
+        let y = b.param("y", Type::Bits(8));
+        let wide = b.var("wide", Type::Bits(16));
+        let fits = b.var("fits", Type::Bits(8));
+        let truncated = b.var("truncated", Type::Bits(8));
+        let r = b.output("r", Type::Bits(16));
+        b.copy(wide, Value::Var(y));
+        b.copy(fits, Value::word(255));
+        b.copy(truncated, Value::word(256));
+        let sum = b.assign(OpKind::Add, r, vec![Value::Var(wide), Value::Var(fits)]);
+        let again = b.assign(OpKind::Add, r, vec![Value::Var(r), Value::Var(truncated)]);
+        let mut f = b.finish();
+        copy_propagation(&mut f);
+        assert_eq!(f.ops[sum].args, vec![Value::Var(y), Value::word(255)]);
+        assert_eq!(f.ops[again].args[1], Value::Var(truncated));
+    }
+
+    #[test]
+    fn concat_low_operand_needs_an_equal_width_source() {
+        // {h, w} shifts h by the width of w, so a u4 source cannot stand in
+        // for the u8 copy even though the copy is lossless.
+        let mut b = FunctionBuilder::new("f");
+        let h = b.param("h", Type::Bits(4));
+        let n = b.param("n", Type::Bits(4));
+        let w = b.var("w", Type::Bits(8));
+        let r = b.output("r", Type::Bits(16));
+        b.copy(w, Value::Var(n));
+        let cat = b.assign(OpKind::Concat, r, vec![Value::Var(h), Value::Var(w)]);
+        let mut f = b.finish();
+        copy_propagation(&mut f);
+        assert_eq!(f.ops[cat].args[1], Value::Var(w));
     }
 
     #[test]

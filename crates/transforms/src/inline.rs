@@ -123,7 +123,7 @@ fn inline_one(caller: &mut Function, callee: &Function, call_op: OpId) -> Region
         locate_call(caller, call_op).expect("call op must be attached to a block");
     let tail_ops: Vec<OpId> = caller.blocks[block].ops.split_off(op_index + 1);
     caller.blocks[block].remove(call_op);
-    caller.ops[call_op].dead = true;
+    caller.ops[call_op].kill();
 
     let mut insert: Vec<NodeId> = vec![bind_node];
     insert.extend(caller.regions[imported].nodes.clone());
