@@ -163,13 +163,22 @@ fn fnv64(bytes: impl Iterator<Item = u8>) -> u64 {
 /// per-op control step, start/finish times and FU instance, the register
 /// assignment, the FU packing and the rendered datapath report.
 ///
+/// Operations are keyed by their position in program order
+/// ([`Function::live_ops`]), not by arena id: how the arena numbers its
+/// slots (dead ones included) is not part of the design. Registers stay
+/// keyed by variable id.
+///
 /// Shared by the seed-equivalence test in `tests/ild_end_to_end.rs`, the
 /// corpus drift gate in `tests/frontend_corpus.rs` and
 /// `sparkc --emit fingerprint`.
 pub fn synthesis_fingerprint(result: &SynthesisResult) -> u64 {
+    use spark_ir::{OpId, SecondaryMap};
     use spark_sched::FuClass;
+    let order = result.function.live_ops();
+    let position: SecondaryMap<OpId, usize> =
+        order.iter().enumerate().map(|(i, &op)| (op, i)).collect();
     let mut text = String::new();
-    for op in result.function.live_ops() {
+    for (index, &op) in order.iter().enumerate() {
         let state = result
             .schedule
             .op_state
@@ -185,8 +194,7 @@ pub fn synthesis_fingerprint(result: &SynthesisResult) -> u64 {
             .copied()
             .unwrap_or(usize::MAX);
         text.push_str(&format!(
-            "op{}:{state}:{start:.3}:{finish:.3}:{instance}\n",
-            op.raw()
+            "op{index}:{state}:{start:.3}:{finish:.3}:{instance}\n"
         ));
     }
     for (var_id, _) in result.function.vars.iter() {
@@ -197,7 +205,11 @@ pub fn synthesis_fingerprint(result: &SynthesisResult) -> u64 {
     for class in FuClass::ALL {
         if let Some(instances) = result.binding.fu_instances.get(&class) {
             for (i, fu) in instances.iter().enumerate() {
-                let ops: Vec<String> = fu.ops.iter().map(|o| o.raw().to_string()).collect();
+                let ops: Vec<String> = fu
+                    .ops
+                    .iter()
+                    .map(|o| position.get(o).map_or(usize::MAX, |&p| p).to_string())
+                    .collect();
                 text.push_str(&format!("fu {class}/{i}: {}\n", ops.join(",")));
             }
         }

@@ -153,15 +153,17 @@ use spark_bench::corpus::synthesis_fingerprint;
 
 /// The dense-map scheduler must keep producing byte-identical schedules,
 /// bindings and `DatapathReport`s to the seed (BTreeMap-based) implementation.
-/// The constants below were captured from the seed build of this repository
-/// on the ILD suite; any behavioural drift in scheduling, binding or
+/// The fingerprint keys operations by their position in program order, not
+/// by arena id, so the constants below were re-captured when that keying was
+/// introduced, on a build whose schedules, bindings and reports still
+/// matched the seed's; any behavioural drift in scheduling, binding or
 /// reporting shows up as a fingerprint mismatch.
 #[test]
 fn dense_map_scheduler_is_byte_identical_to_seed_behavior() {
     let golden: [(u32, u64, u64); 3] = [
-        (4, 0x73de636006e5f576, 0xbce74b12e9252c2e),
-        (8, 0x79d06c3a6a4aba09, 0x1968396cdcefea81),
-        (16, 0xb582675d4c3be87f, 0xa1675c0cae1c494d),
+        (4, 0x97f295dadb3b6e1e, 0x7e47ed96176d20cf),
+        (8, 0xe116ec94ebdaecbf, 0xda53f9dc295d16c1),
+        (16, 0x72c4a7bf7ddb7776, 0x711feeb3080ee68a),
     ];
     for (n, spark_expected, baseline_expected) in golden {
         let program = build_ild_program(n);
