@@ -416,6 +416,12 @@ impl<'a> PassManager<'a> {
         }
         let pass = report.pass.clone();
         self.pass_log.push(report);
+        self.verify_top(pass)
+    }
+
+    /// With [`FlowOptions::verify_ir`] set, re-verifies the top-level
+    /// function, naming `pass` in the error.
+    fn verify_top(&self, pass: String) -> Result<(), SynthesisError> {
         if self.options.verify_ir {
             if let Some(function) = self.working.function(&self.top) {
                 spark_ir::verify(function)
@@ -509,7 +515,8 @@ impl<'a> PassManager<'a> {
     }
 
     /// Runs the whole transformation recipe and returns the transformed
-    /// program.
+    /// program, its top function compacted ([`spark_ir::Function::compact`]):
+    /// it holds only live operations and reachable blocks, nodes and regions.
     pub fn run(mut self) -> Result<TransformedProgram, SynthesisError> {
         TRANSFORM_RUNS.fetch_add(1, Ordering::Relaxed);
         let options = self.options;
@@ -567,6 +574,14 @@ impl<'a> PassManager<'a> {
             })?;
             self.snapshot("secondary-code-motions");
         }
+
+        // Hand the backend only the live IR: every design point copies the
+        // top function and sizes its per-op tables by its arenas.
+        self.working
+            .function_mut(&self.top)
+            .expect("top exists")
+            .compact();
+        self.verify_top("compact".to_string())?;
 
         Ok(TransformedProgram {
             program: self.working,
@@ -989,6 +1004,25 @@ mod tests {
         xf::dead_code_elimination(&mut reference);
         assert_eq!(managed.to_string(), reference.to_string());
         assert!(managed.live_op_count() < unrolled_before_fine + 3 * 2);
+    }
+
+    #[test]
+    fn transformed_top_holds_only_live_ir() {
+        let program = build_ild_program(8);
+        for mut options in [
+            FlowOptions::microprocessor_block(100.0),
+            FlowOptions::asic_baseline(100.0),
+        ] {
+            options.verify_ir = true;
+            let transformed = transform_program(&program, ILD_FUNCTION, &options).unwrap();
+            let top = transformed.program.function(ILD_FUNCTION).unwrap();
+            assert_eq!(top.live_op_count(), top.ops.len());
+            assert_eq!(top.block_count(), top.blocks.len());
+            // Compaction is not a pass: it adds no log entry or snapshot.
+            assert!(transformed.pass_log.iter().all(|r| r.pass != "compact"));
+            let last = transformed.stages.last().unwrap();
+            assert_eq!(last.stats, FunctionStats::of(top));
+        }
     }
 
     #[test]

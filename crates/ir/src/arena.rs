@@ -77,9 +77,10 @@ impl<T> fmt::Debug for Id<T> {
 
 /// A growable, index-stable container of IR entities.
 ///
-/// Entities are never removed from an arena (transformations mark them dead
-/// instead); this keeps all outstanding ids valid for the lifetime of the
-/// owning function.
+/// Transformations never remove entities from an arena (they mark them dead
+/// instead); this keeps all outstanding ids valid while a function is being
+/// rewritten. Only [`Arena::retain`], called once a function is final,
+/// drops entities and renumbers the rest.
 #[derive(Clone, Debug)]
 pub struct Arena<T> {
     items: Vec<T>,
@@ -150,6 +151,29 @@ impl<T> Arena<T> {
     pub fn ids(&self) -> impl Iterator<Item = Id<T>> + '_ {
         (0..self.items.len() as u32).map(Id::from_raw)
     }
+
+    /// Keeps only the entities whose flag in `keep` (indexed by id) is set
+    /// and renumbers the survivors densely in allocation order. Returns the
+    /// old → new id map, `None` for a dropped entity.
+    ///
+    /// This invalidates every outstanding id: the owner must remap them.
+    ///
+    /// # Panics
+    /// Panics if `keep` is shorter than the arena.
+    pub fn retain(&mut self, keep: &[bool]) -> Vec<Option<Id<T>>> {
+        let mut renumbered = Vec::with_capacity(self.items.len());
+        let mut next = 0u32;
+        let mut flags = keep.iter();
+        self.items.retain(|_| {
+            let kept = *flags.next().expect("a keep flag per entity");
+            renumbered.push(kept.then(|| {
+                next += 1;
+                Id::from_raw(next - 1)
+            }));
+            kept
+        });
+        renumbered
+    }
 }
 
 impl<T> std::ops::Index<Id<T>> for Arena<T> {
@@ -200,6 +224,21 @@ mod tests {
         }
         let values: Vec<_> = arena.iter().map(|(_, v)| *v).collect();
         assert_eq!(values, vec![11, 12]);
+    }
+
+    #[test]
+    fn retain_renumbers_survivors_in_allocation_order() {
+        let mut arena: Arena<&str> = Arena::new();
+        for item in ["a", "b", "c", "d"] {
+            arena.alloc(item);
+        }
+        let renumbered = arena.retain(&[false, true, false, true]);
+        assert_eq!(
+            renumbered,
+            vec![None, Some(Id::from_raw(0)), None, Some(Id::from_raw(1))]
+        );
+        let items: Vec<_> = arena.iter().map(|(_, &item)| item).collect();
+        assert_eq!(items, vec!["b", "d"]);
     }
 
     #[test]

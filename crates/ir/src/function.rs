@@ -29,7 +29,7 @@ pub struct Function {
     pub return_type: Option<Type>,
     /// All variables (parameters, locals, temporaries, arrays).
     pub vars: Arena<Var>,
-    /// All operations, live and dead.
+    /// All operations, live and dead ([`Function::compact`] drops the dead).
     pub ops: Arena<Operation>,
     /// All basic blocks.
     pub blocks: Arena<BasicBlock>,
@@ -456,6 +456,73 @@ impl Function {
         new_region
     }
 
+    /// Drops every operation that is dead or outside the blocks reachable
+    /// from the body, and every unreachable block, HTG node and region. The
+    /// survivors are renumbered in their original id order, so program order
+    /// and every iteration or tie-break by id are unchanged. Variables are
+    /// kept as they are: the RTL declares every one and
+    /// [`FunctionStats`](crate::FunctionStats) counts them.
+    ///
+    /// Every operation, block, node and region id held outside the function
+    /// is invalidated. The transformation pipeline compacts its result once,
+    /// so each design point copies and sizes its tables by the live IR only.
+    pub fn compact(&mut self) {
+        let mut keep_regions = vec![false; self.regions.len()];
+        let mut keep_nodes = vec![false; self.nodes.len()];
+        let mut keep_blocks = vec![false; self.blocks.len()];
+        let mut keep_ops = vec![false; self.ops.len()];
+        let mut stack = vec![self.body];
+        while let Some(region) = stack.pop() {
+            if std::mem::replace(&mut keep_regions[region.index()], true) {
+                continue;
+            }
+            for &node in &self.regions[region].nodes {
+                keep_nodes[node.index()] = true;
+                match &self.nodes[node] {
+                    HtgNode::Block(b) => {
+                        keep_blocks[b.index()] = true;
+                        for &op in &self.blocks[*b].ops {
+                            keep_ops[op.index()] |= !self.ops[op].dead;
+                        }
+                    }
+                    HtgNode::If(i) => stack.extend([i.then_region, i.else_region]),
+                    HtgNode::Loop(l) => stack.push(l.body),
+                }
+            }
+        }
+
+        let ops = self.ops.retain(&keep_ops);
+        let blocks = self.blocks.retain(&keep_blocks);
+        let nodes = self.nodes.retain(&keep_nodes);
+        let regions = self.regions.retain(&keep_regions);
+        let region = |id: RegionId| regions[id.index()].expect("a kept node's region is kept");
+        for (_, block) in self.blocks.iter_mut() {
+            block.ops.retain_mut(|op| match ops[op.index()] {
+                Some(renumbered) => {
+                    *op = renumbered;
+                    true
+                }
+                None => false,
+            });
+        }
+        for (_, node) in self.nodes.iter_mut() {
+            match node {
+                HtgNode::Block(b) => *b = blocks[b.index()].expect("a kept node's block is kept"),
+                HtgNode::If(i) => {
+                    i.then_region = region(i.then_region);
+                    i.else_region = region(i.else_region);
+                }
+                HtgNode::Loop(l) => l.body = region(l.body),
+            }
+        }
+        for (_, kept) in self.regions.iter_mut() {
+            for node in &mut kept.nodes {
+                *node = nodes[node.index()].expect("a kept region's node is kept");
+            }
+        }
+        self.body = region(self.body);
+    }
+
     /// Removes empty basic blocks and empty `if` nodes from every region.
     /// Returns the number of nodes removed.
     pub fn prune_empty(&mut self) -> usize {
@@ -499,6 +566,7 @@ impl Function {
 mod tests {
     use super::*;
     use crate::value::Constant;
+    use crate::FunctionStats;
 
     fn sample_function() -> (Function, VarId, VarId, VarId) {
         // if (c) { x = a + 1 } else { x = a - 1 }
@@ -649,6 +717,130 @@ mod tests {
         assert_eq!(f.var_by_name("missing"), None);
         // Clones answer the same way.
         assert_eq!(f.clone().var_by_name("dup"), Some(dup_first));
+    }
+
+    /// `sample_function` between two top-level blocks, plus garbage
+    /// interleaved with the live IR: a dead op left in a live block, an
+    /// `if` node, its regions and a block no longer reachable from the body,
+    /// and an op never placed in any block.
+    fn function_with_garbage() -> Function {
+        let (mut f, a, c, x) = sample_function();
+        let body = f.body;
+        let pre = f.add_block("pre");
+        let dead = f.push_op(
+            pre,
+            OpKind::Add,
+            Some(x),
+            vec![Value::Var(a), Value::word(2)],
+        );
+        f.push_op(
+            pre,
+            OpKind::Sub,
+            Some(x),
+            vec![Value::Var(a), Value::word(3)],
+        );
+        f.ops[dead].kill();
+        let pre_node = f.add_block_node(pre);
+        f.regions[body].nodes.insert(0, pre_node);
+
+        let orphan = f.add_block("orphan");
+        f.push_op(orphan, OpKind::Copy, Some(x), vec![Value::word(9)]);
+        let orphan_then = f.add_region();
+        let orphan_node = f.add_block_node(orphan);
+        f.region_push(orphan_then, orphan_node);
+        let orphan_else = f.add_region();
+        f.add_if_node(Value::Var(c), orphan_then, orphan_else);
+        f.add_op(OpKind::Copy, Some(x), vec![Value::word(4)]);
+
+        let post = f.add_block("post");
+        f.push_op(post, OpKind::Copy, Some(x), vec![Value::Var(a)]);
+        let post_node = f.add_block_node(post);
+        f.region_push(body, post_node);
+        f
+    }
+
+    /// The nodes and regions reachable from the body, each sorted by id.
+    fn reachable_structure(f: &Function) -> (Vec<NodeId>, Vec<RegionId>) {
+        let (mut nodes, mut regions) = (Vec::new(), vec![f.body]);
+        let mut stack = vec![f.body];
+        while let Some(region) = stack.pop() {
+            for &node in &f.regions[region].nodes {
+                nodes.push(node);
+                let children = match &f.nodes[node] {
+                    HtgNode::Block(_) => vec![],
+                    HtgNode::If(i) => vec![i.then_region, i.else_region],
+                    HtgNode::Loop(l) => vec![l.body],
+                };
+                regions.extend(&children);
+                stack.extend(children);
+            }
+        }
+        nodes.sort();
+        regions.sort();
+        (nodes, regions)
+    }
+
+    /// A node's kind and, for a leaf, its block's label: what identifies it
+    /// independently of how the arenas number it.
+    fn node_shape(f: &Function, node: NodeId) -> String {
+        match &f.nodes[node] {
+            HtgNode::Block(b) => format!("block {}", f.blocks[*b].label),
+            HtgNode::If(i) => format!("if {:?}", i.cond),
+            HtgNode::Loop(l) => format!("loop {:?}", l.kind),
+        }
+    }
+
+    #[test]
+    fn compact_keeps_only_live_ir_in_its_original_order() {
+        let before = function_with_garbage();
+        let mut f = before.clone();
+        f.compact();
+        assert_eq!(f.live_op_count(), f.ops.len());
+        assert_eq!(f.block_count(), f.blocks.len());
+
+        // Survivors keep their relative id order.
+        let mut live = before.live_ops();
+        live.sort();
+        let kept: Vec<&Operation> = live.iter().map(|&op| &before.ops[op]).collect();
+        let survivors: Vec<&Operation> = f.ops.iter().map(|(_, op)| op).collect();
+        assert_eq!(kept, survivors);
+        let mut blocks = before.blocks_in_region(before.body);
+        blocks.sort();
+        let labels: Vec<&str> = blocks.iter().map(|&b| &*before.blocks[b].label).collect();
+        let kept_labels: Vec<&str> = f.blocks.iter().map(|(_, b)| &*b.label).collect();
+        assert_eq!(labels, kept_labels);
+        let (nodes, regions) = reachable_structure(&before);
+        let shapes: Vec<String> = nodes.iter().map(|&n| node_shape(&before, n)).collect();
+        let kept_shapes: Vec<String> = f.nodes.ids().map(|n| node_shape(&f, n)).collect();
+        assert_eq!(shapes, kept_shapes);
+        let sizes: Vec<usize> = regions
+            .iter()
+            .map(|&r| before.regions[r].nodes.len())
+            .collect();
+        let kept_sizes: Vec<usize> = f.regions.iter().map(|(_, r)| r.nodes.len()).collect();
+        assert_eq!(sizes, kept_sizes);
+
+        // Program order, variables and statistics are unchanged.
+        let program_order = |f: &Function| -> Vec<Operation> {
+            f.live_ops().iter().map(|&op| f.ops[op].clone()).collect()
+        };
+        assert_eq!(program_order(&before), program_order(&f));
+        assert_eq!(before.to_string(), f.to_string());
+        let vars: Vec<&Var> = before.vars.iter().map(|(_, v)| v).collect();
+        let kept_vars: Vec<&Var> = f.vars.iter().map(|(_, v)| v).collect();
+        assert_eq!(vars, kept_vars);
+        assert_eq!(FunctionStats::of(&before), FunctionStats::of(&f));
+        let verdict = crate::verify(&f);
+        assert!(verdict.is_ok(), "{verdict:?}");
+    }
+
+    #[test]
+    fn compacting_twice_equals_compacting_once() {
+        let mut once = function_with_garbage();
+        once.compact();
+        let mut twice = once.clone();
+        twice.compact();
+        assert_eq!(format!("{once:?}"), format!("{twice:?}"));
     }
 
     #[test]
