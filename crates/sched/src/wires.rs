@@ -36,170 +36,185 @@ pub struct WireReport {
     pub readers_redirected: usize,
 }
 
+/// One scalar access by a scheduled live operation: `op`, at `position` in
+/// program order, reads or (`is_writer`) writes `var` in control step
+/// `state`.
+#[derive(Clone, Copy)]
+struct Access {
+    var: VarId,
+    state: usize,
+    position: usize,
+    op: OpId,
+    is_writer: bool,
+}
+
 /// Inserts wire-variables for every value that is produced and consumed in
 /// the same control step, updating `schedule` with the new copy operations.
 ///
 /// Returns a [`WireReport`] describing the rewrites. The transformation
 /// preserves sequential semantics (checked by the interpreter-equivalence
 /// tests) and leaves registers holding exactly the values they held before.
+///
+/// The pass makes one walk over the live operations, collecting every
+/// scalar access into one flat list, and a stable sort by
+/// `(variable, state)` groups it: variable-major, state-ascending, program
+/// order within a group. Each group creates its wire, initializer and commit
+/// copies (ids allocated in group order) and redirects its readers. The
+/// commits are spliced in after their writers, and the initializers in
+/// front of their compound nodes, once per touched block and once for the
+/// body region at the end.
 pub fn insert_wire_variables(function: &mut Function, schedule: &mut Schedule) -> WireReport {
     let mut report = WireReport::default();
 
-    // Group same-state flow pairs by (variable, state).
-    // For determinism iterate ops in program order.
     let order: Vec<OpId> = function.live_ops();
-    let position: SecondaryMap<OpId, usize> = order
-        .iter()
-        .copied()
-        .enumerate()
-        .map(|(i, o)| (o, i))
-        .collect();
     let op_blocks = function.op_blocks();
     // Per-block guard structure, in one walk: the outermost compound node a
-    // block lives under (absent for top-level blocks). Replaces the per-group
-    // `is_guarded` / `outermost_conditional_before` HTG walks.
+    // block lives under (absent for top-level blocks).
     let outermost = outermost_compounds(function);
 
-    // variable -> per-state (writers, readers) among live ops, the inner
-    // lists kept sorted by state. Dense per-variable tables replace the old
-    // `BTreeMap<(VarId, usize), _>`; iteration below is variable-major then
-    // state-ascending, the same order the map gave.
-    type Accesses = (Vec<OpId>, Vec<OpId>);
-    let mut accesses: SecondaryMap<VarId, Vec<(usize, Accesses)>> =
-        SecondaryMap::with_capacity(function.vars.len());
-    fn state_entry(
-        accesses: &mut SecondaryMap<VarId, Vec<(usize, Accesses)>>,
-        var: VarId,
-        state: usize,
-    ) -> &mut Accesses {
-        let entries = accesses.get_or_insert_with(var, Vec::new);
-        let index = match entries.binary_search_by_key(&state, |&(s, _)| s) {
-            Ok(index) => index,
-            Err(index) => {
-                entries.insert(index, (state, Accesses::default()));
-                index
-            }
-        };
-        &mut entries[index].1
-    }
-    for &op_id in &order {
-        let Some(&state) = schedule.op_state.get(&op_id) else {
+    let mut accesses: Vec<Access> = Vec::with_capacity(order.len() * 3);
+    for (position, &op) in order.iter().enumerate() {
+        let Some(&state) = schedule.op_state.get(&op) else {
             continue;
         };
-        let op = &function.ops[op_id];
-        let defined = op.def();
-        for used in op.uses_iter() {
+        let operation = &function.ops[op];
+        let access = |var, is_writer| Access {
+            var,
+            state,
+            position,
+            op,
+            is_writer,
+        };
+        for used in operation.uses_iter() {
             if !function.vars[used].is_array() {
-                state_entry(&mut accesses, used, state).1.push(op_id);
+                accesses.push(access(used, false));
             }
         }
-        if let Some(defined) = defined {
+        if let Some(defined) = operation.def() {
             if !function.vars[defined].is_array() {
-                state_entry(&mut accesses, defined, state).0.push(op_id);
+                accesses.push(access(defined, true));
+            }
+        }
+    }
+    accesses.sort_by_key(|a| (a.var, a.state));
+
+    // Writer -> its commit copy, and body compound -> the initializer nodes
+    // to place in front of it (in creation order); spliced in at the end.
+    let mut commits: SecondaryMap<OpId, OpId> = SecondaryMap::new();
+    let mut touched_blocks: Vec<BlockId> = Vec::new();
+    let mut initializers: SecondaryMap<NodeId, Vec<NodeId>> = SecondaryMap::new();
+
+    let mut rest = accesses.as_slice();
+    while let Some(first) = rest.first() {
+        let key = (first.var, first.state);
+        let len = rest
+            .iter()
+            .position(|a| (a.var, a.state) != key)
+            .unwrap_or(rest.len());
+        let (group, tail) = rest.split_at(len);
+        rest = tail;
+        let (var, state) = key;
+
+        // A reader needs the wire only if some writer precedes it in program
+        // order (otherwise it legitimately reads the register).
+        let Some(first_writer) = group.iter().find(|a| a.is_writer) else {
+            continue;
+        };
+        let Some(last_chained_reader) = group
+            .iter()
+            .rev()
+            .find(|a| !a.is_writer)
+            .filter(|r| r.position > first_writer.position)
+        else {
+            continue;
+        };
+        if function.vars[var].is_wire() {
+            continue; // already a wire; nothing to do
+        }
+
+        let ty = function.vars[var].ty;
+        let wire_name = format!("w_{}_{}", function.vars[var].name, state);
+        let wire = function.add_var(spark_ir::Var::wire(wire_name, ty));
+        report.wires_created += 1;
+
+        // Figure 7 case: if any writer is conditional, pre-initialise the
+        // wire from the register before the outermost compound node that
+        // contains the first writer.
+        let needs_initializer = group.iter().any(|a| {
+            a.is_writer
+                && op_blocks
+                    .get(&a.op)
+                    .is_some_and(|b| outermost.contains_key(b))
+        });
+        if needs_initializer {
+            if let Some(&compound) = op_blocks
+                .get(&first_writer.op)
+                .and_then(|b| outermost.get(b))
+            {
+                let init_block = function.add_block(format!("winit_{}", function.vars[var].name));
+                let init_op =
+                    function.push_op(init_block, OpKind::Copy, Some(wire), vec![Value::Var(var)]);
+                let node = function.add_block_node(init_block);
+                initializers
+                    .get_or_insert_with(compound, Vec::new)
+                    .push(node);
+                schedule.record(init_op, state, 0.0, 0.0, 0);
+                report.initializers += 1;
+            }
+        }
+
+        // Rewrite writers: write the wire, commit the register right after.
+        // A writer after every chained reader does not need rewriting.
+        for writer in group
+            .iter()
+            .filter(|a| a.is_writer && a.position <= last_chained_reader.position)
+        {
+            let Some(&block) = op_blocks.get(&writer.op) else {
+                continue;
+            };
+            function.ops[writer.op].dest = Some(wire);
+            let commit = function.add_op(OpKind::Copy, Some(var), vec![Value::Var(wire)]);
+            commits.insert(writer.op, commit);
+            touched_blocks.push(block);
+            let finish = schedule.op_finish.get(&writer.op).copied().unwrap_or(0.0);
+            schedule.record(commit, state, finish, finish, 0);
+            report.producers_rewritten += 1;
+            report.commit_copies += 1;
+        }
+
+        // Redirect chained readers to the wire.
+        for reader in group
+            .iter()
+            .filter(|a| !a.is_writer && a.position > first_writer.position)
+        {
+            for arg in &mut function.ops[reader.op].args {
+                if *arg == Value::Var(var) {
+                    *arg = Value::Var(wire);
+                    report.readers_redirected += 1;
+                }
             }
         }
     }
 
-    // Iterate the access table directly (variable-major, state-ascending —
-    // the old `BTreeMap<(VarId, usize), _>` order); the loop mutates only
-    // the function/schedule, never the table.
-    for (var, entries) in accesses.iter() {
-        for &(state, (ref writers, ref readers)) in entries.iter() {
-            if writers.is_empty() || readers.is_empty() {
-                continue;
-            }
-            // A reader needs the wire only if some writer precedes it in program
-            // order (otherwise it legitimately reads the register).
-            let first_writer = writers
-                .iter()
-                .copied()
-                .min_by_key(|w| position[w])
-                .expect("non-empty");
-            let chained_readers: Vec<OpId> = readers
-                .iter()
-                .copied()
-                .filter(|r| position[r] > position[&first_writer])
-                .collect();
-            if chained_readers.is_empty() {
-                continue;
-            }
-            if function.vars[var].is_wire() {
-                continue; // already a wire; nothing to do
-            }
-
-            let ty = function.vars[var].ty;
-            let wire_name = format!("w_{}_{}", function.vars[var].name, state);
-            let wire = function.add_var(spark_ir::Var::wire(wire_name, ty));
-            report.wires_created += 1;
-
-            // Figure 7 case: if any relevant writer is conditional, pre-initialise
-            // the wire from the register before the outermost conditional that
-            // contains the first writer. Guardedness and the outermost compound
-            // come from the per-block table precomputed above; only the
-            // compound's current index in the body is re-derived, because
-            // earlier initializer insertions shift it.
-            let needs_initializer = writers.iter().any(|&w| {
-                position[&w] >= position[&first_writer]
-                    && op_blocks.get(&w).is_some_and(|b| outermost.contains_key(b))
-            });
-            if needs_initializer {
-                if let Some(&conditional) =
-                    op_blocks.get(&first_writer).and_then(|b| outermost.get(b))
-                {
-                    let region = function.body;
-                    let index = function.regions[region]
-                        .nodes
-                        .iter()
-                        .position(|&n| n == conditional)
-                        .expect("outermost compound sits in the body region");
-                    let init_block =
-                        function.add_block(format!("winit_{}", function.vars[var].name));
-                    let init_op = function.push_op(
-                        init_block,
-                        OpKind::Copy,
-                        Some(wire),
-                        vec![Value::Var(var)],
-                    );
-                    let node = function.add_block_node(init_block);
-                    function.regions[region].nodes.insert(index, node);
-                    schedule.record(init_op, state, 0.0, 0.0, 0);
-                    report.initializers += 1;
-                }
-            }
-
-            // Rewrite writers: write the wire, commit the register right after.
-            for &writer in writers.iter() {
-                if position[&writer] > position[chained_readers.last().expect("non-empty")] {
-                    // A writer after every chained reader does not need rewriting.
-                    continue;
-                }
-                let Some(&block) = op_blocks.get(&writer) else {
-                    continue;
-                };
-                function.ops[writer].dest = Some(wire);
-                let commit = function.add_op(OpKind::Copy, Some(var), vec![Value::Var(wire)]);
-                let at = function.blocks[block]
-                    .ops
-                    .iter()
-                    .position(|&o| o == writer)
-                    .expect("writer in block");
-                function.blocks[block].insert(at + 1, commit);
-                let finish = schedule.op_finish.get(&writer).copied().unwrap_or(0.0);
-                schedule.record(commit, state, finish, finish, 0);
-                report.producers_rewritten += 1;
-                report.commit_copies += 1;
-            }
-
-            // Redirect chained readers to the wire.
-            for &reader in &chained_readers {
-                for arg in &mut function.ops[reader].args {
-                    if *arg == Value::Var(var) {
-                        *arg = Value::Var(wire);
-                        report.readers_redirected += 1;
-                    }
-                }
-            }
-        }
+    touched_blocks.sort_unstable();
+    touched_blocks.dedup();
+    for block in touched_blocks {
+        let ops = std::mem::take(&mut function.blocks[block].ops);
+        function.blocks[block].ops = ops
+            .into_iter()
+            .flat_map(|op| std::iter::once(op).chain(commits.get(&op).copied()))
+            .collect();
+    }
+    if !initializers.is_empty() {
+        let body = function.body;
+        let nodes = std::mem::take(&mut function.regions[body].nodes);
+        function.regions[body].nodes = nodes
+            .into_iter()
+            .flat_map(|node| {
+                let inits = initializers.remove(&node).unwrap_or_default();
+                inits.into_iter().chain(std::iter::once(node))
+            })
+            .collect();
     }
     report
 }
