@@ -2,11 +2,17 @@
 
 #[path = "support/deps_reference.rs"]
 mod deps_reference;
+#[path = "support/wires_reference.rs"]
+mod wires_reference;
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use spark_core::{synthesize, transform_program, FlowOptions, SynthesisResult};
+use spark_bench::corpus::synthesis_fingerprint;
+use spark_core::{
+    synthesize, synthesize_transformed, transform_program, FlowOptions, SynthesisResult,
+    TransformedProgram,
+};
 use spark_ild::{buffer_env, build_ild_program, decode_marks, ILD_FUNCTION};
 use spark_ir::{
     verify, DefUseGraph, Env, Function, FunctionBuilder, Interpreter, OpKind, Program, Type, Value,
@@ -166,6 +172,45 @@ fn pre_and_post_wire_graphs(script: &[u8]) -> [(Function, DependenceGraph); 2] {
     insert_wire_variables(&mut f, &mut sched);
     let post_wire = DependenceGraph::build(&f).unwrap();
     [(pre_wire, graph), (f, post_wire)]
+}
+
+/// A generated program through the public coarse and fine passes (the
+/// coordinated flow's recipe, without the pipeline's final compaction), so
+/// its arenas still hold dead ops and detached structure.
+fn uncompacted_transformed_function(script: &[u8]) -> Function {
+    let mut f = build_scripted_function(script);
+    xf::speculate(&mut f);
+    xf::unroll_all_loops(&mut f);
+    xf::speculate(&mut f);
+    reference_cleanup(&mut f);
+    f
+}
+
+/// A `TransformedProgram` whose top function is `function` exactly as
+/// given. The pipeline compacts what it returns, so the function is swapped
+/// in afterwards; the scheduling context is built on first use, from the
+/// swapped-in program.
+fn as_transformed(function: Function) -> TransformedProgram {
+    let mut program = Program::new();
+    program.add_function(function);
+    let mut transformed = transform_program(&program, "gen", &fine_only_options()).unwrap();
+    transformed.program = program;
+    transformed
+}
+
+/// Everything a design point decided, keyed by program order rather than by
+/// arena id: the synthesis fingerprint (schedule, binding, datapath report),
+/// the per-state op order and the VHDL text.
+fn design_point_outcome(result: &SynthesisResult) -> (u64, Vec<Vec<usize>>, String) {
+    let order = result.function.live_ops();
+    let position = |op| order.iter().position(|&o| o == op).unwrap_or(usize::MAX);
+    let states = (0..result.schedule.num_states)
+        .map(|s| {
+            let ops = result.schedule.ops_in_state(s);
+            ops.iter().map(|&op| position(op)).collect()
+        })
+        .collect();
+    (synthesis_fingerprint(result), states, result.vhdl())
 }
 
 const ILD_N: usize = 8;
@@ -389,6 +434,67 @@ proptest! {
         {
             let check = deps_reference::check_preds_match_reference(&f, &graph);
             prop_assert!(check.is_ok(), "{}: {:?}", stage, check);
+        }
+    }
+
+    /// Compacting a transformed function changes no design decision: a
+    /// generated program taken through the public passes, scheduled in both
+    /// flows at three clocks, gives the same VHDL text and the same
+    /// program-order-keyed schedule and binding with and without
+    /// `Function::compact`.
+    #[test]
+    fn compaction_preserves_every_design_point(
+        script in proptest::collection::vec(any::<u8>(), 96),
+    ) {
+        let uncompacted = uncompacted_transformed_function(&script);
+        let mut compacted = uncompacted.clone();
+        compacted.compact();
+        prop_assert_eq!(compacted.live_op_count(), compacted.ops.len());
+        prop_assert!(verify(&compacted).is_ok());
+        let uncompacted = as_transformed(uncompacted);
+        let compacted = as_transformed(compacted);
+        for clock in [7.0, 20.0, 100.0] {
+            for options in [
+                FlowOptions::microprocessor_block(clock),
+                FlowOptions::asic_baseline(clock),
+            ] {
+                let want = synthesize_transformed(&uncompacted, &options);
+                let got = synthesize_transformed(&compacted, &options);
+                match (want, got) {
+                    (Ok(want), Ok(got)) => prop_assert!(
+                        design_point_outcome(&want) == design_point_outcome(&got),
+                        "{:?} at {} ns", options.mode, clock
+                    ),
+                    (want, got) => prop_assert_eq!(
+                        want.err().map(|e| e.to_string()),
+                        got.err().map(|e| e.to_string())
+                    ),
+                }
+            }
+        }
+    }
+
+    /// One-pass wire insertion rewrites generated programs exactly as the
+    /// nested-table reference does: same op ids and operands, block op
+    /// lists, body node order, schedule entries and report, at clocks from
+    /// several states down to one.
+    #[test]
+    fn one_pass_wires_match_nested_table_reference(
+        script in proptest::collection::vec(any::<u8>(), 96),
+    ) {
+        let mut f = build_scripted_function(&script);
+        xf::unroll_all_loops(&mut f);
+        let graph = DependenceGraph::build(&f).unwrap();
+        for clock in [6.0, 12.0, 50.0] {
+            let sched = schedule(
+                &f,
+                &graph,
+                &ResourceLibrary::new(),
+                &Constraints::microprocessor_block(clock),
+            )
+            .unwrap();
+            let check = wires_reference::check_wires_match_reference(&f, &sched);
+            prop_assert!(check.is_ok(), "{} ns: {:?}", clock, check.err());
         }
     }
 
