@@ -208,7 +208,7 @@ pub fn synthesis_fingerprint(result: &SynthesisResult) -> u64 {
                 let ops: Vec<String> = fu
                     .ops
                     .iter()
-                    .map(|o| position.get(o).map_or(usize::MAX, |&p| p).to_string())
+                    .map(|o| position.get(o).copied().unwrap_or(usize::MAX).to_string())
                     .collect();
                 text.push_str(&format!("fu {class}/{i}: {}\n", ops.join(",")));
             }

@@ -79,8 +79,8 @@ impl<T> fmt::Debug for Id<T> {
 ///
 /// Transformations never remove entities from an arena (they mark them dead
 /// instead); this keeps all outstanding ids valid while a function is being
-/// rewritten. Only [`Arena::retain`], called once a function is final,
-/// drops entities and renumbers the rest.
+/// rewritten. Only [`Function::compact`](crate::Function::compact), called
+/// once a function is final, drops entities and renumbers the rest.
 #[derive(Clone, Debug)]
 pub struct Arena<T> {
     items: Vec<T>,
@@ -160,7 +160,7 @@ impl<T> Arena<T> {
     ///
     /// # Panics
     /// Panics if `keep` is shorter than the arena.
-    pub fn retain(&mut self, keep: &[bool]) -> Vec<Option<Id<T>>> {
+    pub(crate) fn retain(&mut self, keep: &[bool]) -> Vec<Option<Id<T>>> {
         let mut renumbered = Vec::with_capacity(self.items.len());
         let mut next = 0u32;
         let mut flags = keep.iter();
