@@ -21,10 +21,11 @@ const GOLDEN: &[(&str, u64)] = &[
     ("ild_natural_n8", 0x8017d175bef6c09c),
     ("matmul2", 0xe7071f7d75d6eaf9),
     ("parity8", 0x307141d73393258e),
-    ("quantize", 0xd075fa7a95ecd475),
+    ("quantize", 0x40e866b2b3604283),
     ("row_minmax", 0xcc065167981bd357),
     ("running_max", 0x2be488853a1acfcb),
     ("sad4", 0xff39f3067ad0db71),
+    ("width_const", 0xeb53081ac16720a3),
     ("width_copy", 0x39fddd1a5820b2c8),
     ("width_cse", 0xe4b315e368789cda),
     ("window_mark", 0xdc188319f7bcae42),

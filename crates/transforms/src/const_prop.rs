@@ -185,6 +185,9 @@ pub fn constant_propagation_seeded(
             let Some(constant) = def_op.args[0].as_const() else {
                 continue;
             };
+            // The copy narrows the constant to its destination's width, so
+            // the forwarded constant takes that width too.
+            let constant = Constant::new(constant.value(), rw.function().vars[var].ty);
             // A definition inside a loop body may execute many times; the
             // constant is still the same every time, so forwarding is safe.
             if positions.dominates(def_op_id, op_id)
@@ -228,6 +231,7 @@ pub fn constant_propagation_seeded(
         if matches!(op.kind, OpKind::Copy) {
             if let (Some(dest), Some(constant)) = (op.dest, op.args[0].as_const()) {
                 if rw.graph().has_single_def(dest) {
+                    let constant = Constant::new(constant.value(), rw.function().vars[dest].ty);
                     let users: Vec<OpId> = rw.graph().uses_of(dest).to_vec();
                     for use_op in users {
                         if use_op == op_id || !positions.dominates(op_id, use_op) {
@@ -332,6 +336,31 @@ mod tests {
         for op in f.live_ops() {
             assert_eq!(f.ops[op].kind, OpKind::Copy);
             assert_eq!(f.ops[op].args[0], Value::Var(a));
+        }
+    }
+
+    #[test]
+    fn forwarded_constants_take_the_copied_variables_width() {
+        // t is 1 bit wide, so `t = 200` stores 0 and `s = t + 0` reads 0.
+        // Both forwarding sites must narrow the constant: the def side when
+        // the copy is examined first, the use side when only the reader is.
+        let build = || {
+            let mut b = FunctionBuilder::new("f");
+            let t = b.var("t", Type::Bits(1));
+            let s = b.output("s", Type::Bits(8));
+            let copy = b.copy(t, Value::word(200));
+            let add = b.assign(OpKind::Add, s, vec![Value::Var(t), Value::word(0)]);
+            (b.finish(), copy, add)
+        };
+        let (mut def_side, copy, add) = build();
+        let mut state = FineState::new(&def_side);
+        constant_propagation_seeded(&mut def_side, &mut state, &[copy]);
+        let (mut use_side, _, _) = build();
+        let mut state = FineState::new(&use_side);
+        constant_propagation_seeded(&mut use_side, &mut state, &[add]);
+        for f in [def_side, use_side] {
+            assert_eq!(f.ops[add].kind, OpKind::Copy, "{f}");
+            assert_eq!(f.ops[add].args[0].as_const().unwrap().value(), 0, "{f}");
         }
     }
 
