@@ -1,91 +1,9 @@
-//! Def–use information over the live operations of a function.
-//!
-//! Several transformations (copy propagation, dead code elimination, the
-//! wire-variable pass) need to know, for every variable, which live
-//! operations read it and which write it. [`DefUse`] computes that once per
-//! pass over the HTG; passes invalidate it simply by recomputing.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! Function-level analyses: the structural statistics reports and
+//! benchmarks record per stage. Def–use chains live in
+//! [`DefUseGraph`](crate::DefUseGraph); the tests below pin their semantics
+//! on small functions.
 
 use crate::function::Function;
-use crate::htg::{HtgNode, LoopKind};
-use crate::op::OpId;
-use crate::value::Value;
-use crate::var::{PortDirection, VarId};
-
-/// Def–use chains for one function.
-#[derive(Clone, Debug, Default)]
-pub struct DefUse {
-    /// For each variable, the live operations that read it (in program order).
-    pub uses: BTreeMap<VarId, Vec<OpId>>,
-    /// For each variable, the live operations that write it (in program order).
-    pub defs: BTreeMap<VarId, Vec<OpId>>,
-    /// Variables read by control structure rather than operations: `if`
-    /// conditions, `while` conditions and `for` bounds/indices. These have no
-    /// defining [`OpId`] but still keep their producers alive.
-    pub control_uses: BTreeSet<VarId>,
-}
-
-impl DefUse {
-    /// Computes def–use chains over the live operations of `function`'s body.
-    pub fn compute(function: &Function) -> Self {
-        let mut info = DefUse::default();
-        for op_id in function.live_ops() {
-            let op = &function.ops[op_id];
-            for used in op.uses_iter() {
-                info.uses.entry(used).or_default().push(op_id);
-            }
-            if let Some(defined) = op.def() {
-                info.defs.entry(defined).or_default().push(op_id);
-            }
-        }
-        // Conditions and loop bounds are uses too: an operation computing an
-        // `if` condition must never be considered dead.
-        fn record(set: &mut BTreeSet<VarId>, value: Value) {
-            if let Value::Var(v) = value {
-                set.insert(v);
-            }
-        }
-        for (_, node) in function.nodes.iter() {
-            match node {
-                HtgNode::Block(_) => {}
-                HtgNode::If(i) => record(&mut info.control_uses, i.cond),
-                HtgNode::Loop(l) => match &l.kind {
-                    LoopKind::For { index, end, .. } => {
-                        record(&mut info.control_uses, *end);
-                        info.control_uses.insert(*index);
-                    }
-                    LoopKind::While { cond } => record(&mut info.control_uses, *cond),
-                },
-            }
-        }
-        info
-    }
-
-    /// Operations reading `var` (empty slice if none).
-    pub fn uses_of(&self, var: VarId) -> &[OpId] {
-        self.uses.get(&var).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Operations writing `var` (empty slice if none).
-    pub fn defs_of(&self, var: VarId) -> &[OpId] {
-        self.defs.get(&var).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Returns `true` if `var` has no live readers (neither operations nor
-    /// control structure) and is not a primary output of the function — i.e.
-    /// writes to it are dead unless they have other side effects.
-    pub fn is_dead(&self, function: &Function, var: VarId) -> bool {
-        self.uses_of(var).is_empty()
-            && !self.control_uses.contains(&var)
-            && function.vars[var].direction != PortDirection::Output
-    }
-
-    /// Returns `true` if `var` is written by exactly one live operation.
-    pub fn has_single_def(&self, var: VarId) -> bool {
-        self.defs_of(var).len() == 1
-    }
-}
 
 /// Summary statistics of a function, used by reports and benchmarks to record
 /// the effect of each transformation stage (operation counts per Figure of
@@ -139,6 +57,7 @@ impl std::fmt::Display for FunctionStats {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
+    use crate::defuse::DefUseGraph;
     use crate::op::OpKind;
     use crate::types::Type;
     use crate::value::Value;
@@ -152,7 +71,7 @@ mod tests {
         let op1 = b.assign(OpKind::Add, x, vec![Value::Var(a), Value::word(1)]);
         let op2 = b.assign(OpKind::Add, y, vec![Value::Var(x), Value::Var(x)]);
         let f = b.finish();
-        let du = DefUse::compute(&f);
+        let du = DefUseGraph::compute(&f);
         assert_eq!(du.defs_of(x), &[op1]);
         assert_eq!(du.uses_of(x), &[op2, op2]);
         assert_eq!(du.uses_of(a), &[op1]);
@@ -167,7 +86,7 @@ mod tests {
         let o = b.output("o", Type::Bits(8));
         b.copy(o, Value::word(1));
         let f = b.finish();
-        let du = DefUse::compute(&f);
+        let du = DefUseGraph::compute(&f);
         assert!(!du.is_dead(&f, o));
     }
 

@@ -1,13 +1,15 @@
 //! Incrementally-maintained def–use information and the mutation API that
 //! keeps it consistent.
 //!
-//! [`DefUse`](crate::DefUse) recomputes its chains from scratch on every
-//! query round, which made the fine-grain transformation passes O(n) per
-//! *change* instead of per *pass*. [`DefUseGraph`] stores the same
-//! information in dense [`SecondaryMap`] side tables and is kept exactly
-//! consistent through every edit by routing all IR mutations through a
-//! [`Rewriter`]: operand replacement, whole-operation rewrites, erasure and
-//! insertion all unlink and relink the affected chains in O(degree) time.
+//! Recomputing def–use chains from scratch on every query round makes the
+//! fine-grain transformation passes O(n) per *change* instead of per
+//! *pass*. [`DefUseGraph`] stores the chains in dense [`SecondaryMap`] side
+//! tables and is kept exactly consistent through every edit by routing all
+//! IR mutations through a [`Rewriter`]: operand replacement, whole-operation
+//! rewrites, erasure and insertion all unlink and relink the affected chains
+//! in O(degree) time. Passes that edit the function directly (the
+//! complementary code motions) simply recompute it with
+//! [`DefUseGraph::compute`].
 //!
 //! The worklist-driven passes in `spark-transforms` are built on this pair:
 //! they query the graph instead of rescanning the function, and they learn
@@ -27,12 +29,12 @@ use crate::var::{PortDirection, VarId};
 /// Dense def–use chains over the live operations of one function, designed
 /// to be kept consistent through edits instead of recomputed.
 ///
-/// The contents mirror [`DefUse`](crate::DefUse): per-variable use and def
-/// chains over the live operations reachable from the function body, plus
-/// the variables read by control structure (`if` conditions, loop bounds and
-/// indices) of **every** HTG node in the arena — detached nodes included,
-/// matching the recompute-based analysis, so a variable that was once a loop
-/// bound keeps its producers alive. In addition the graph tracks the owning
+/// The contents: per-variable use and def chains over the live operations
+/// reachable from the function body, in program order when freshly
+/// computed, plus the variables read by control structure (`if`
+/// conditions, loop bounds and indices) of **every** HTG node in the arena —
+/// detached nodes included, so a variable that was once a loop bound keeps
+/// its producers alive. In addition the graph tracks the owning
 /// block of every live operation, which turns erasure from an O(blocks)
 /// scan into an O(1) lookup.
 #[derive(Clone, Debug, Default)]
@@ -64,7 +66,7 @@ impl DefUseGraph {
             }
         }
         // Control reads come from every node ever allocated, live or
-        // detached, mirroring `DefUse::compute`.
+        // detached.
         let record = |value: Value, graph: &mut DefUseGraph| {
             if let Value::Var(v) = value {
                 *graph.control.get_or_insert_with(v, || 0) += 1;
@@ -109,8 +111,7 @@ impl DefUseGraph {
 
     /// Returns `true` if `var` has no live readers (neither operations nor
     /// control structure) and is not a primary output — i.e. writes to it
-    /// are dead unless they have other side effects. Mirrors
-    /// [`DefUse::is_dead`](crate::DefUse::is_dead).
+    /// are dead unless they have other side effects.
     pub fn is_dead(&self, function: &Function, var: VarId) -> bool {
         self.uses_of(var).is_empty()
             && !self.is_control_used(var)
@@ -420,13 +421,17 @@ mod tests {
     }
 
     #[test]
-    fn compute_matches_recompute_based_analysis() {
+    fn compute_builds_the_expected_chains() {
         let (f, a, x, y) = sample();
         let graph = DefUseGraph::compute(&f);
-        let old = crate::DefUse::compute(&f);
-        assert_eq!(graph.uses_of(x), old.uses_of(x));
-        assert_eq!(graph.defs_of(y), old.defs_of(y));
-        assert_eq!(graph.uses_of(a), old.uses_of(a));
+        let ops = f.live_ops();
+        let (def_x, def_y, def_out) = (ops[0], ops[1], ops[2]);
+        assert_eq!(graph.uses_of(a), &[def_x]);
+        assert_eq!(graph.defs_of(x), &[def_x]);
+        assert_eq!(graph.uses_of(x), &[def_y, def_y], "one entry per operand");
+        assert_eq!(graph.defs_of(y), &[def_y]);
+        assert_eq!(graph.uses_of(y), &[def_out]);
+        assert!(graph.defs_of(a).is_empty());
         assert!(graph.has_single_def(x));
         assert!(!graph.is_dead(&f, x));
         assert!(graph.consistency_errors(&f).is_empty());

@@ -64,7 +64,7 @@ mod value;
 mod var;
 mod verify;
 
-pub use analysis::{DefUse, FunctionStats};
+pub use analysis::FunctionStats;
 pub use arena::{Arena, Id};
 pub use block::{BasicBlock, BlockId};
 pub use builder::FunctionBuilder;

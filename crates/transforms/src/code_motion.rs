@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use spark_ir::{DefUse, Function, HtgNode, OpId, RegionId, Value};
+use spark_ir::{DefUseGraph, Function, HtgNode, OpId, RegionId, Value};
 
 use crate::report::{Invalidation, Report};
 
@@ -34,7 +34,7 @@ pub fn reverse_speculation(function: &mut Function) -> Report {
             ) else {
                 continue;
             };
-            let def_use = DefUse::compute(function);
+            let def_use = DefUseGraph::compute(function);
             let then_ops: BTreeSet<OpId> = function
                 .ops_in_region(if_node.then_region)
                 .into_iter()
