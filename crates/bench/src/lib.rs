@@ -15,7 +15,7 @@ pub mod corpus;
 pub mod experiments;
 pub mod perf;
 
-use spark_core::{synthesize_with_breakdown, FlowOptions, PhaseBreakdown, SynthesisResult};
+use spark_core::{synthesize, FlowOptions, SynthesisResult};
 use spark_ild::{build_ild_natural_program, build_ild_program, ILD_FUNCTION, ILD_NATURAL_FUNCTION};
 use spark_ir::{Function, FunctionBuilder, OpKind, Type, Value};
 use spark_sched::{schedule, Constraints, DependenceGraph, ResourceLibrary, Schedule};
@@ -97,13 +97,8 @@ pub fn figure4_fragment() -> Function {
 
 /// Synthesizes the ILD with the coordinated microprocessor-block flow.
 pub fn synthesize_ild_spark(n: u32) -> SynthesisResult {
-    synthesize_ild_spark_timed(n).0
-}
-
-/// [`synthesize_ild_spark`] with per-phase wall times, for the perf harness.
-pub fn synthesize_ild_spark_timed(n: u32) -> (SynthesisResult, PhaseBreakdown) {
     let program = build_ild_program(n);
-    synthesize_with_breakdown(
+    synthesize(
         &program,
         ILD_FUNCTION,
         &FlowOptions::microprocessor_block(SINGLE_CYCLE_CLOCK_NS),
@@ -113,13 +108,8 @@ pub fn synthesize_ild_spark_timed(n: u32) -> (SynthesisResult, PhaseBreakdown) {
 
 /// Synthesizes the ILD with the classical ASIC baseline flow.
 pub fn synthesize_ild_baseline(n: u32) -> SynthesisResult {
-    synthesize_ild_baseline_timed(n).0
-}
-
-/// [`synthesize_ild_baseline`] with per-phase wall times.
-pub fn synthesize_ild_baseline_timed(n: u32) -> (SynthesisResult, PhaseBreakdown) {
     let program = build_ild_program(n);
-    synthesize_with_breakdown(
+    synthesize(
         &program,
         ILD_FUNCTION,
         &FlowOptions::asic_baseline(BASELINE_CLOCK_NS),
@@ -129,13 +119,8 @@ pub fn synthesize_ild_baseline_timed(n: u32) -> (SynthesisResult, PhaseBreakdown
 
 /// Synthesizes the natural Figure 16 form of the ILD.
 pub fn synthesize_ild_natural(n: u32) -> SynthesisResult {
-    synthesize_ild_natural_timed(n).0
-}
-
-/// [`synthesize_ild_natural`] with per-phase wall times.
-pub fn synthesize_ild_natural_timed(n: u32) -> (SynthesisResult, PhaseBreakdown) {
     let program = build_ild_natural_program(n);
-    synthesize_with_breakdown(
+    synthesize(
         &program,
         ILD_NATURAL_FUNCTION,
         &FlowOptions::microprocessor_block(SINGLE_CYCLE_CLOCK_NS),

@@ -13,9 +13,7 @@ use std::time::Instant;
 
 use spark_core::PhaseBreakdown;
 
-use crate::{
-    synthesize_ild_baseline_timed, synthesize_ild_natural_timed, synthesize_ild_spark_timed,
-};
+use crate::{synthesize_ild_baseline, synthesize_ild_natural, synthesize_ild_spark};
 
 /// One measured benchmark point.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,15 +30,15 @@ pub struct BenchRecord {
     pub iters: u32,
 }
 
-/// A full-synthesis entry point parameterised by ILD buffer size, returning
-/// the result plus its per-phase wall times.
-type SynthFn = fn(u32) -> (spark_core::SynthesisResult, PhaseBreakdown);
+/// A full-synthesis entry point parameterised by ILD buffer size; the result
+/// carries its per-phase wall times.
+type SynthFn = fn(u32) -> spark_core::SynthesisResult;
 
 /// The flow modes measured per size, with their synthesis entry points.
 const MODES: [(&str, SynthFn); 3] = [
-    ("coordinated", synthesize_ild_spark_timed),
-    ("baseline", synthesize_ild_baseline_timed),
-    ("natural", synthesize_ild_natural_timed),
+    ("coordinated", synthesize_ild_spark),
+    ("baseline", synthesize_ild_baseline),
+    ("natural", synthesize_ild_natural),
 ];
 
 /// Measures full synthesis wall-time for every `(mode, n)` combination,
@@ -54,9 +52,9 @@ pub fn measure_synthesize(sizes: &[u32], iters: u32) -> Vec<BenchRecord> {
             let mut phases = PhaseBreakdown::default();
             let start = Instant::now();
             for _ in 0..iters {
-                let (result, breakdown) = synth(n);
+                let result = synth(n);
+                phases.accumulate(&result.phases);
                 std::hint::black_box(result);
-                phases.accumulate(&breakdown);
             }
             let mean_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(iters);
             phases.scale(f64::from(iters));

@@ -8,7 +8,7 @@ mod wires_reference;
 
 use spark_core::{transform_program, FlowOptions};
 use spark_ild::{build_ild_program, ILD_FUNCTION};
-use spark_sched::{schedule_in, Constraints, ResourceLibrary, WireReport};
+use spark_sched::{schedule, Constraints, ResourceLibrary, WireReport};
 use wires_reference::check_wires_match_reference;
 
 #[test]
@@ -19,11 +19,11 @@ fn ild_wires_match_the_nested_table_reference() {
         let options = FlowOptions::microprocessor_block(2000.0);
         let transformed = transform_program(&program, ILD_FUNCTION, &options).unwrap();
         let top = transformed.program.function(ILD_FUNCTION).unwrap();
-        let context = transformed.sched_context().unwrap();
+        let graph = transformed.dependence_graph().unwrap();
         let mut total = WireReport::default();
         for clock in [8.0, 30.0, 120.0, 2000.0] {
             let constraints = Constraints::microprocessor_block(clock);
-            let schedule = schedule_in(top, context, &library, &constraints)
+            let schedule = schedule(top, graph, &library, &constraints)
                 .unwrap_or_else(|e| panic!("n={n} at {clock} ns: {e}"));
             let report = check_wires_match_reference(top, &schedule)
                 .unwrap_or_else(|e| panic!("n={n} at {clock} ns: {e}"));

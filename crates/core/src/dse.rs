@@ -11,7 +11,7 @@ use spark_rtl::DatapathReport;
 
 use crate::par::par_map;
 use crate::pipeline::{
-    synthesize_transformed, transform_program, FlowOptions, SynthesisError, TransformedProgram,
+    synthesize, synthesize_transformed, transform_program, FlowOptions, SynthesisError,
 };
 
 /// One point of a design-space sweep.
@@ -40,11 +40,10 @@ pub fn sweep_clock_period(
     // The transformation switches do not depend on the period, so any period
     // yields the same transformed program; scheduling gets the real one.
     let transformed = transform_program(program, top, &FlowOptions::microprocessor_block(1.0))?;
-    // Build the shared scheduling context (pre-wire dependence graph, guard
-    // table, op → block map) once up front instead of having every worker
-    // block on the first point's lazy build. Loop/call errors are surfaced
-    // per point, exactly as scheduling reported them before.
-    let _ = transformed.sched_context();
+    // Build the shared pre-wire dependence graph once up front instead of
+    // having every worker block on the first point's lazy build. Loop/call
+    // errors are surfaced per point, exactly as scheduling reported them.
+    let _ = transformed.dependence_graph();
     Ok(par_map(periods_ns, |&period| {
         let options = FlowOptions::microprocessor_block(period);
         let report = match synthesize_transformed(&transformed, &options) {
@@ -59,56 +58,10 @@ pub fn sweep_clock_period(
     }))
 }
 
-/// The set of [`FlowOptions`] switches the transformation pipeline actually
-/// consults: the transformation toggles plus `verify_ir` (which controls
-/// per-pass structural verification and its error reporting). Two
-/// configurations with equal keys produce identical transformed programs —
-/// and identical transform-time failure behaviour — regardless of clock
-/// period or flow mode, so the design-space helpers memoize
-/// [`transform_program`] on this key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TransformKey {
-    while_to_for: bool,
-    inline: bool,
-    speculate: bool,
-    unroll: bool,
-    constant_propagation: bool,
-    cse: bool,
-    secondary_code_motions: bool,
-    verify_ir: bool,
-}
-
-impl TransformKey {
-    /// Extracts the transform-relevant switches of `options`.
-    pub fn of(options: &FlowOptions) -> Self {
-        TransformKey {
-            while_to_for: options.while_to_for,
-            inline: options.inline,
-            speculate: options.speculate,
-            unroll: options.unroll,
-            constant_propagation: options.constant_propagation,
-            cse: options.cse,
-            secondary_code_motions: options.secondary_code_motions,
-            verify_ir: options.verify_ir,
-        }
-    }
-}
-
-/// The result of [`explore_configurations`]: the design points plus how many
-/// transformation runs they actually cost after memoization.
-#[derive(Clone, Debug)]
-pub struct Exploration {
-    /// One design point per input configuration, in input order.
-    pub points: Vec<DesignPoint>,
-    /// Distinct transform-flag sets encountered — the number of times the
-    /// transformation pipeline ran (the rest were cache hits).
-    pub transform_runs: usize,
-}
-
-/// Synthesizes every labelled configuration, transforming the program **once
-/// per distinct transform-flag set** and scheduling each point against the
-/// shared transformed program. Points whose schedule is infeasible get
-/// `report: None`; transform-level failures propagate as errors.
+/// Synthesizes every labelled configuration from scratch, fanned out over
+/// worker threads; points come back in input order. Points whose schedule
+/// is infeasible get `report: None`; transform-level failures propagate as
+/// errors.
 ///
 /// # Errors
 /// Returns the first non-scheduling [`SynthesisError`] encountered.
@@ -116,70 +69,28 @@ pub fn explore_configurations(
     program: &Program,
     top: &str,
     configurations: &[(String, FlowOptions)],
-) -> Result<Exploration, SynthesisError> {
-    // Group configurations by transform key, preserving first-occurrence
-    // order so results are deterministic.
-    let mut keys: Vec<TransformKey> = Vec::new();
-    let mut representatives: Vec<&FlowOptions> = Vec::new();
-    let mut group_of: Vec<usize> = Vec::with_capacity(configurations.len());
-    for (_, options) in configurations {
-        let key = TransformKey::of(options);
-        let group = keys.iter().position(|&k| k == key).unwrap_or_else(|| {
-            keys.push(key);
-            representatives.push(options);
-            keys.len() - 1
-        });
-        group_of.push(group);
-    }
-
-    // One transform per distinct key, fanned out over worker threads.
-    let transformed: Vec<Result<TransformedProgram, SynthesisError>> =
-        par_map(&representatives, |options| {
-            transform_program(program, top, options)
-        });
-    let mut shared: Vec<TransformedProgram> = Vec::with_capacity(transformed.len());
-    for result in transformed {
-        let group = result?;
-        // One scheduling context per transform group, shared by every point
-        // scheduled against it (errors surface per point, as before).
-        let _ = group.sched_context();
-        shared.push(group);
-    }
-
-    // Schedule every point against its group's transformed program.
-    let units: Vec<(usize, &(String, FlowOptions))> =
-        group_of.iter().copied().zip(configurations).collect();
-    let results = par_map(&units, |(group, (label, options))| {
-        let report = match synthesize_transformed(&shared[*group], options) {
-            Ok(result) => Ok(Some(result.report)),
+) -> Result<Vec<DesignPoint>, SynthesisError> {
+    par_map(configurations, |(label, options)| {
+        let report = match synthesize(program, top, options) {
+            Ok(result) => Some(result.report),
             // An infeasible schedule is a legitimate "no design here" point;
             // anything else is an error.
-            Err(SynthesisError::Scheduling(_)) => Ok(None),
-            Err(other) => Err(other),
+            Err(SynthesisError::Scheduling(_)) => None,
+            Err(other) => return Err(other),
         };
-        (label.clone(), options.clock_period_ns, report)
-    });
-    let mut points = Vec::new();
-    for (label, clock_period_ns, report) in results {
-        points.push(DesignPoint {
-            label,
-            clock_period_ns,
-            report: report?,
-        });
-    }
-    Ok(Exploration {
-        points,
-        transform_runs: keys.len(),
+        Ok(DesignPoint {
+            label: label.clone(),
+            clock_period_ns: options.clock_period_ns,
+            report,
+        })
     })
+    .into_iter()
+    .collect()
 }
 
 /// The ablation study called out in `DESIGN.md`: the coordinated flow with
 /// each transformation switched off individually, plus the classical
 /// baseline. Returns `(label, report)` per configuration.
-///
-/// Built on [`explore_configurations`], so configurations sharing a
-/// transform-flag set share one transformed program instead of
-/// re-transforming per point.
 pub fn ablation_study(
     program: &Program,
     top: &str,
@@ -210,7 +121,7 @@ pub fn ablation_study(
         FlowOptions::asic_baseline(clock_period_ns),
     ));
 
-    explore_configurations(program, top, &configurations).map(|exploration| exploration.points)
+    explore_configurations(program, top, &configurations)
 }
 
 /// Formats design points as an aligned text table.
@@ -278,83 +189,40 @@ mod tests {
     }
 
     #[test]
-    fn exploration_transforms_once_per_flag_set() {
-        // Three configurations, two distinct transform-flag sets: the two
-        // microprocessor points differ only in clock period (which the
-        // transformations never consult) and must share one transformed
-        // program.
+    fn exploration_points_match_from_scratch_synthesis() {
+        // Every point, duplicated configurations included, equals a
+        // from-scratch `synthesize` of its own configuration; infeasible
+        // points come back as `None`.
         let program = build_ild_program(4);
+        let full = FlowOptions::microprocessor_block(500.0);
+        let mut no_speculation = full.clone();
+        no_speculation.speculate = false;
         let configurations = vec![
             (
                 "fast clock".to_string(),
                 FlowOptions::microprocessor_block(100.0),
             ),
-            (
-                "slow clock".to_string(),
-                FlowOptions::microprocessor_block(500.0),
-            ),
+            ("slow clock".to_string(), full.clone()),
+            ("duplicate".to_string(), full),
+            ("no speculation".to_string(), no_speculation),
             ("baseline".to_string(), FlowOptions::asic_baseline(20.0)),
+            (
+                "infeasible".to_string(),
+                FlowOptions::microprocessor_block(0.1),
+            ),
         ];
-        let before = crate::pipeline::transform_run_count();
-        let exploration = explore_configurations(&program, ILD_FUNCTION, &configurations).unwrap();
-        let after = crate::pipeline::transform_run_count();
-        assert_eq!(exploration.transform_runs, 2, "one transform per flag set");
-        assert_eq!(exploration.points.len(), 3);
-        assert!(exploration.points.iter().all(|p| p.report.is_some()));
-        // The global counter moved by at least the distinct-key count but —
-        // tests run concurrently — possibly more from other tests.
-        assert!(after - before >= 2);
-        // Memoized points match a from-scratch synthesis.
-        let serial = crate::pipeline::synthesize(
-            &program,
-            ILD_FUNCTION,
-            &FlowOptions::microprocessor_block(500.0),
-        )
-        .unwrap();
-        assert_eq!(exploration.points[1].report.as_ref(), Some(&serial.report));
-    }
-
-    #[test]
-    fn ablation_study_covers_six_distinct_flag_sets() {
-        // The standard ablation list happens to have six distinct transform
-        // keys, so memoization keeps all six transforms — this pins the
-        // sharing contract so a future config rearrangement that introduces
-        // duplicates gets the cache for free and this test documents it.
-        let program = build_ild_program(4);
-        let full = FlowOptions::microprocessor_block(200.0);
-        let mut no_speculation = full.clone();
-        no_speculation.speculate = false;
-        let configurations = vec![
-            ("a".to_string(), full.clone()),
-            ("b".to_string(), no_speculation.clone()),
-            // A duplicate of an earlier flag set must NOT add a transform.
-            ("c".to_string(), {
-                let mut duplicate = no_speculation;
-                duplicate.clock_period_ns = 55.0;
-                duplicate
-            }),
-        ];
-        let exploration = explore_configurations(&program, ILD_FUNCTION, &configurations).unwrap();
-        assert_eq!(exploration.transform_runs, 2);
-        assert_eq!(exploration.points.len(), 3);
-    }
-
-    #[test]
-    fn verify_ir_is_part_of_the_transform_key() {
-        // Identical transform toggles with different verification behaviour
-        // must not share a transform run: the representative's `verify_ir`
-        // would otherwise silently apply to the whole group.
-        let program = build_ild_program(4);
-        let mut verified = FlowOptions::microprocessor_block(100.0);
-        verified.verify_ir = true;
-        let mut unverified = verified.clone();
-        unverified.verify_ir = false;
-        let exploration = explore_configurations(
-            &program,
-            ILD_FUNCTION,
-            &[("v".to_string(), verified), ("u".to_string(), unverified)],
-        )
-        .unwrap();
-        assert_eq!(exploration.transform_runs, 2);
+        let points = explore_configurations(&program, ILD_FUNCTION, &configurations).unwrap();
+        assert_eq!(points.len(), configurations.len());
+        for (point, (label, options)) in points.iter().zip(&configurations) {
+            assert_eq!(&point.label, label);
+            assert_eq!(point.clock_period_ns, options.clock_period_ns);
+            let fresh = synthesize(&program, ILD_FUNCTION, options).ok();
+            assert_eq!(
+                point.report.as_ref(),
+                fresh.as_ref().map(|result| &result.report),
+                "{label}"
+            );
+        }
+        assert!(points.last().unwrap().report.is_none());
     }
 }

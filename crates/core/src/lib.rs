@@ -50,12 +50,10 @@ mod pipeline;
 
 pub use dse::{
     ablation_study, explore_configurations, format_table, sweep_clock_period, DesignPoint,
-    Exploration, TransformKey,
 };
 pub use par::par_map;
 pub use pipeline::{
-    synthesize, synthesize_source, synthesize_transformed, synthesize_transformed_timed,
-    synthesize_with_breakdown, transform_program, transform_run_count, FlowMode, FlowOptions,
-    PassManager, PhaseBreakdown, SourceSynthesisError, StageSnapshot, SynthesisError,
+    synthesize, synthesize_source, synthesize_transformed, transform_program, FlowMode,
+    FlowOptions, PhaseBreakdown, SourceSynthesisError, StageSnapshot, SynthesisError,
     SynthesisResult, TransformedProgram,
 };

@@ -10,7 +10,6 @@
 //! insertion, binding and RTL generation — recording the effect of every
 //! stage so the figure-by-figure evolution of the design can be reproduced.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -18,8 +17,8 @@ use spark_bind::{Binding, LifetimeAnalysis};
 use spark_ir::{Env, Function, FunctionStats, OpId, Program, RegionId};
 use spark_rtl::{DatapathReport, RtlOutcome, RtlSimError, RtlSimulator, VhdlEmitter};
 use spark_sched::{
-    insert_wire_variables, schedule_in, validate_chaining, ChainingReport, Constraints, Controller,
-    DependenceGraph, ResourceLibrary, SchedContext, SchedError, Schedule, WireReport,
+    insert_wire_variables, schedule, validate_chaining, ChainingReport, Constraints, Controller,
+    DependenceGraph, ResourceLibrary, SchedError, Schedule, WireReport,
 };
 use spark_transforms as xf;
 
@@ -54,9 +53,6 @@ pub struct FlowOptions {
     pub constant_propagation: bool,
     /// Run common-subexpression elimination on the flattened code.
     pub cse: bool,
-    /// Run the complementary code motions (reverse speculation and early
-    /// condition execution) before scheduling.
-    pub secondary_code_motions: bool,
     /// Run [`spark_ir::verify`] on the top-level function after every
     /// transformation pass, so malformed IR from any producer (builder,
     /// frontend or a buggy pass) fails fast with the pass named instead of
@@ -76,7 +72,6 @@ impl FlowOptions {
             unroll: true,
             constant_propagation: true,
             cse: true,
-            secondary_code_motions: false,
             verify_ir: cfg!(debug_assertions),
         }
     }
@@ -93,7 +88,6 @@ impl FlowOptions {
             unroll: true,
             constant_propagation: true,
             cse: false,
-            secondary_code_motions: false,
             verify_ir: cfg!(debug_assertions),
         }
     }
@@ -187,6 +181,8 @@ pub struct SynthesisResult {
     pub wire_report: WireReport,
     /// Chaining-trail validation summary (Section 3.1.1).
     pub chaining: ChainingReport,
+    /// Wall time of each phase of the run that produced this result.
+    pub phases: PhaseBreakdown,
 }
 
 impl SynthesisResult {
@@ -227,7 +223,7 @@ impl SynthesisResult {
 /// transformation pipeline once and then schedule each period point against
 /// the same transformed program — see
 /// [`sweep_clock_period`](crate::sweep_clock_period).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct TransformedProgram {
     /// The transformed program.
     pub program: Program,
@@ -237,62 +233,29 @@ pub struct TransformedProgram {
     pub pass_log: Vec<xf::Report>,
     /// Per-stage structural snapshots (Figures 10–15 evolution).
     pub stages: Vec<StageSnapshot>,
-    /// Lazily built scheduling context (pre-wire dependence graph, interned
-    /// guard table, op → block map), shared by every clock-sweep / DSE point
-    /// scheduled against this program. See
-    /// [`TransformedProgram::sched_context`].
-    sched: OnceLock<Result<SchedContext, SchedError>>,
+    /// Lazily built pre-wire dependence graph of the top function, shared
+    /// by every point scheduled against this program. See
+    /// [`TransformedProgram::dependence_graph`].
+    graph: OnceLock<Result<DependenceGraph, SchedError>>,
 }
 
 impl TransformedProgram {
-    /// The clock-agnostic scheduling context of the transformed top-level
+    /// The (clock-agnostic) dependence graph of the transformed top-level
     /// function, built on first use and shared by every subsequent
     /// [`synthesize_transformed`] call on this program — a clock sweep builds
-    /// the dependence graph **once**, not once per period point.
+    /// it **once**, not once per period point.
     ///
     /// # Errors
     /// Returns [`SchedError`] when the transformed function still contains
     /// loops or calls (e.g. unrolling was disabled on a looping program).
-    pub fn sched_context(&self) -> Result<&SchedContext, SchedError> {
-        let result = self.sched.get_or_init(|| {
-            SchedContext::build(self.program.function(&self.top).expect("top exists"))
-        });
-        match result {
-            Ok(context) => Ok(context),
-            Err(error) => Err(error.clone()),
-        }
+    pub fn dependence_graph(&self) -> Result<&DependenceGraph, SchedError> {
+        self.graph
+            .get_or_init(|| {
+                DependenceGraph::build(self.program.function(&self.top).expect("top exists"))
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
-}
-
-impl Clone for TransformedProgram {
-    fn clone(&self) -> Self {
-        // Carry an already-built context over to the clone instead of
-        // forcing a rebuild there.
-        let sched = OnceLock::new();
-        if let Some(built) = self.sched.get() {
-            let _ = sched.set(built.clone());
-        }
-        TransformedProgram {
-            program: self.program.clone(),
-            top: self.top.clone(),
-            pass_log: self.pass_log.clone(),
-            stages: self.stages.clone(),
-            sched,
-        }
-    }
-}
-
-/// Global count of [`transform_program`] executions, for cache-hit
-/// assertions in tests and for the DSE memoization counter.
-static TRANSFORM_RUNS: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of times the transformation pipeline has executed in this process.
-///
-/// The design-space helpers memoize transformed programs on their transform
-/// flag set; this counter is how tests assert that sharing actually happens
-/// (see [`explore_configurations`](crate::explore_configurations)).
-pub fn transform_run_count() -> usize {
-    TRANSFORM_RUNS.load(Ordering::Relaxed)
 }
 
 /// The fine-grain worklist passes the pass manager schedules.
@@ -327,7 +290,7 @@ enum Seed {
 /// previous passes touched — so the second constant-propagation /
 /// copy-propagation / DCE round examines only what actually changed instead
 /// of rescanning the whole function.
-pub struct PassManager<'a> {
+pub(crate) struct PassManager<'a> {
     options: &'a FlowOptions,
     top: String,
     working: Program,
@@ -350,11 +313,7 @@ impl<'a> PassManager<'a> {
     /// [`SynthesisError::UnknownFunction`] when `top` does not exist, and —
     /// with [`FlowOptions::verify_ir`] set — [`SynthesisError::MalformedIr`]
     /// (`pass: "input"`) when any input function is malformed.
-    pub fn new(
-        program: &Program,
-        top: &str,
-        options: &'a FlowOptions,
-    ) -> Result<Self, SynthesisError> {
+    fn new(program: &Program, top: &str, options: &'a FlowOptions) -> Result<Self, SynthesisError> {
         let working = program.clone();
         if working.function(top).is_none() {
             return Err(SynthesisError::UnknownFunction(top.to_string()));
@@ -517,8 +476,7 @@ impl<'a> PassManager<'a> {
     /// Runs the whole transformation recipe and returns the transformed
     /// program, its top function compacted ([`spark_ir::Function::compact`]):
     /// it holds only live operations and reachable blocks, nodes and regions.
-    pub fn run(mut self) -> Result<TransformedProgram, SynthesisError> {
-        TRANSFORM_RUNS.fetch_add(1, Ordering::Relaxed);
+    fn run(mut self) -> Result<TransformedProgram, SynthesisError> {
         let options = self.options;
 
         // ---- Source-level and coarse-grain transformations ---------------
@@ -565,16 +523,6 @@ impl<'a> PassManager<'a> {
         self.fine(FinePass::Dce)?;
         self.snapshot("cleanup");
 
-        if options.secondary_code_motions {
-            self.coarse(|p, top| {
-                xf::early_condition_execution(p.function_mut(top).expect("top exists"))
-            })?;
-            self.coarse(|p, top| {
-                xf::reverse_speculation(p.function_mut(top).expect("top exists"))
-            })?;
-            self.snapshot("secondary-code-motions");
-        }
-
         // Hand the backend only the live IR: every design point copies the
         // top function and sizes its per-op tables by its arenas.
         self.working
@@ -588,7 +536,7 @@ impl<'a> PassManager<'a> {
             top: self.top,
             pass_log: self.pass_log,
             stages: self.stages,
-            sched: OnceLock::new(),
+            graph: OnceLock::new(),
         })
     }
 }
@@ -598,8 +546,6 @@ impl<'a> PassManager<'a> {
 /// under the transformation switches of `options`. The clock period in
 /// `options` is not consulted — transformations are clock-agnostic, which is
 /// what makes the result reusable across a clock sweep.
-///
-/// This is a thin wrapper over [`PassManager::run`].
 ///
 /// # Errors
 /// Returns [`SynthesisError::UnknownFunction`] when `top` does not exist,
@@ -615,12 +561,15 @@ pub fn transform_program(
 
 /// Wall-clock time spent in each phase of one synthesis run, milliseconds.
 ///
-/// Emitted into `BENCH_synthesize.json` by the benchmark harness so the
-/// per-phase performance trajectory (transform vs. schedule vs. bind vs.
-/// RTL reporting) is visible PR over PR.
+/// Every [`SynthesisResult`] carries one. Emitted into
+/// `BENCH_synthesize.json` by the benchmark harness so the per-phase
+/// performance trajectory (transform vs. schedule vs. bind vs. RTL
+/// reporting) is visible PR over PR.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseBreakdown {
-    /// Transformation pipeline ([`transform_program`]).
+    /// Transformation pipeline ([`transform_program`]). Zero from
+    /// [`synthesize_transformed`], whose program was transformed before the
+    /// call.
     pub transform_ms: f64,
     /// Dependence graph, scheduling, wire-variable insertion, chaining
     /// validation and controller construction — the sum of the five
@@ -630,9 +579,9 @@ pub struct PhaseBreakdown {
     pub bind_ms: f64,
     /// Datapath report construction (the RTL-level summary).
     pub rtl_ms: f64,
-    /// Schedule sub-phase: dependence-graph / scheduling-context
-    /// construction. Zero when the sweep-shared context was already built by
-    /// an earlier point ([`TransformedProgram::sched_context`]).
+    /// Schedule sub-phase: pre-wire dependence-graph construction. Near zero
+    /// when an earlier point already built the shared graph
+    /// ([`TransformedProgram::dependence_graph`]).
     pub sched_deps_ms: f64,
     /// Schedule sub-phase: the chaining-aware list scheduler itself.
     pub sched_list_ms: f64,
@@ -680,7 +629,8 @@ fn ms_since(start: Instant) -> f64 {
 /// Runs the back half of the flow — scheduling, chaining validation,
 /// wire-variable insertion, binding and RTL reporting — on an already
 /// transformed program, under the constraints (clock period, mode) of
-/// `options`.
+/// `options`. The result's [`phases`](SynthesisResult::phases) time every
+/// back-half phase; its `transform_ms` is zero.
 ///
 /// # Errors
 /// Returns [`SynthesisError::Scheduling`] when the constraints cannot be met.
@@ -688,20 +638,7 @@ pub fn synthesize_transformed(
     transformed: &TransformedProgram,
     options: &FlowOptions,
 ) -> Result<SynthesisResult, SynthesisError> {
-    synthesize_transformed_timed(transformed, options).map(|(result, _)| result)
-}
-
-/// [`synthesize_transformed`] with per-phase wall times. The returned
-/// breakdown's `transform_ms` is zero — the transformation happened before
-/// this call; [`synthesize_with_breakdown`] fills it in.
-///
-/// # Errors
-/// Returns [`SynthesisError::Scheduling`] when the constraints cannot be met.
-pub fn synthesize_transformed_timed(
-    transformed: &TransformedProgram,
-    options: &FlowOptions,
-) -> Result<(SynthesisResult, PhaseBreakdown), SynthesisError> {
-    let mut breakdown = PhaseBreakdown::default();
+    let mut phases = PhaseBreakdown::default();
     let library = ResourceLibrary::new();
     let top = transformed.top.as_str();
     let pass_log = transformed.pass_log.clone();
@@ -709,75 +646,75 @@ pub fn synthesize_transformed_timed(
     let working = &transformed.program;
 
     // ---- Scheduling, chaining, binding, RTL --------------------------------
-    // The pre-wire dependence graph (with its interned guard table) and the
-    // op → block map come from the sweep-shared context: built at most once
-    // per transformed program, not once per clock point.
+    // The pre-wire dependence graph (with its interned guard table) is
+    // shared: built at most once per transformed program, not once per
+    // clock point.
     let started = Instant::now();
-    let context = transformed.sched_context()?;
-    breakdown.sched_deps_ms = ms_since(started);
+    let pre_wire = transformed.dependence_graph()?;
+    phases.sched_deps_ms = ms_since(started);
 
     let started = Instant::now();
     let mut function = working.function(top).expect("top exists").clone();
     let constraints = options.constraints();
-    let mut sched = schedule_in(&function, context, &library, &constraints)?;
-    breakdown.sched_list_ms = ms_since(started);
+    let mut sched = schedule(&function, pre_wire, &library, &constraints)?;
+    phases.sched_list_ms = ms_since(started);
 
     // Wire insertion adds blocks/ops and redirects operands, so the
     // post-wire graph is built afresh for this point.
     let started = Instant::now();
     let wire_report = insert_wire_variables(&mut function, &mut sched);
     let graph = DependenceGraph::build(&function)?;
-    breakdown.sched_wires_ms = ms_since(started);
+    phases.sched_wires_ms = ms_since(started);
 
     let started = Instant::now();
     let chaining = validate_chaining(&function, &graph, &sched, &library)?;
-    breakdown.sched_validate_ms = ms_since(started);
+    phases.sched_validate_ms = ms_since(started);
 
     let started = Instant::now();
     let controller = Controller::build(&function, &graph, &sched);
-    breakdown.sched_controller_ms = ms_since(started);
+    phases.sched_controller_ms = ms_since(started);
 
-    breakdown.schedule_ms = breakdown.sched_deps_ms
-        + breakdown.sched_list_ms
-        + breakdown.sched_wires_ms
-        + breakdown.sched_validate_ms
-        + breakdown.sched_controller_ms;
+    phases.schedule_ms = phases.sched_deps_ms
+        + phases.sched_list_ms
+        + phases.sched_wires_ms
+        + phases.sched_validate_ms
+        + phases.sched_controller_ms;
 
     let started = Instant::now();
     let lifetimes = LifetimeAnalysis::compute(&function, &sched);
     let binding = Binding::compute(&function, &sched, &lifetimes, &library);
-    breakdown.bind_ms = ms_since(started);
+    phases.bind_ms = ms_since(started);
 
     let started = Instant::now();
     let report = DatapathReport::build(&function, &sched, &binding, &controller, &library);
-    breakdown.rtl_ms = ms_since(started);
+    phases.rtl_ms = ms_since(started);
     stages.push(StageSnapshot {
         stage: "scheduled".to_string(),
         stats: FunctionStats::of(&function),
     });
 
-    Ok((
-        SynthesisResult {
-            function,
-            graph,
-            schedule: sched,
-            controller,
-            binding,
-            report,
-            pass_log,
-            stages,
-            wire_report,
-            chaining,
-        },
-        breakdown,
-    ))
+    Ok(SynthesisResult {
+        function,
+        graph,
+        schedule: sched,
+        controller,
+        binding,
+        report,
+        pass_log,
+        stages,
+        wire_report,
+        chaining,
+        phases,
+    })
 }
 
 /// Runs the coordinated flow on `program`, synthesizing the function `top`.
 ///
 /// Equivalent to [`transform_program`] followed by
-/// [`synthesize_transformed`]; sweeps that vary only the clock period should
-/// call the two halves directly and reuse the transformed program.
+/// [`synthesize_transformed`], with the transformation's wall time recorded
+/// in [`PhaseBreakdown::transform_ms`]; sweeps that vary only the clock
+/// period should call the two halves directly and reuse the transformed
+/// program.
 ///
 /// # Errors
 /// Returns [`SynthesisError`] when the top function is missing or scheduling
@@ -787,27 +724,12 @@ pub fn synthesize(
     top: &str,
     options: &FlowOptions,
 ) -> Result<SynthesisResult, SynthesisError> {
-    let transformed = transform_program(program, top, options)?;
-    synthesize_transformed(&transformed, options)
-}
-
-/// [`synthesize`] with per-phase wall times (transform / schedule / bind /
-/// RTL reporting), for the benchmark harness.
-///
-/// # Errors
-/// Returns [`SynthesisError`] when the top function is missing or scheduling
-/// fails under the given constraints.
-pub fn synthesize_with_breakdown(
-    program: &Program,
-    top: &str,
-    options: &FlowOptions,
-) -> Result<(SynthesisResult, PhaseBreakdown), SynthesisError> {
     let started = Instant::now();
     let transformed = transform_program(program, top, options)?;
     let transform_ms = ms_since(started);
-    let (result, mut breakdown) = synthesize_transformed_timed(&transformed, options)?;
-    breakdown.transform_ms = transform_ms;
-    Ok((result, breakdown))
+    let mut result = synthesize_transformed(&transformed, options)?;
+    result.phases.transform_ms = transform_ms;
+    Ok(result)
 }
 
 /// Why source-level synthesis failed: either the frontend rejected the text
@@ -1078,6 +1000,26 @@ mod tests {
                 assert!(diags[0].to_string().contains("unknown variable `x`"));
             }
             other => panic!("expected frontend diagnostics, got {other}"),
+        }
+    }
+
+    #[test]
+    fn results_carry_their_phase_times() {
+        let program = build_ild_program(4);
+        let options = FlowOptions::microprocessor_block(200.0);
+        let full = synthesize(&program, ILD_FUNCTION, &options).unwrap();
+        assert!(full.phases.transform_ms > 0.0);
+        let transformed = transform_program(&program, ILD_FUNCTION, &options).unwrap();
+        let back_half = synthesize_transformed(&transformed, &options).unwrap();
+        assert_eq!(back_half.phases.transform_ms, 0.0);
+        for phases in [full.phases, back_half.phases] {
+            assert!(phases.schedule_ms > 0.0);
+            let sub_total = phases.sched_deps_ms
+                + phases.sched_list_ms
+                + phases.sched_wires_ms
+                + phases.sched_validate_ms
+                + phases.sched_controller_ms;
+            assert_eq!(sub_total, phases.schedule_ms);
         }
     }
 

@@ -49,6 +49,6 @@ mod wires;
 pub use deps::{DepKind, Dependence, DependenceGraph, Guard, GuardId, GuardTable, SchedError};
 pub use fsm::{ControlStep, Controller, ScheduledOp};
 pub use resources::{Allocation, FuClass, FuSpec, ResourceLibrary};
-pub use scheduler::{schedule, schedule_in, Constraints, SchedContext, Schedule};
+pub use scheduler::{schedule, Constraints, Schedule};
 pub use trails::{validate_chaining, ChainingReport};
 pub use wires::{insert_wire_variables, WireReport};

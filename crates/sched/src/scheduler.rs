@@ -12,33 +12,6 @@ use spark_ir::{BlockId, Function, OpId, SecondaryMap};
 use crate::deps::{DepKind, DependenceGraph, SchedError};
 use crate::resources::{Allocation, FuClass, ResourceLibrary};
 
-/// The clock-agnostic analyses scheduling needs: the pre-wire dependence
-/// graph (with its interned guard table) and the op → block ownership map.
-///
-/// Built once per transformed program and shared by every clock-sweep /
-/// ablation / DSE point — see `TransformedProgram::sched_context` in
-/// `spark-core` — instead of being rebuilt per point.
-#[derive(Clone, Debug)]
-pub struct SchedContext {
-    /// Dependence graph of the (pre-wire-insertion) function.
-    pub graph: DependenceGraph,
-    /// Owning basic block of every live operation.
-    pub op_blocks: SecondaryMap<OpId, BlockId>,
-}
-
-impl SchedContext {
-    /// Builds the scheduling context of `function`.
-    ///
-    /// # Errors
-    /// Returns [`SchedError`] if the function still contains loops or calls.
-    pub fn build(function: &Function) -> Result<Self, SchedError> {
-        Ok(SchedContext {
-            graph: DependenceGraph::build(function)?,
-            op_blocks: function.op_blocks(),
-        })
-    }
-}
-
 /// Scheduling constraints.
 #[derive(Clone, Debug)]
 pub struct Constraints {
@@ -200,37 +173,6 @@ pub fn schedule(
     // Block of every op, for the cross-block chaining test — built in one
     // pass instead of a per-op block scan.
     let block_of: SecondaryMap<OpId, BlockId> = function.op_blocks();
-    schedule_with_blocks(function, graph, &block_of, library, constraints)
-}
-
-/// [`schedule`] against a prebuilt [`SchedContext`] — the entry point for
-/// sweeps that share one context (graph + op → block map) across many clock
-/// points.
-///
-/// # Errors
-/// Returns [`SchedError`] if the function cannot be scheduled.
-pub fn schedule_in(
-    function: &Function,
-    context: &SchedContext,
-    library: &ResourceLibrary,
-    constraints: &Constraints,
-) -> Result<Schedule, SchedError> {
-    schedule_with_blocks(
-        function,
-        &context.graph,
-        &context.op_blocks,
-        library,
-        constraints,
-    )
-}
-
-fn schedule_with_blocks(
-    function: &Function,
-    graph: &DependenceGraph,
-    block_of: &SecondaryMap<OpId, BlockId>,
-    library: &ResourceLibrary,
-    constraints: &Constraints,
-) -> Result<Schedule, SchedError> {
     let mut result = Schedule {
         clock_period_ns: constraints.clock_period_ns,
         ..Schedule::default()
