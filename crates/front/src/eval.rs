@@ -17,7 +17,7 @@ use crate::sema::Analysis;
 use spark_ir::{Env, Outcome, Type};
 
 /// Errors raised by the AST evaluator (mirrors
-/// [`spark_ir::EvalError`](spark_ir::EvalError) where the cases overlap).
+/// [`spark_ir::EvalError`] where the cases overlap).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AstEvalError {
     /// A named input was expected but not provided.

@@ -16,7 +16,7 @@
 //! * [`sema`]: scopes, kinds, call signatures, constant bounds, recursion —
 //!   with source-located [`Diagnostic`] errors — plus per-expression type
 //!   inference;
-//! * [`lower`]: destination-hinted lowering onto
+//! * [`lower`](mod@lower): destination-hinted lowering onto
 //!   [`spark_ir::FunctionBuilder`], producing HTG programs that
 //!   [`spark_ir::verify`] accepts;
 //! * [`eval`]: a direct AST evaluator, the frontend's own golden model.
