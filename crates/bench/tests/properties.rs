@@ -144,11 +144,11 @@ fn reference_cleanup(f: &mut Function) {
     xf::dead_code_elimination(f);
 }
 
-/// Options running only the fine-grain clean-up (all coarse passes off).
+/// Options running only the fine-grain clean-up: speculation and unrolling
+/// are off, and the generated programs hold no `while` loops or calls for
+/// the always-on source-level passes to rewrite.
 fn fine_only_options() -> FlowOptions {
     let mut options = FlowOptions::microprocessor_block(100.0);
-    options.while_to_for = false;
-    options.inline = false;
     options.speculate = false;
     options.unroll = false;
     options
@@ -340,11 +340,9 @@ proptest! {
         let mut f = build_scripted_function(&script);
         xf::unroll_all_loops(&mut f);
         let mut state = xf::FineState::new(&f);
-        let all = f.live_ops();
-        xf::constant_propagation_seeded(&mut f, &mut state, &all);
+        xf::constant_propagation_seeded(&mut f, &mut state, None);
         prop_assert!(state.graph.consistency_errors(&f).is_empty());
-        let all = f.live_ops();
-        xf::copy_propagation_seeded(&mut f, &mut state, &all);
+        xf::copy_propagation_seeded(&mut f, &mut state, None);
         prop_assert!(state.graph.consistency_errors(&f).is_empty());
         xf::common_subexpression_elimination_seeded(&mut f, &mut state, None);
         prop_assert!(state.graph.consistency_errors(&f).is_empty());

@@ -25,6 +25,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("row_minmax", 0xcc065167981bd357),
     ("running_max", 0x2be488853a1acfcb),
     ("sad4", 0xff39f3067ad0db71),
+    ("while_accumulator", 0x58071f0c5342bd35),
     ("width_const", 0xeb53081ac16720a3),
     ("width_copy", 0x39fddd1a5820b2c8),
     ("width_cse", 0xe4b315e368789cda),

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use spark_bind::{Binding, LifetimeAnalysis};
-use spark_ir::{Env, Function, FunctionStats, OpId, Program, RegionId};
+use spark_ir::{EditLog, Env, Function, FunctionStats, OpId, Program};
 use spark_rtl::{DatapathReport, RtlOutcome, RtlSimError, RtlSimulator, VhdlEmitter};
 use spark_sched::{
     insert_wire_variables, schedule, validate_chaining, ChainingReport, Constraints, Controller,
@@ -34,17 +34,16 @@ pub enum FlowMode {
 }
 
 /// Options controlling the coordinated flow.
+///
+/// The source-level rewrite of natural `while(1)` cursor loops (Figure 16 →
+/// Figure 10) and call inlining (Figure 12) always run; the switches below
+/// select the rest of the recipe.
 #[derive(Clone, Debug)]
 pub struct FlowOptions {
     /// Target clock period in nanoseconds.
     pub clock_period_ns: f64,
     /// Overall scenario.
     pub mode: FlowMode,
-    /// Rewrite natural `while(1)` cursor loops into bounded `for` loops
-    /// (Figure 16 → Figure 10).
-    pub while_to_for: bool,
-    /// Inline calls (Figure 12).
-    pub inline: bool,
     /// Speculate pure operations out of conditionals (Figure 11).
     pub speculate: bool,
     /// Fully unroll loops (Figure 13).
@@ -66,8 +65,6 @@ impl FlowOptions {
         FlowOptions {
             clock_period_ns,
             mode: FlowMode::MicroprocessorBlock,
-            while_to_for: true,
-            inline: true,
             speculate: true,
             unroll: true,
             constant_propagation: true,
@@ -82,8 +79,6 @@ impl FlowOptions {
         FlowOptions {
             clock_period_ns,
             mode: FlowMode::AsicBaseline,
-            while_to_for: true,
-            inline: true,
             speculate: false,
             unroll: true,
             constant_propagation: true,
@@ -269,6 +264,9 @@ enum FinePass {
 
 const FINE_PASS_COUNT: usize = 4;
 
+/// The common signature of the `_seeded` fine-grain passes.
+type FinePassFn = fn(&mut Function, &mut xf::FineState, Option<&[OpId]>) -> (xf::Report, EditLog);
+
 /// Pending worklist seed for one fine-grain pass.
 #[derive(Clone, Debug)]
 enum Seed {
@@ -284,26 +282,23 @@ enum Seed {
 /// of worklist passes over shared, incrementally-maintained analyses.
 ///
 /// The manager owns the cached [`xf::FineState`] (def–use graph and
-/// structural positions), invalidates it from each pass's
-/// [`Invalidation`](xf::Invalidation) report instead of rebuilding
-/// unconditionally, and seeds every fine-grain pass with the operations the
-/// previous passes touched — so the second constant-propagation /
+/// structural positions) and seeds every fine-grain pass with the operations
+/// the previous fine passes touched — so the second constant-propagation /
 /// copy-propagation / DCE round examines only what actually changed instead
-/// of rescanning the whole function.
+/// of rescanning the whole function. A coarse pass restructures the
+/// function, so it drops the cache and resets every seed to
+/// [`Seed::Everything`].
 pub(crate) struct PassManager<'a> {
     options: &'a FlowOptions,
     top: String,
     working: Program,
     pass_log: Vec<xf::Report>,
     stages: Vec<StageSnapshot>,
-    /// Cached fine-grain analyses; `None` until built or after a structural
-    /// invalidation.
+    /// Cached fine-grain analyses; `None` until built or after a coarse
+    /// pass.
     analyses: Option<xf::FineState>,
     /// Per fine pass: what to examine on its next run.
     seeds: [Seed; FINE_PASS_COUNT],
-    /// Regions invalidated by coarse passes since the analyses were built;
-    /// folded into `Ops` seeds when the analyses are next rebuilt.
-    dirty_regions: Vec<RegionId>,
 }
 
 impl<'a> PassManager<'a> {
@@ -338,7 +333,6 @@ impl<'a> PassManager<'a> {
             stages: Vec::new(),
             analyses: None,
             seeds: std::array::from_fn(|_| Seed::Everything),
-            dirty_regions: Vec::new(),
         };
         manager.snapshot("input");
         Ok(manager)
@@ -353,26 +347,11 @@ impl<'a> PassManager<'a> {
         }
     }
 
-    /// Appends a pass report to the log, applies its analysis invalidation,
-    /// and — when [`FlowOptions::verify_ir`] is set — re-verifies the
-    /// top-level function, so a pass that corrupts the IR fails here with
-    /// its name attached instead of panicking downstream.
+    /// Appends a pass report to the log and — when
+    /// [`FlowOptions::verify_ir`] is set — re-verifies the top-level
+    /// function, so a pass that corrupts the IR fails here with its name
+    /// attached instead of panicking downstream.
     fn record(&mut self, report: xf::Report) -> Result<(), SynthesisError> {
-        match &report.invalidation {
-            xf::Invalidation::None => {}
-            xf::Invalidation::Region(region) => {
-                // The cached graph cannot be partially rebuilt, but passes
-                // that already consumed their full-function seed only need
-                // re-examining under the invalidated region.
-                self.analyses = None;
-                self.dirty_regions.push(*region);
-            }
-            xf::Invalidation::Structure => {
-                self.analyses = None;
-                self.dirty_regions.clear();
-                self.seeds = std::array::from_fn(|_| Seed::Everything);
-            }
-        }
         let pass = report.pass.clone();
         self.pass_log.push(report);
         self.verify_top(pass)
@@ -390,12 +369,16 @@ impl<'a> PassManager<'a> {
         Ok(())
     }
 
-    /// Runs one coarse-grain pass over the working program.
+    /// Runs one coarse-grain pass over the working program. The pass may
+    /// restructure the function anywhere, so the cached analyses are dropped
+    /// and every fine pass next examines the whole function.
     fn coarse(
         &mut self,
         run: impl FnOnce(&mut Program, &str) -> xf::Report,
     ) -> Result<(), SynthesisError> {
         let report = run(&mut self.working, &self.top);
+        self.analyses = None;
+        self.seeds = std::array::from_fn(|_| Seed::Everything);
         self.record(report)
     }
 
@@ -403,55 +386,23 @@ impl<'a> PassManager<'a> {
     /// passes touched, and distributes what it touched to the other passes'
     /// seeds.
     fn fine(&mut self, which: FinePass) -> Result<(), SynthesisError> {
-        // (Re)build the shared analyses if a coarse pass invalidated them,
-        // folding region invalidations into the pending seeds.
-        if self.analyses.is_none() {
-            let function = self.working.function(&self.top).expect("top exists");
-            if !self.dirty_regions.is_empty() {
-                for seed in &mut self.seeds {
-                    if let Seed::Ops(ops) = seed {
-                        for &region in &self.dirty_regions {
-                            ops.extend(function.ops_in_region(region));
-                        }
-                    }
-                }
-                self.dirty_regions.clear();
-            }
-            self.analyses = Some(xf::FineState::new(function));
-        }
-
+        let function = self.working.function_mut(&self.top).expect("top exists");
+        let state = self
+            .analyses
+            .get_or_insert_with(|| xf::FineState::new(function));
         let index = which as usize;
         let seed = std::mem::replace(&mut self.seeds[index], Seed::Ops(Vec::new()));
-        let state = self.analyses.as_mut().expect("analyses just built");
-        let function = self.working.function_mut(&self.top).expect("top exists");
-        let (report, effects) = match (which, &seed) {
-            (FinePass::ConstProp, Seed::Everything) => {
-                let all = function.live_ops();
-                xf::constant_propagation_seeded(function, state, &all)
-            }
-            (FinePass::ConstProp, Seed::Ops(ops)) => {
-                xf::constant_propagation_seeded(function, state, ops)
-            }
-            (FinePass::CopyProp, Seed::Everything) => {
-                let all = function.live_ops();
-                xf::copy_propagation_seeded(function, state, &all)
-            }
-            (FinePass::CopyProp, Seed::Ops(ops)) => {
-                xf::copy_propagation_seeded(function, state, ops)
-            }
-            (FinePass::Cse, Seed::Everything) => {
-                xf::common_subexpression_elimination_seeded(function, state, None)
-            }
-            (FinePass::Cse, Seed::Ops(ops)) => {
-                xf::common_subexpression_elimination_seeded(function, state, Some(ops))
-            }
-            (FinePass::Dce, Seed::Everything) => {
-                xf::dead_code_elimination_seeded(function, state, None)
-            }
-            (FinePass::Dce, Seed::Ops(ops)) => {
-                xf::dead_code_elimination_seeded(function, state, Some(ops))
-            }
+        let seed = match &seed {
+            Seed::Everything => None,
+            Seed::Ops(ops) => Some(ops.as_slice()),
         };
+        let pass: FinePassFn = match which {
+            FinePass::ConstProp => xf::constant_propagation_seeded,
+            FinePass::CopyProp => xf::copy_propagation_seeded,
+            FinePass::Cse => xf::common_subexpression_elimination_seeded,
+            FinePass::Dce => xf::dead_code_elimination_seeded,
+        };
+        let (report, effects) = pass(function, state, seed);
 
         // Every op this pass touched may hold new work for the others; DCE
         // additionally re-examines the definitions of variables that lost a
@@ -480,14 +431,10 @@ impl<'a> PassManager<'a> {
         let options = self.options;
 
         // ---- Source-level and coarse-grain transformations ---------------
-        if options.while_to_for {
-            self.coarse(|p, top| xf::while_to_for(p.function_mut(top).expect("top exists")))?;
-            self.snapshot("while-to-for");
-        }
-        if options.inline {
-            self.coarse(xf::inline_calls)?;
-            self.snapshot("inline");
-        }
+        self.coarse(|p, top| xf::while_to_for(p.function_mut(top).expect("top exists")))?;
+        self.snapshot("while-to-for");
+        self.coarse(xf::inline_calls)?;
+        self.snapshot("inline");
         if options.speculate {
             self.coarse(|p, top| xf::speculate(p.function_mut(top).expect("top exists")))?;
             self.snapshot("speculation");
@@ -870,13 +817,12 @@ mod tests {
     }
 
     #[test]
-    fn region_invalidation_reseeds_fine_passes_after_a_coarse_pass() {
+    fn coarse_pass_after_fine_passes_rebuilds_the_analyses() {
         // Drive the manager out of recipe order: run a fine pass (consuming
-        // its full-function seed), then a coarse unroll that reports a
-        // `Region` invalidation, then the fine clean-up again. The second
-        // const-prop run is reseeded from the invalidated region's ops —
-        // this is the only path that exercises the `dirty_regions` fold —
-        // and the result must equal the full-rescan reference sequence.
+        // its full-function seed), then a coarse unroll, then the fine
+        // clean-up again. The unroll must drop the cached analyses and
+        // reseed every fine pass from the whole function, so the result
+        // equals the full-rescan reference sequence.
         use spark_ir::{FunctionBuilder, OpKind, Type, Value};
         let build = || {
             let mut b = FunctionBuilder::new("f");
@@ -896,22 +842,19 @@ mod tests {
 
         let mut program = Program::new();
         program.add_function(build());
-        let mut options = FlowOptions::microprocessor_block(100.0);
-        options.while_to_for = false;
-        options.inline = false;
-        options.speculate = false;
-        options.unroll = false;
+        let options = FlowOptions::microprocessor_block(100.0);
         let mut manager = PassManager::new(&program, "f", &options).unwrap();
         manager.fine(FinePass::ConstProp).unwrap();
+        assert!(manager.analyses.is_some());
         let unrolled_before_fine = manager.working.function("f").unwrap().live_op_count();
         manager
             .coarse(|p, top| xf::unroll_all_loops(p.function_mut(top).expect("top exists")))
             .unwrap();
-        assert!(matches!(
-            manager.pass_log.last().unwrap().invalidation,
-            xf::Invalidation::Region(_)
-        ));
-        assert!(manager.analyses.is_none(), "coarse pass dropped the cache");
+        assert!(manager.analyses.is_none(), "the analyses were dropped");
+        assert!(manager
+            .seeds
+            .iter()
+            .all(|seed| matches!(seed, Seed::Everything)));
         manager.fine(FinePass::ConstProp).unwrap();
         manager.fine(FinePass::CopyProp).unwrap();
         manager.fine(FinePass::Dce).unwrap();

@@ -254,14 +254,6 @@ pub struct EditLog {
     pub released: Vec<VarId>,
 }
 
-impl EditLog {
-    /// Appends another log (e.g. from a later rewriter over the same graph).
-    pub fn merge(&mut self, other: EditLog) {
-        self.touched.extend(other.touched);
-        self.released.extend(other.released);
-    }
-}
-
 /// A mutation handle over a function that keeps a [`DefUseGraph`] exactly
 /// consistent through every edit and records what changed.
 ///

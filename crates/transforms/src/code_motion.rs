@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 use spark_ir::{DefUseGraph, Function, HtgNode, OpId, RegionId, Value};
 
-use crate::report::{Invalidation, Report};
+use crate::report::Report;
 
 /// Moves operations that are only needed inside one branch of a following
 /// `if` into that branch (reverse speculation); operations needed in both
@@ -118,8 +118,6 @@ pub fn reverse_speculation(function: &mut Function) -> Report {
             "moved or duplicated {} operation(s) into branches",
             report.changes
         ));
-    } else {
-        report.set_invalidation(Invalidation::None);
     }
     report
 }
@@ -209,8 +207,6 @@ pub fn early_condition_execution(function: &mut Function) -> Report {
             "advanced {} condition computation(s)",
             report.changes
         ));
-    } else {
-        report.set_invalidation(Invalidation::None);
     }
     report
 }

@@ -10,7 +10,7 @@
 use spark_ir::{Constant, EditLog, Function, OpId, OpKind, Rewriter, Type, Value};
 
 use crate::fine::{FineState, OpQueue};
-use crate::report::{Invalidation, Report};
+use crate::report::Report;
 
 /// Evaluates a pure operation over constant operands.
 ///
@@ -122,44 +122,30 @@ fn simplify_identity(kind: &OpKind, args: &[Value]) -> Option<Value> {
 /// operations and forwarded constants.
 pub fn constant_propagation(function: &mut Function) -> Report {
     let mut state = FineState::new(function);
-    let seed = function.live_ops();
-    let (report, _) = constant_propagation_seeded(function, &mut state, &seed);
+    let (report, _) = constant_propagation_seeded(function, &mut state, None);
     report
 }
 
 /// Worklist-driven constant folding and propagation over an incrementally
 /// maintained [`FineState`].
 ///
-/// The worklist is seeded with `seed` plus — for each seed operation with a
-/// destination — the current readers of that destination, so passing the
-/// operations a previous pass touched is sufficient to find every new
-/// opportunity: folding depends only on an operation's own operands, and
-/// forwarding only on the definition of an operand having become a constant
-/// copy. Three confluent, monotone rewrites (operand → constant, operation →
-/// `Copy`) drive the queue, so the fixed point equals the full-rescan
-/// implementation's.
+/// The worklist is seeded with `seed` (every live operation when `None`)
+/// plus — for each seed operation with a destination — the current readers
+/// of that destination, so passing the operations a previous pass touched
+/// is sufficient to find every new opportunity: folding depends only on an
+/// operation's own operands, and forwarding only on the definition of an
+/// operand having become a constant copy. Three confluent, monotone rewrites
+/// (operand → constant, operation → `Copy`) drive the queue, so the fixed
+/// point equals the full-rescan implementation's.
 pub fn constant_propagation_seeded(
     function: &mut Function,
     state: &mut FineState,
-    seed: &[OpId],
+    seed: Option<&[OpId]>,
 ) -> (Report, EditLog) {
     let mut report = Report::new("constant-propagation", &function.name);
-    report.set_invalidation(Invalidation::None);
     let FineState { graph, positions } = state;
+    let mut queue = OpQueue::with_readers(function, graph, seed);
     let mut rw = Rewriter::new(function, graph);
-
-    let mut queue = OpQueue::default();
-    for &op in seed {
-        if rw.function().ops[op].dead {
-            continue;
-        }
-        queue.push(op);
-        if let Some(dest) = rw.function().ops[op].def() {
-            for &user in rw.graph().uses_of(dest) {
-                queue.push(user);
-            }
-        }
-    }
 
     let mut changed = 0usize;
     while let Some(op_id) = queue.pop() {
@@ -354,10 +340,10 @@ mod tests {
         };
         let (mut def_side, copy, add) = build();
         let mut state = FineState::new(&def_side);
-        constant_propagation_seeded(&mut def_side, &mut state, &[copy]);
+        constant_propagation_seeded(&mut def_side, &mut state, Some(&[copy]));
         let (mut use_side, _, _) = build();
         let mut state = FineState::new(&use_side);
-        constant_propagation_seeded(&mut use_side, &mut state, &[add]);
+        constant_propagation_seeded(&mut use_side, &mut state, Some(&[add]));
         for f in [def_side, use_side] {
             assert_eq!(f.ops[add].kind, OpKind::Copy, "{f}");
             assert_eq!(f.ops[add].args[0].as_const().unwrap().value(), 0, "{f}");

@@ -10,7 +10,7 @@
 use spark_ir::{EditLog, Function, OpId, OpKind, Rewriter, Value, VarId};
 
 use crate::fine::{FineState, OpQueue};
-use crate::report::{Invalidation, Report};
+use crate::report::Report;
 
 /// Runs copy propagation to a fixed point on `function`.
 ///
@@ -30,8 +30,7 @@ use crate::report::{Invalidation, Report};
 ///   sets the shift of the high operand.
 pub fn copy_propagation(function: &mut Function) -> Report {
     let mut state = FineState::new(function);
-    let seed = function.live_ops();
-    let (report, _) = copy_propagation_seeded(function, &mut state, &seed);
+    let (report, _) = copy_propagation_seeded(function, &mut state, None);
     report
 }
 
@@ -39,37 +38,25 @@ pub fn copy_propagation(function: &mut Function) -> Report {
 /// [`FineState`].
 ///
 /// Seeding mirrors [`constant_propagation_seeded`](crate::constant_propagation_seeded):
-/// the worklist starts from `seed` plus the readers of each seed operation's
-/// destination. Forwardability of a copy is otherwise static across the
-/// fine-grain phase (definition counts of live, still-used variables never
-/// change, and dominance is structural), so the operations another pass
-/// rewrote — e.g. a CSE result turned into a fresh variable copy — are
-/// exactly the new opportunities. Copy chains resolve transitively by
-/// requeueing every rewritten use; each replacement substitutes the source
-/// of a strictly earlier dominating copy, so the process terminates at the
-/// same fixed point as the full-rescan implementation.
+/// the worklist starts from `seed` (every live operation when `None`) plus
+/// the readers of each seed operation's destination. Forwardability of a
+/// copy is otherwise static across the fine-grain phase (definition counts
+/// of live, still-used variables never change, and dominance is
+/// structural), so the operations another pass rewrote — e.g. a CSE result
+/// turned into a fresh variable copy — are exactly the new opportunities.
+/// Copy chains resolve transitively by requeueing every rewritten use; each
+/// replacement substitutes the source of a strictly earlier dominating copy,
+/// so the process terminates at the same fixed point as the full-rescan
+/// implementation.
 pub fn copy_propagation_seeded(
     function: &mut Function,
     state: &mut FineState,
-    seed: &[OpId],
+    seed: Option<&[OpId]>,
 ) -> (Report, EditLog) {
     let mut report = Report::new("copy-propagation", &function.name);
-    report.set_invalidation(Invalidation::None);
     let FineState { graph, positions } = state;
+    let mut queue = OpQueue::with_readers(function, graph, seed);
     let mut rw = Rewriter::new(function, graph);
-
-    let mut queue = OpQueue::default();
-    for &op in seed {
-        if rw.function().ops[op].dead {
-            continue;
-        }
-        queue.push(op);
-        if let Some(dest) = rw.function().ops[op].def() {
-            for &user in rw.graph().uses_of(dest) {
-                queue.push(user);
-            }
-        }
-    }
 
     // Source stability: a constant, or a variable with a single dominating
     // definition (or no definition at all, e.g. an input).
@@ -318,14 +305,13 @@ mod tests {
         let mut f = b.finish();
 
         let mut state = FineState::new(&f);
-        let all = f.live_ops();
-        copy_propagation_seeded(&mut f, &mut state, &all);
+        copy_propagation_seeded(&mut f, &mut state, None);
         // `mid` still computes t2 = a + 0; turn it into a plain copy as a
         // later pass would, through the rewriter so the state stays live.
         let mut rw = Rewriter::new(&mut f, &mut state.graph);
         rw.rewrite_op(mid, OpKind::Copy, vec![Value::Var(a)]);
         let log = rw.finish();
-        let (report, _) = copy_propagation_seeded(&mut f, &mut state, &log.touched);
+        let (report, _) = copy_propagation_seeded(&mut f, &mut state, Some(&log.touched));
         assert_eq!(report.changes, 1);
         assert_eq!(f.ops[last].args[0], Value::Var(a));
     }

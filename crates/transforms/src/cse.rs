@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use spark_ir::{EditLog, Function, OpId, OpKind, Rewriter, Type, Value, VarId};
 
 use crate::fine::FineState;
-use crate::report::{Invalidation, Report};
+use crate::report::Report;
 
 /// Eliminates repeated pure computations within each basic block.
 ///
@@ -42,7 +42,6 @@ pub fn common_subexpression_elimination_seeded(
     seed: Option<&[OpId]>,
 ) -> (Report, EditLog) {
     let mut report = Report::new("cse", &function.name);
-    report.set_invalidation(Invalidation::None);
     let FineState { graph, .. } = state;
     let mut rw = Rewriter::new(function, graph);
 

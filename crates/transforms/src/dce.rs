@@ -8,7 +8,7 @@
 use spark_ir::{EditLog, Function, OpId, PortDirection, Rewriter};
 
 use crate::fine::{FineState, OpQueue};
-use crate::report::{Invalidation, Report};
+use crate::report::Report;
 
 /// Removes operations whose results are never observed.
 ///
@@ -42,7 +42,6 @@ pub fn dead_code_elimination_seeded(
     seed: Option<&[OpId]>,
 ) -> (Report, EditLog) {
     let mut report = Report::new("dead-code-elimination", &function.name);
-    report.set_invalidation(Invalidation::None);
     let FineState { graph, .. } = state;
     let mut rw = Rewriter::new(function, graph);
 

@@ -57,6 +57,37 @@ pub(crate) struct OpQueue {
 }
 
 impl OpQueue {
+    /// A queue of `seed` (every live operation when `None`) plus the
+    /// current readers of each live seed operation's destination: the
+    /// seeding of constant and copy propagation.
+    pub(crate) fn with_readers(
+        function: &Function,
+        graph: &DefUseGraph,
+        seed: Option<&[OpId]>,
+    ) -> Self {
+        let live;
+        let seed = match seed {
+            Some(ops) => ops,
+            None => {
+                live = function.live_ops();
+                &live
+            }
+        };
+        let mut queue = OpQueue::default();
+        for &op in seed {
+            if function.ops[op].dead {
+                continue;
+            }
+            queue.push(op);
+            if let Some(dest) = function.ops[op].def() {
+                for &user in graph.uses_of(dest) {
+                    queue.push(user);
+                }
+            }
+        }
+        queue
+    }
+
     pub(crate) fn push(&mut self, op: OpId) {
         let index = op.index();
         if index >= self.queued.len() {

@@ -12,8 +12,7 @@ use spark_ir::{
     StorageClass, Value, Var, VarId,
 };
 
-use crate::report::{Invalidation, Report};
-use crate::unroll::merge_invalidation;
+use crate::report::Report;
 
 /// Inlines every call inside `caller_name`, repeatedly, until no calls remain
 /// (calls exposed by inlining are inlined too). Direct or indirect recursion
@@ -25,7 +24,6 @@ use crate::unroll::merge_invalidation;
 /// of `v` into the call's destination.
 pub fn inline_calls(program: &mut Program, caller_name: &str) -> Report {
     let mut report = Report::new("inline", caller_name);
-    let mut invalidation = Invalidation::None;
     for _round in 0..256 {
         let Some(caller) = program.function(caller_name) else {
             report.note(format!("function `{caller_name}` not found"));
@@ -53,19 +51,16 @@ pub fn inline_calls(program: &mut Program, caller_name: &str) -> Report {
             break;
         };
         let caller = program.function_mut(caller_name).expect("caller exists");
-        let spliced_region = inline_one(caller, &callee, call_op);
-        invalidation = merge_invalidation(invalidation, Invalidation::Region(spliced_region));
+        inline_one(caller, &callee, call_op);
         report.add(1);
         report.note(format!("inlined call to `{callee_name}`"));
     }
-    report.set_invalidation(invalidation);
     report
 }
 
 /// Inlines a single call operation. `call_op` must be a live `Call` op of
-/// `caller` whose callee is `callee`. Returns the region the callee body was
-/// spliced into (the analyses-invalidation scope of this inline).
-fn inline_one(caller: &mut Function, callee: &Function, call_op: OpId) -> RegionId {
+/// `caller` whose callee is `callee`.
+fn inline_one(caller: &mut Function, callee: &Function, call_op: OpId) {
     let call = caller.ops[call_op].clone();
     let OpKind::Call {
         callee: callee_name,
@@ -136,7 +131,6 @@ fn inline_one(caller: &mut Function, callee: &Function, call_op: OpId) -> Region
     let mut rest = nodes.split_off(node_index + 1);
     nodes.extend(insert);
     nodes.append(&mut rest);
-    region
 }
 
 /// Finds `(region, node index, block, op index)` of a live op.

@@ -3,9 +3,9 @@
 //! The coarse-grain and fine-grain compiler transformations of the Spark HLS
 //! reproduction (Gupta et al., DAC 2002, Section 3):
 //!
-//! * **Coarse grain:** [`inline_calls`], [`unroll_loop_fully`] /
-//!   [`unroll_all_loops`], [`while_to_for`] (the source-level rewrite of the
-//!   natural Figure 16 description into the synthesizable Figure 10 form).
+//! * **Coarse grain:** [`inline_calls`], [`unroll_all_loops`],
+//!   [`while_to_for`] (the source-level rewrite of the natural Figure 16
+//!   description into the synthesizable Figure 10 form).
 //! * **Speculative code motions:** [`speculate`] (hoist pure operations above
 //!   the conditions they depend on — Figure 11), [`reverse_speculation`] and
 //!   [`early_condition_execution`].
@@ -16,10 +16,8 @@
 //! Every pass takes a mutable [`Function`](spark_ir::Function) (or
 //! [`Program`](spark_ir::Program) for inlining), preserves the observable
 //! semantics checked by the [`spark_ir::Interpreter`], and returns a
-//! [`Report`] describing what changed — including which cached analyses it
-//! [`Invalidation`]-invalidated — so that the `spark-core` pass manager can
-//! log the per-stage effect exactly as the paper's figures do and rebuild
-//! only what a pass actually dirtied.
+//! [`Report`] describing what changed, so that the `spark-core` pass manager
+//! can log the per-stage effect exactly as the paper's figures do.
 //!
 //! The fine-grain passes additionally come in `_seeded` form
 //! ([`constant_propagation_seeded`], [`copy_propagation_seeded`],
@@ -28,7 +26,8 @@
 //! [`FineState`] (an incrementally maintained
 //! [`DefUseGraph`](spark_ir::DefUseGraph) plus [`Positions`]), seeded by the
 //! operations the previous pass touched instead of rescanning the whole
-//! function per fixed-point round.
+//! function per fixed-point round. All four share one signature: a seed of
+//! `None` examines the whole function, `Some(ops)` starts from `ops`.
 //!
 //! # Examples
 //!
@@ -76,9 +75,7 @@ pub use dce::{dead_code_elimination, dead_code_elimination_seeded};
 pub use fine::FineState;
 pub use inline::inline_calls;
 pub use position::Positions;
-pub use report::{Invalidation, Report};
-pub use speculation::{speculate, speculate_with, speculative_op_count, SpeculationOptions};
-pub use unroll::{
-    reachable_loops, unroll_all_loops, unroll_loop_fully, UnrollError, MAX_UNROLL_ITERATIONS,
-};
+pub use report::Report;
+pub use speculation::{speculate, speculative_op_count};
+pub use unroll::unroll_all_loops;
 pub use while_to_for::while_to_for;

@@ -7,30 +7,6 @@
 
 use std::fmt;
 
-use spark_ir::RegionId;
-
-/// How much of the cached whole-function analyses (def–use graph,
-/// [`Positions`](crate::Positions), reachability) a pass invalidated.
-///
-/// The pass manager in `spark-core` reads this off every [`Report`] to
-/// decide what to rebuild and how to seed the next worklist pass, instead of
-/// unconditionally recomputing every analysis after every pass.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum Invalidation {
-    /// The pass kept all analyses consistent through the
-    /// [`Rewriter`](spark_ir::Rewriter) mutation API (or changed nothing):
-    /// nothing needs rebuilding.
-    None,
-    /// The pass restructured the program only underneath this region;
-    /// analyses restricted to operations outside it remain valid, and a
-    /// reseeded worklist over the region's operations suffices.
-    Region(RegionId),
-    /// Whole-function structural rewrite: every cached analysis must be
-    /// rebuilt. The conservative default.
-    #[default]
-    Structure,
-}
-
 /// The outcome of running one transformation pass over one function.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Report {
@@ -42,26 +18,17 @@ pub struct Report {
     pub changes: usize,
     /// Free-form notes (e.g. which loops were unrolled and by how much).
     pub notes: Vec<String>,
-    /// Which cached analyses the pass invalidated.
-    pub invalidation: Invalidation,
 }
 
 impl Report {
-    /// Creates an empty report for `pass` running on `function`, with the
-    /// conservative [`Invalidation::Structure`] default.
+    /// Creates an empty report for `pass` running on `function`.
     pub fn new(pass: &str, function: &str) -> Self {
         Report {
             pass: pass.to_string(),
             function: function.to_string(),
             changes: 0,
             notes: Vec::new(),
-            invalidation: Invalidation::default(),
         }
-    }
-
-    /// Records how much of the cached analyses this pass invalidated.
-    pub fn set_invalidation(&mut self, invalidation: Invalidation) {
-        self.invalidation = invalidation;
     }
 
     /// Records `n` additional changes.

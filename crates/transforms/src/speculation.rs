@@ -20,58 +20,24 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use spark_ir::{Function, HtgNode, OpKind, RegionId, Value, VarId};
 
-use crate::report::{Invalidation, Report};
+use crate::report::Report;
 
-/// Options controlling the speculation pass.
-#[derive(Clone, Copy, Debug)]
-pub struct SpeculationOptions {
-    /// Maximum number of operations hoisted out of any single `if` node.
-    /// Unlimited resource allocation (the microprocessor-block scenario of
-    /// the paper) corresponds to a very large value; a small value models an
-    /// ASIC-style resource-conscious flow.
-    pub max_hoists_per_branch: usize,
-    /// When `false`, comparisons are not speculated (some flows prefer to
-    /// keep condition computations in place).
-    pub speculate_comparisons: bool,
-}
-
-impl Default for SpeculationOptions {
-    fn default() -> Self {
-        SpeculationOptions {
-            max_hoists_per_branch: usize::MAX,
-            speculate_comparisons: true,
-        }
-    }
-}
-
-/// Runs speculation over the whole function with default options.
+/// Runs speculation over the whole function, hoisting every pure operation
+/// whose operands are available above its `if` (unlimited resources, as in
+/// the microprocessor-block scenario).
 pub fn speculate(function: &mut Function) -> Report {
-    speculate_with(function, SpeculationOptions::default())
-}
-
-/// Runs speculation with explicit [`SpeculationOptions`].
-pub fn speculate_with(function: &mut Function, options: SpeculationOptions) -> Report {
     let mut report = Report::new("speculation", &function.name);
     let body = function.body;
-    let hoisted = speculate_region(function, body, options);
+    let hoisted = speculate_region(function, body);
     report.add(hoisted);
     if hoisted > 0 {
         report.note(format!("hoisted {hoisted} operation(s) above conditionals"));
-        // Hoists insert blocks and move computations across any region of
-        // the body that contains a conditional.
-        report.set_invalidation(Invalidation::Region(body));
-    } else {
-        report.set_invalidation(Invalidation::None);
     }
     report
 }
 
 /// Recursively speculates inside `region`; returns the number of hoists.
-fn speculate_region(
-    function: &mut Function,
-    region: RegionId,
-    options: SpeculationOptions,
-) -> usize {
+fn speculate_region(function: &mut Function, region: RegionId) -> usize {
     let mut hoists = 0;
     // Work on one snapshot of the node ids: hoisting only inserts block
     // nodes (which need no visit), and the insertion point is re-resolved by
@@ -83,16 +49,16 @@ fn speculate_region(
         match function.nodes[node].clone() {
             HtgNode::Block(_) => {}
             HtgNode::Loop(l) => {
-                hoists += speculate_region(function, l.body, options);
+                hoists += speculate_region(function, l.body);
             }
             HtgNode::If(if_node) => {
                 // Innermost first: flatten the branches.
-                hoists += speculate_region(function, if_node.then_region, options);
-                hoists += speculate_region(function, if_node.else_region, options);
+                hoists += speculate_region(function, if_node.then_region);
+                hoists += speculate_region(function, if_node.else_region);
                 // Then hoist from both branches to just before this if.
                 let mut spec_ops: Vec<(OpKind, VarId, Vec<Value>, VarId)> = Vec::new();
                 for branch in [if_node.then_region, if_node.else_region] {
-                    hoists += hoist_branch(function, branch, options, &mut spec_ops);
+                    hoists += hoist_branch(function, branch, &mut spec_ops);
                 }
                 if !spec_ops.is_empty() {
                     let spec_block =
@@ -125,7 +91,6 @@ fn speculate_region(
 fn hoist_branch(
     function: &mut Function,
     branch: RegionId,
-    options: SpeculationOptions,
     spec_ops: &mut Vec<(OpKind, VarId, Vec<Value>, VarId)>,
 ) -> usize {
     let mut hoists = 0;
@@ -151,8 +116,6 @@ fn hoist_branch(
                     }
                     let hoistable = !op.kind.has_side_effects()
                         && op.dest.is_some()
-                        && (options.speculate_comparisons || !op.kind.is_comparison())
-                        && hoists < options.max_hoists_per_branch
                         && op
                             .args
                             .iter()
@@ -391,21 +354,6 @@ mod tests {
             let b_ = Interpreter::new(&p1).run("f", &env).unwrap();
             assert_eq!(a.array("Mark"), b_.array("Mark"));
         }
-    }
-
-    #[test]
-    fn hoist_limit_is_respected() {
-        let mut f = nested_length_function();
-        let report = speculate_with(
-            &mut f,
-            SpeculationOptions {
-                max_hoists_per_branch: 1,
-                speculate_comparisons: true,
-            },
-        );
-        // With a limit of one per branch we hoist far fewer ops than the
-        // unlimited case.
-        assert!(report.changes <= 4);
     }
 
     #[test]

@@ -12,16 +12,16 @@ use std::collections::BTreeMap;
 
 use spark_ir::{Constant, Function, HtgNode, LoopKind, NodeId, OpKind, RegionId, Value, Var};
 
-use crate::report::{Invalidation, Report};
+use crate::report::Report;
 
 /// Hard limit on the number of iterations a single loop may be expanded to.
 /// The ILD buffer sizes explored in the paper's domain are a few tens of
 /// bytes; the limit only guards against run-away expansion.
-pub const MAX_UNROLL_ITERATIONS: u64 = 4096;
+const MAX_UNROLL_ITERATIONS: u64 = 4096;
 
 /// Why a loop could not be unrolled.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum UnrollError {
+enum UnrollError {
     /// The loop bound is not a compile-time constant and no trip bound was
     /// supplied.
     NonConstantBound,
@@ -45,8 +45,6 @@ impl std::fmt::Display for UnrollError {
         }
     }
 }
-
-impl std::error::Error for UnrollError {}
 
 /// Computes the trip count of a `for` loop with constant bounds.
 fn trip_count(start: Constant, end: Constant, step: i64) -> u64 {
@@ -81,10 +79,7 @@ fn trip_count(start: Constant, end: Constant, step: i64) -> u64 {
 /// # Errors
 /// Returns [`UnrollError`] if the node is not a `for` loop with constant
 /// bounds or the trip count exceeds [`MAX_UNROLL_ITERATIONS`].
-pub fn unroll_loop_fully(
-    function: &mut Function,
-    loop_node: NodeId,
-) -> Result<Report, UnrollError> {
+fn unroll_loop_fully(function: &mut Function, loop_node: NodeId) -> Result<Report, UnrollError> {
     let mut report = Report::new("loop-unroll", &function.name);
     let HtgNode::Loop(loop_data) = function.nodes[loop_node].clone() else {
         return Err(UnrollError::NotALoop);
@@ -158,15 +153,12 @@ pub fn unroll_loop_fully(
         "unrolled loop over `{}` into {iterations} iteration(s)",
         function.vars[index].name
     ));
-    // Everything the unroll created or rewrote lives under the loop's parent
-    // region; analyses over the rest of the function remain valid.
-    report.set_invalidation(Invalidation::Region(parent_region));
     Ok(report)
 }
 
 /// Returns every loop node currently reachable from the function body, in
 /// pre-order.
-pub fn reachable_loops(function: &Function) -> Vec<NodeId> {
+fn reachable_loops(function: &Function) -> Vec<NodeId> {
     fn walk(function: &Function, region: RegionId, out: &mut Vec<NodeId>) {
         for &node in &function.regions[region].nodes {
             match &function.nodes[node] {
@@ -192,7 +184,6 @@ pub fn reachable_loops(function: &Function) -> Vec<NodeId> {
 /// loops). Loops that cannot be unrolled are skipped and noted.
 pub fn unroll_all_loops(function: &mut Function) -> Report {
     let mut report = Report::new("loop-unroll-all", &function.name);
-    let mut invalidation = Invalidation::None;
     for _round in 0..64 {
         let loops = reachable_loops(function);
         let mut progressed = false;
@@ -207,7 +198,6 @@ pub fn unroll_all_loops(function: &mut Function) -> Report {
                     for n in r.notes {
                         report.note(n);
                     }
-                    invalidation = merge_invalidation(invalidation, r.invalidation);
                     progressed = true;
                 }
                 Err(e) => report.note(format!("skipped loop: {e}")),
@@ -217,20 +207,7 @@ pub fn unroll_all_loops(function: &mut Function) -> Report {
             break;
         }
     }
-    report.set_invalidation(invalidation);
     report
-}
-
-/// Combines the invalidations of several sub-passes: distinct regions widen
-/// to a whole-structure invalidation.
-pub(crate) fn merge_invalidation(a: Invalidation, b: Invalidation) -> Invalidation {
-    match (a, b) {
-        (Invalidation::None, other) | (other, Invalidation::None) => other,
-        (Invalidation::Region(ra), Invalidation::Region(rb)) if ra == rb => {
-            Invalidation::Region(ra)
-        }
-        _ => Invalidation::Structure,
-    }
 }
 
 #[cfg(test)]

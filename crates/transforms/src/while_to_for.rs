@@ -27,10 +27,9 @@
 //! iteration, so each `i` matches the cursor at most once, and iterations
 //! with `i != cursor` have no effect.
 
-use spark_ir::{Function, HtgNode, LoopKind, NodeId, OpKind, Type, Value, Var};
+use spark_ir::{Function, HtgNode, LoopKind, NodeId, OpKind, RegionId, Type, Value, Var, VarId};
 
-use crate::report::{Invalidation, Report};
-use crate::unroll::merge_invalidation;
+use crate::report::Report;
 
 /// Describes the cursor pattern found in a while-loop body.
 #[derive(Debug)]
@@ -38,7 +37,7 @@ struct CursorPattern {
     /// The loop node.
     loop_node: NodeId,
     /// The cursor variable (e.g. `NextStartByte`).
-    cursor: spark_ir::VarId,
+    cursor: VarId,
     /// The designer-supplied trip bound (buffer size `n`).
     bound: u64,
 }
@@ -48,11 +47,9 @@ struct CursorPattern {
 /// untouched and noted in the report.
 pub fn while_to_for(function: &mut Function) -> Report {
     let mut report = Report::new("while-to-for", &function.name);
-    let mut invalidation = Invalidation::None;
-    while let Some(pattern) = find_pattern(function) {
-        if let Some(parent) = rewrite(function, &pattern) {
-            invalidation = merge_invalidation(invalidation, Invalidation::Region(parent));
-        }
+    let mut examined = Vec::new();
+    while let Some(pattern) = find_pattern(function, &mut examined, &mut report) {
+        rewrite(function, &pattern);
         report.add(1);
         report.note(format!(
             "converted while(1) over cursor `{}` into a for loop of {} iterations",
@@ -62,11 +59,17 @@ pub fn while_to_for(function: &mut Function) -> Report {
     if report.is_noop() {
         report.note("no convertible while loops found");
     }
-    report.set_invalidation(invalidation);
     report
 }
 
-fn find_pattern(function: &Function) -> Option<CursorPattern> {
+/// Returns the first bounded, reachable `while (1)` loop not in `examined`
+/// that has exactly one cursor. Every loop looked at is added to
+/// `examined`; a loop with several cursor candidates is noted in `report`.
+fn find_pattern(
+    function: &Function,
+    examined: &mut Vec<NodeId>,
+    report: &mut Report,
+) -> Option<CursorPattern> {
     for (node_id, node) in function.nodes.iter() {
         let HtgNode::Loop(l) = node else { continue };
         let LoopKind::While { cond } = &l.kind else {
@@ -78,39 +81,68 @@ fn find_pattern(function: &Function) -> Option<CursorPattern> {
             Value::Var(_) => false,
         };
         let Some(bound) = l.trip_bound else { continue };
-        if !infinite || !is_reachable(function, node_id) {
+        if !infinite || examined.contains(&node_id) || !is_reachable(function, node_id) {
             continue;
         }
-        // Look for the cursor: a variable updated as `cursor = cursor + x`
-        // in the loop body and used elsewhere in the body.
-        let body_ops = function.ops_in_region(l.body);
-        for &op_id in &body_ops {
-            let op = &function.ops[op_id];
-            if op.kind != OpKind::Add {
-                continue;
-            }
-            let Some(dest) = op.dest else { continue };
-            let reads_self = op.args.contains(&Value::Var(dest));
-            if !reads_self {
-                continue;
-            }
-            let used_elsewhere = body_ops
-                .iter()
-                .any(|&other| other != op_id && function.ops[other].uses().contains(&dest));
-            if used_elsewhere {
+        examined.push(node_id);
+        match cursor_candidates(function, l.body).as_slice() {
+            [] => {}
+            [cursor] => {
                 return Some(CursorPattern {
                     loop_node: node_id,
-                    cursor: dest,
+                    cursor: *cursor,
                     bound,
-                });
+                })
+            }
+            several => {
+                let names: Vec<String> = several
+                    .iter()
+                    .map(|&v| format!("`{}`", function.vars[v].name))
+                    .collect();
+                report.note(format!(
+                    "while loop left alone: the cursor is ambiguous between {}",
+                    names.join(", ")
+                ));
             }
         }
     }
     None
 }
 
+/// The variables that may be a loop's cursor: updated as `x = x + ...` in a
+/// top-level block of `body` (so the update runs on every iteration) and
+/// read by some other operation of the body. An update nested in an `if`
+/// does not qualify: it need not advance on every iteration, so the guard
+/// `i == x` could miss it.
+fn cursor_candidates(function: &Function, body: RegionId) -> Vec<VarId> {
+    let body_ops = function.ops_in_region(body);
+    let mut candidates = Vec::new();
+    for &node in &function.regions[body].nodes {
+        let HtgNode::Block(block) = function.nodes[node] else {
+            continue;
+        };
+        for &op_id in &function.blocks[block].ops {
+            let op = &function.ops[op_id];
+            if op.dead || op.kind != OpKind::Add {
+                continue;
+            }
+            let Some(dest) = op.dest else { continue };
+            if !op.args.contains(&Value::Var(dest)) || candidates.contains(&dest) {
+                continue;
+            }
+            let used_elsewhere = body_ops
+                .iter()
+                .any(|&other| other != op_id && function.ops[other].uses().contains(&dest));
+            if used_elsewhere {
+                candidates.push(dest);
+            }
+        }
+    }
+    candidates
+}
+
 fn is_reachable(function: &Function, node: NodeId) -> bool {
-    fn walk(function: &Function, region: spark_ir::RegionId, target: NodeId) -> bool {
+    fn walk(function: &Function, region: RegionId, target: NodeId) -> bool {
         function.regions[region].nodes.iter().any(|&n| {
             n == target
                 || match &function.nodes[n] {
@@ -126,11 +158,10 @@ fn is_reachable(function: &Function, node: NodeId) -> bool {
     walk(function, function.body, node)
 }
 
-/// Performs the rewrite, returning the region whose node list changed (the
-/// parent of the converted loop).
-fn rewrite(function: &mut Function, pattern: &CursorPattern) -> Option<spark_ir::RegionId> {
+/// Performs the rewrite.
+fn rewrite(function: &mut Function, pattern: &CursorPattern) {
     let HtgNode::Loop(loop_data) = function.nodes[pattern.loop_node].clone() else {
-        return None;
+        return;
     };
     let cursor_ty = function.vars[pattern.cursor].ty;
 
@@ -184,10 +215,9 @@ fn rewrite(function: &mut Function, pattern: &CursorPattern) -> Option<spark_ir:
         let nodes = &mut function.regions[region_id].nodes;
         if let Some(position) = nodes.iter().position(|&n| n == pattern.loop_node) {
             nodes[position] = for_node;
-            return Some(region_id);
+            return;
         }
     }
-    None
 }
 
 #[cfg(test)]
@@ -277,6 +307,70 @@ mod tests {
         let report = while_to_for(&mut f);
         assert!(report.is_noop());
         assert!(report.notes.iter().any(|n| n.contains("no convertible")));
+    }
+
+    /// A window-guarded accumulator next to the cursor:
+    /// `while (1) bound(4) { if (cur <= 4) { acc = acc + a; m[cur] = acc; }
+    /// cur = cur + 1; }`. `acc` also reads itself and is read elsewhere, but
+    /// it only advances inside the `if`, so it must not become the cursor.
+    fn accumulator_loop() -> Function {
+        let mut b = FunctionBuilder::new("acc_loop");
+        let a = b.param("a", Type::Bits(8));
+        let m = b.output_array("m", Type::Bits(8), 8);
+        let cur = b.var("cur", Type::Bits(8));
+        let acc = b.var("acc", Type::Bits(8));
+        let in_window = b.var("in_window", Type::Bool);
+        b.copy(acc, Value::word(0));
+        b.copy(cur, Value::word(1));
+        b.while_begin(Value::bool(true), Some(4));
+        b.assign(OpKind::Le, in_window, vec![Value::Var(cur), Value::word(4)]);
+        b.if_begin(Value::Var(in_window));
+        b.assign(OpKind::Add, acc, vec![Value::Var(acc), Value::Var(a)]);
+        b.array_write(m, Value::Var(cur), Value::Var(acc));
+        b.if_end();
+        b.assign(OpKind::Add, cur, vec![Value::Var(cur), Value::word(1)]);
+        b.loop_end();
+        b.finish()
+    }
+
+    #[test]
+    fn cursor_is_taken_from_the_top_level_of_the_body() {
+        let original = accumulator_loop();
+        let mut converted = original.clone();
+        let report = while_to_for(&mut converted);
+        assert_eq!(report.changes, 1);
+        assert!(report.notes[0].contains("cursor `cur`"), "{report}");
+        verify(&converted).expect("well formed after conversion");
+
+        let mut p0 = Program::new();
+        p0.add_function(original);
+        let mut p1 = Program::new();
+        p1.add_function(converted);
+        let env = Env::new().with_scalar("a", 7);
+        let before = Interpreter::new(&p0).run("acc_loop", &env).unwrap();
+        let after = Interpreter::new(&p1).run("acc_loop", &env).unwrap();
+        assert_eq!(before.array("m"), after.array("m"));
+        assert_eq!(after.array("m").unwrap()[1..=4], [7, 14, 21, 28]);
+    }
+
+    #[test]
+    fn ambiguous_cursor_is_left_alone() {
+        let mut b = FunctionBuilder::new("f");
+        let m = b.output_array("m", Type::Bits(8), 16);
+        let x = b.var("x", Type::Bits(8));
+        let y = b.var("y", Type::Bits(8));
+        b.while_begin(Value::bool(true), Some(4));
+        b.array_write(m, Value::Var(x), Value::Var(y));
+        b.assign(OpKind::Add, x, vec![Value::Var(x), Value::word(1)]);
+        b.assign(OpKind::Add, y, vec![Value::Var(y), Value::word(2)]);
+        b.loop_end();
+        let mut f = b.finish();
+        let report = while_to_for(&mut f);
+        assert!(report.is_noop());
+        assert!(
+            report.notes.iter().any(|n| n.contains("ambiguous")),
+            "{report}"
+        );
     }
 
     #[test]
