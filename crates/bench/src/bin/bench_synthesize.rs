@@ -1,6 +1,7 @@
 //! Emits `BENCH_synthesize.json`: full-synthesis wall-times per ILD size and
-//! flow mode, with a per-phase breakdown (transform / schedule / bind / RTL
-//! reporting) per point.
+//! flow mode, with the mean total of every span of the runs' traces (each
+//! transformation pass, transform, the schedule sub-stages, schedule, bind
+//! and RTL reporting) per point.
 //!
 //! Usage:
 //!
@@ -19,8 +20,8 @@ const USAGE: &str = "\
 usage: bench_synthesize [options]
 
 Measures full-synthesis wall time per ILD buffer size and flow mode —
-with a per-phase breakdown (transform/schedule/bind/rtl) — and emits the
-series as JSON.
+with a per-span breakdown (each pass, transform, schedule and its
+sub-stages, bind, rtl) — and emits the series as JSON.
 
 options:
   --sizes N,N,...  comma-separated ILD buffer sizes (default: 8,16,32)

@@ -2,7 +2,8 @@
 //!
 //! Shared helpers behind the `reproduce` binary (which prints the
 //! table/series for every figure of the paper, recorded in `EXPERIMENTS.md`)
-//! and the Criterion benchmarks in `benches/experiments.rs`.
+//! and the `bench_synthesize` timing binary ([`perf`]), which writes the
+//! mean span totals of each run's [`Trace`](spark_core::Trace).
 //!
 //! Experiment index (see `DESIGN.md` §3): E1 = Figures 2–3, E2–E4 =
 //! Figures 4–7, E5–E8 = the ILD transformation stages of Figures 10–15,

@@ -2,8 +2,9 @@
 //! `BENCH_synthesize.json` emitter.
 //!
 //! The committed `BENCH_synthesize.json` at the repository root records the
-//! per-size, per-flow-mode wall-times of full synthesis — including the
-//! per-phase breakdown (transform / schedule / bind / RTL reporting) — so
+//! per-size, per-flow-mode wall-times of full synthesis — with the mean
+//! total of every span of the runs' [`Trace`]s: each transformation pass,
+//! `transform`, the `sched_*` sub-stages, `schedule`, `bind` and `rtl` — so
 //! the performance trajectory of the reproduction is tracked PR over PR; CI
 //! regenerates the file on smoke sizes and uploads it as a workflow
 //! artifact. The JSON is emitted by hand — the build image has no registry
@@ -11,7 +12,7 @@
 
 use std::time::Instant;
 
-use spark_core::PhaseBreakdown;
+use spark_core::Trace;
 
 use crate::{synthesize_ild_baseline, synthesize_ild_natural, synthesize_ild_spark};
 
@@ -24,14 +25,14 @@ pub struct BenchRecord {
     pub n: u32,
     /// Mean wall-time of one full synthesis run, milliseconds.
     pub mean_ms: f64,
-    /// Mean per-phase wall-times across the same runs.
-    pub phases: PhaseBreakdown,
+    /// The span-by-span mean of the same runs' traces.
+    pub trace: Trace,
     /// Iterations averaged over (after one warm-up run).
     pub iters: u32,
 }
 
 /// A full-synthesis entry point parameterised by ILD buffer size; the result
-/// carries its per-phase wall times.
+/// carries its trace.
 type SynthFn = fn(u32) -> spark_core::SynthesisResult;
 
 /// The flow modes measured per size, with their synthesis entry points.
@@ -49,20 +50,17 @@ pub fn measure_synthesize(sizes: &[u32], iters: u32) -> Vec<BenchRecord> {
     for &(mode, synth) in &MODES {
         for &n in sizes {
             std::hint::black_box(synth(n)); // warm-up
-            let mut phases = PhaseBreakdown::default();
+            let mut traces = Vec::new();
             let start = Instant::now();
             for _ in 0..iters {
-                let result = synth(n);
-                phases.accumulate(&result.phases);
-                std::hint::black_box(result);
+                traces.push(std::hint::black_box(synth(n)).trace);
             }
             let mean_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(iters);
-            phases.scale(f64::from(iters));
             records.push(BenchRecord {
                 mode,
                 n,
                 mean_ms,
-                phases,
+                trace: mean_trace(traces),
                 iters,
             });
         }
@@ -70,33 +68,43 @@ pub fn measure_synthesize(sizes: &[u32], iters: u32) -> Vec<BenchRecord> {
     records
 }
 
-/// Renders measurement records as the `BENCH_synthesize.json` document.
+/// The span-by-span mean of `traces`. Every run of one flow on one program
+/// ends the same spans in the same order, so spans pair up by position.
+fn mean_trace(traces: Vec<Trace>) -> Trace {
+    let runs = traces.len() as f64;
+    let mut traces = traces.into_iter();
+    let mut mean = traces.next().unwrap_or_default();
+    for trace in traces {
+        for (sum, span) in mean.spans.iter_mut().zip(trace.spans) {
+            debug_assert_eq!(sum.name, span.name);
+            sum.ms += span.ms;
+        }
+    }
+    for span in &mut mean.spans {
+        span.ms /= runs;
+    }
+    mean
+}
+
+/// Renders measurement records as the `BENCH_synthesize.json` document: one
+/// `"<name>_ms"` field per distinct span name of each record's trace, and
+/// the host's available parallelism as `"host_cpus"`.
 pub fn bench_json(records: &[BenchRecord]) -> String {
-    let mut out = String::from(
-        "{\n  \"benchmark\": \"synthesize\",\n  \"unit\": \"ms\",\n  \"results\": [\n",
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut out = format!(
+        "{{\n  \"benchmark\": \"synthesize\",\n  \"unit\": \"ms\",\n  \
+         \"host_cpus\": {host_cpus},\n  \"results\": [\n"
     );
     for (index, record) in records.iter().enumerate() {
         let comma = if index + 1 < records.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"n\": {}, \"mean_ms\": {:.3}, \"iters\": {}, \
-             \"transform_ms\": {:.3}, \"schedule_ms\": {:.3}, \"bind_ms\": {:.3}, \
-             \"rtl_ms\": {:.3}, \
-             \"sched_deps_ms\": {:.3}, \"sched_list_ms\": {:.3}, \"sched_wires_ms\": {:.3}, \
-             \"sched_validate_ms\": {:.3}, \"sched_controller_ms\": {:.3}}}{comma}\n",
-            record.mode,
-            record.n,
-            record.mean_ms,
-            record.iters,
-            record.phases.transform_ms,
-            record.phases.schedule_ms,
-            record.phases.bind_ms,
-            record.phases.rtl_ms,
-            record.phases.sched_deps_ms,
-            record.phases.sched_list_ms,
-            record.phases.sched_wires_ms,
-            record.phases.sched_validate_ms,
-            record.phases.sched_controller_ms
+            "    {{\"mode\": \"{}\", \"n\": {}, \"mean_ms\": {:.3}, \"iters\": {}",
+            record.mode, record.n, record.mean_ms, record.iters
         ));
+        for (name, ms) in record.trace.totals() {
+            out.push_str(&format!(", \"{name}_ms\": {ms:.3}"));
+        }
+        out.push_str(&format!("}}{comma}\n"));
     }
     out.push_str("  ]\n}\n");
     out
@@ -105,6 +113,7 @@ pub fn bench_json(records: &[BenchRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spark_core::Span;
 
     #[test]
     fn measurement_covers_every_mode_and_size() {
@@ -113,45 +122,54 @@ mod tests {
         assert!(records.iter().all(|r| r.n == 4 && r.mean_ms > 0.0));
         let modes: Vec<&str> = records.iter().map(|r| r.mode).collect();
         assert_eq!(modes, vec!["coordinated", "baseline", "natural"]);
-        // The phase breakdown accounts for real time in every phase of the
-        // run (transform and schedule dominate; bind/rtl may be tiny but
-        // must be non-negative), and the schedule sub-phases account for the
-        // schedule phase exactly.
+        // Every record times the whole flow: real time in the transformation
+        // and the schedule, and a span for every back-end stage.
         for record in &records {
-            assert!(record.phases.transform_ms > 0.0, "{}", record.mode);
-            assert!(record.phases.schedule_ms > 0.0, "{}", record.mode);
-            assert!(record.phases.bind_ms >= 0.0);
-            assert!(record.phases.rtl_ms >= 0.0);
-            let sub_total = record.phases.sched_deps_ms
-                + record.phases.sched_list_ms
-                + record.phases.sched_wires_ms
-                + record.phases.sched_validate_ms
-                + record.phases.sched_controller_ms;
-            assert!(
-                (sub_total - record.phases.schedule_ms).abs() < 1e-9,
-                "{}: schedule sub-phases must sum to the phase total",
-                record.mode
-            );
+            let totals = record.trace.totals();
+            let ms = |name: &str| totals.iter().find(|(n, _)| *n == name).map(|(_, ms)| *ms);
+            assert!(ms("transform").unwrap() > 0.0, "{}", record.mode);
+            assert!(ms("schedule").unwrap() > 0.0, "{}", record.mode);
+            for name in [
+                "sched_deps",
+                "sched_list",
+                "sched_wires",
+                "sched_validate",
+                "sched_controller",
+                "bind",
+                "rtl",
+            ] {
+                assert!(ms(name).unwrap() >= 0.0, "{}: {name}", record.mode);
+            }
         }
     }
 
     #[test]
     fn json_is_well_formed() {
+        let span = |name: &str, depth, ms| Span {
+            name: name.to_string(),
+            depth,
+            ms,
+        };
         let records = vec![
             BenchRecord {
                 mode: "coordinated",
                 n: 8,
                 mean_ms: 1.5,
-                phases: PhaseBreakdown {
-                    transform_ms: 0.9,
-                    schedule_ms: 0.4,
-                    bind_ms: 0.1,
-                    rtl_ms: 0.1,
-                    sched_deps_ms: 0.15,
-                    sched_list_ms: 0.1,
-                    sched_wires_ms: 0.1,
-                    sched_validate_ms: 0.03,
-                    sched_controller_ms: 0.02,
+                trace: Trace {
+                    spans: vec![
+                        span("constant-propagation", 1, 0.25),
+                        span("dead-code-elimination", 1, 0.2),
+                        span("constant-propagation", 1, 0.125),
+                        span("transform", 0, 0.9),
+                        span("sched_deps", 1, 0.15),
+                        span("sched_list", 1, 0.1),
+                        span("sched_wires", 1, 0.1),
+                        span("sched_validate", 1, 0.03),
+                        span("sched_controller", 1, 0.02),
+                        span("schedule", 0, 0.4),
+                        span("bind", 0, 0.1),
+                        span("rtl", 0, 0.1),
+                    ],
                 },
                 iters: 3,
             },
@@ -159,61 +177,49 @@ mod tests {
                 mode: "baseline",
                 n: 8,
                 mean_ms: 2.25,
-                phases: PhaseBreakdown::default(),
+                trace: Trace::default(),
                 iters: 3,
             },
         ];
         let json = bench_json(&records);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"benchmark\": \"synthesize\""));
+        assert!(json.contains("\"host_cpus\": "));
         assert!(json.contains("\"mode\": \"coordinated\", \"n\": 8, \"mean_ms\": 1.500"));
         assert!(json.contains("\"transform_ms\": 0.900"));
         assert!(json.contains("\"schedule_ms\": 0.400"));
-        // The schedule-phase sub-breakdown CI guards against losing these.
+        // The schedule-stage sub-spans CI guards against losing.
         assert!(json.contains("\"sched_deps_ms\": 0.150"));
         assert!(json.contains("\"sched_list_ms\": 0.100"));
         assert!(json.contains("\"sched_wires_ms\": 0.100"));
         assert!(json.contains("\"sched_validate_ms\": 0.030"));
         assert!(json.contains("\"sched_controller_ms\": 0.020"));
+        // A pass that ran twice is written once, as the sum of both runs.
+        assert_eq!(json.matches("\"constant-propagation_ms\"").count(), 1);
+        assert!(json.contains("\"constant-propagation_ms\": 0.375"));
+        assert!(json.contains("\"dead-code-elimination_ms\": 0.200"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         // Exactly one separating comma between the two records.
         assert_eq!(json.matches("},\n").count(), 1);
     }
 
     #[test]
-    fn phase_breakdown_accumulates_and_scales() {
-        let mut total = PhaseBreakdown::default();
-        total.accumulate(&PhaseBreakdown {
-            transform_ms: 2.0,
-            schedule_ms: 4.0,
-            bind_ms: 6.0,
-            rtl_ms: 8.0,
-            sched_deps_ms: 1.0,
-            sched_list_ms: 1.0,
-            sched_wires_ms: 1.0,
-            sched_validate_ms: 0.5,
-            sched_controller_ms: 0.5,
-        });
-        total.accumulate(&PhaseBreakdown {
-            transform_ms: 4.0,
-            schedule_ms: 4.0,
-            bind_ms: 2.0,
-            rtl_ms: 0.0,
-            sched_deps_ms: 1.0,
-            sched_list_ms: 3.0,
-            sched_wires_ms: 0.0,
-            sched_validate_ms: 0.0,
-            sched_controller_ms: 0.0,
-        });
-        total.scale(2.0);
-        assert_eq!(total.transform_ms, 3.0);
-        assert_eq!(total.schedule_ms, 4.0);
-        assert_eq!(total.bind_ms, 4.0);
-        assert_eq!(total.rtl_ms, 4.0);
-        assert_eq!(total.sched_deps_ms, 1.0);
-        assert_eq!(total.sched_list_ms, 2.0);
-        assert_eq!(total.sched_wires_ms, 0.5);
-        assert_eq!(total.sched_validate_ms, 0.25);
-        assert_eq!(total.sched_controller_ms, 0.25);
+    fn traces_average_span_by_span() {
+        let trace = |ms: [f64; 2]| Trace {
+            spans: vec![
+                Span {
+                    name: "cse".to_string(),
+                    depth: 1,
+                    ms: ms[0],
+                },
+                Span {
+                    name: "transform".to_string(),
+                    depth: 0,
+                    ms: ms[1],
+                },
+            ],
+        };
+        let mean = mean_trace(vec![trace([1.0, 2.0]), trace([3.0, 6.0])]);
+        assert_eq!(mean, trace([2.0, 4.0]));
     }
 }

@@ -144,15 +144,6 @@ impl Binding {
     pub fn register_count(&self) -> usize {
         self.registers.len()
     }
-
-    /// Total number of (non-free) functional-unit instances.
-    pub fn fu_count(&self) -> usize {
-        self.fu_instances
-            .values()
-            .flatten()
-            .filter(|i| !i.ops.is_empty())
-            .count()
-    }
 }
 
 #[cfg(test)]

@@ -47,6 +47,7 @@
 mod dse;
 mod par;
 mod pipeline;
+mod trace;
 
 pub use dse::{
     ablation_study, explore_configurations, format_table, sweep_clock_period, DesignPoint,
@@ -54,6 +55,7 @@ pub use dse::{
 pub use par::par_map;
 pub use pipeline::{
     synthesize, synthesize_source, synthesize_transformed, transform_program, FlowMode,
-    FlowOptions, PhaseBreakdown, SourceSynthesisError, StageSnapshot, SynthesisError,
-    SynthesisResult, TransformedProgram,
+    FlowOptions, SourceSynthesisError, StageSnapshot, SynthesisError, SynthesisResult,
+    TransformedProgram,
 };
+pub use trace::{Span, Trace};

@@ -22,6 +22,8 @@ use spark_sched::{
 };
 use spark_transforms as xf;
 
+use crate::Trace;
+
 /// Which of the two synthesis scenarios of Figure 1 the flow targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlowMode {
@@ -176,8 +178,10 @@ pub struct SynthesisResult {
     pub wire_report: WireReport,
     /// Chaining-trail validation summary (Section 3.1.1).
     pub chaining: ChainingReport,
-    /// Wall time of each phase of the run that produced this result.
-    pub phases: PhaseBreakdown,
+    /// Wall-clock spans of the run that produced this result: the
+    /// transformation spans first (from [`synthesize`] only), then the
+    /// back-end spans.
+    pub trace: Trace,
 }
 
 impl SynthesisResult {
@@ -228,6 +232,9 @@ pub struct TransformedProgram {
     pub pass_log: Vec<xf::Report>,
     /// Per-stage structural snapshots (Figures 10–15 evolution).
     pub stages: Vec<StageSnapshot>,
+    /// Wall-clock spans of the transformation: one per pass, then
+    /// `transform` around them all.
+    pub trace: Trace,
     /// Lazily built pre-wire dependence graph of the top function, shared
     /// by every point scheduled against this program. See
     /// [`TransformedProgram::dependence_graph`].
@@ -294,6 +301,8 @@ pub(crate) struct PassManager<'a> {
     working: Program,
     pass_log: Vec<xf::Report>,
     stages: Vec<StageSnapshot>,
+    /// One span per pass run so far.
+    trace: Trace,
     /// Cached fine-grain analyses; `None` until built or after a coarse
     /// pass.
     analyses: Option<xf::FineState>,
@@ -331,6 +340,7 @@ impl<'a> PassManager<'a> {
             working,
             pass_log: Vec::new(),
             stages: Vec::new(),
+            trace: Trace::default(),
             analyses: None,
             seeds: std::array::from_fn(|_| Seed::Everything),
         };
@@ -347,12 +357,13 @@ impl<'a> PassManager<'a> {
         }
     }
 
-    /// Appends a pass report to the log and — when
-    /// [`FlowOptions::verify_ir`] is set — re-verifies the top-level
-    /// function, so a pass that corrupts the IR fails here with its name
-    /// attached instead of panicking downstream.
-    fn record(&mut self, report: xf::Report) -> Result<(), SynthesisError> {
+    /// Ends the span of a pass that began at `started`, appends its report
+    /// to the log and — when [`FlowOptions::verify_ir`] is set — re-verifies
+    /// the top-level function, so a pass that corrupts the IR fails here
+    /// with its name attached instead of panicking downstream.
+    fn record(&mut self, report: xf::Report, started: Instant) -> Result<(), SynthesisError> {
         let pass = report.pass.clone();
+        self.trace.push(pass.clone(), 1, started);
         self.pass_log.push(report);
         self.verify_top(pass)
     }
@@ -376,16 +387,18 @@ impl<'a> PassManager<'a> {
         &mut self,
         run: impl FnOnce(&mut Program, &str) -> xf::Report,
     ) -> Result<(), SynthesisError> {
+        let started = Instant::now();
         let report = run(&mut self.working, &self.top);
         self.analyses = None;
         self.seeds = std::array::from_fn(|_| Seed::Everything);
-        self.record(report)
+        self.record(report, started)
     }
 
     /// Runs one fine-grain worklist pass, seeded by whatever the previous
     /// passes touched, and distributes what it touched to the other passes'
     /// seeds.
     fn fine(&mut self, which: FinePass) -> Result<(), SynthesisError> {
+        let started = Instant::now();
         let function = self.working.function_mut(&self.top).expect("top exists");
         let state = self
             .analyses
@@ -421,7 +434,7 @@ impl<'a> PassManager<'a> {
                 }
             }
         }
-        self.record(report)
+        self.record(report, started)
     }
 
     /// Runs the whole transformation recipe and returns the transformed
@@ -483,6 +496,7 @@ impl<'a> PassManager<'a> {
             top: self.top,
             pass_log: self.pass_log,
             stages: self.stages,
+            trace: self.trace,
             graph: OnceLock::new(),
         })
     }
@@ -492,7 +506,9 @@ impl<'a> PassManager<'a> {
 /// rewriting, inlining, speculation, unrolling and the fine-grain clean-up,
 /// under the transformation switches of `options`. The clock period in
 /// `options` is not consulted — transformations are clock-agnostic, which is
-/// what makes the result reusable across a clock sweep.
+/// what makes the result reusable across a clock sweep. The result's
+/// [`trace`](TransformedProgram::trace) times every pass and the whole
+/// transformation.
 ///
 /// # Errors
 /// Returns [`SynthesisError::UnknownFunction`] when `top` does not exist,
@@ -503,81 +519,19 @@ pub fn transform_program(
     top: &str,
     options: &FlowOptions,
 ) -> Result<TransformedProgram, SynthesisError> {
-    PassManager::new(program, top, options)?.run()
-}
-
-/// Wall-clock time spent in each phase of one synthesis run, milliseconds.
-///
-/// Every [`SynthesisResult`] carries one. Emitted into
-/// `BENCH_synthesize.json` by the benchmark harness so the per-phase
-/// performance trajectory (transform vs. schedule vs. bind vs. RTL
-/// reporting) is visible PR over PR.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PhaseBreakdown {
-    /// Transformation pipeline ([`transform_program`]). Zero from
-    /// [`synthesize_transformed`], whose program was transformed before the
-    /// call.
-    pub transform_ms: f64,
-    /// Dependence graph, scheduling, wire-variable insertion, chaining
-    /// validation and controller construction — the sum of the five
-    /// `sched_*_ms` sub-phases below.
-    pub schedule_ms: f64,
-    /// Lifetime analysis and register/FU binding.
-    pub bind_ms: f64,
-    /// Datapath report construction (the RTL-level summary).
-    pub rtl_ms: f64,
-    /// Schedule sub-phase: pre-wire dependence-graph construction. Near zero
-    /// when an earlier point already built the shared graph
-    /// ([`TransformedProgram::dependence_graph`]).
-    pub sched_deps_ms: f64,
-    /// Schedule sub-phase: the chaining-aware list scheduler itself.
-    pub sched_list_ms: f64,
-    /// Schedule sub-phase: wire-variable insertion plus the post-wire
-    /// dependence-graph build.
-    pub sched_wires_ms: f64,
-    /// Schedule sub-phase: chaining-trail validation.
-    pub sched_validate_ms: f64,
-    /// Schedule sub-phase: FSM controller construction.
-    pub sched_controller_ms: f64,
-}
-
-impl PhaseBreakdown {
-    /// Accumulates another run's phase times into this one.
-    pub fn accumulate(&mut self, other: &PhaseBreakdown) {
-        self.transform_ms += other.transform_ms;
-        self.schedule_ms += other.schedule_ms;
-        self.bind_ms += other.bind_ms;
-        self.rtl_ms += other.rtl_ms;
-        self.sched_deps_ms += other.sched_deps_ms;
-        self.sched_list_ms += other.sched_list_ms;
-        self.sched_wires_ms += other.sched_wires_ms;
-        self.sched_validate_ms += other.sched_validate_ms;
-        self.sched_controller_ms += other.sched_controller_ms;
-    }
-
-    /// Divides every phase time by `n` (for averaging over iterations).
-    pub fn scale(&mut self, n: f64) {
-        self.transform_ms /= n;
-        self.schedule_ms /= n;
-        self.bind_ms /= n;
-        self.rtl_ms /= n;
-        self.sched_deps_ms /= n;
-        self.sched_list_ms /= n;
-        self.sched_wires_ms /= n;
-        self.sched_validate_ms /= n;
-        self.sched_controller_ms /= n;
-    }
-}
-
-fn ms_since(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
+    let started = Instant::now();
+    let mut transformed = PassManager::new(program, top, options)?.run()?;
+    transformed.trace.push("transform", 0, started);
+    Ok(transformed)
 }
 
 /// Runs the back half of the flow — scheduling, chaining validation,
 /// wire-variable insertion, binding and RTL reporting — on an already
 /// transformed program, under the constraints (clock period, mode) of
-/// `options`. The result's [`phases`](SynthesisResult::phases) time every
-/// back-half phase; its `transform_ms` is zero.
+/// `options`. The result's [`trace`](SynthesisResult::trace) holds only the
+/// back-end spans: `sched_deps`, `sched_list`, `sched_wires`,
+/// `sched_validate` and `sched_controller` under `schedule`, then `bind` and
+/// `rtl`.
 ///
 /// # Errors
 /// Returns [`SynthesisError::Scheduling`] when the constraints cannot be met.
@@ -585,7 +539,7 @@ pub fn synthesize_transformed(
     transformed: &TransformedProgram,
     options: &FlowOptions,
 ) -> Result<SynthesisResult, SynthesisError> {
-    let mut phases = PhaseBreakdown::default();
+    let mut trace = Trace::default();
     let library = ResourceLibrary::new();
     let top = transformed.top.as_str();
     let pass_log = transformed.pass_log.clone();
@@ -596,45 +550,39 @@ pub fn synthesize_transformed(
     // The pre-wire dependence graph (with its interned guard table) is
     // shared: built at most once per transformed program, not once per
     // clock point.
-    let started = Instant::now();
-    let pre_wire = transformed.dependence_graph()?;
-    phases.sched_deps_ms = ms_since(started);
+    let schedule_started = Instant::now();
+    let pre_wire = trace.time("sched_deps", 1, || transformed.dependence_graph())?;
 
-    let started = Instant::now();
-    let mut function = working.function(top).expect("top exists").clone();
-    let constraints = options.constraints();
-    let mut sched = schedule(&function, pre_wire, &library, &constraints)?;
-    phases.sched_list_ms = ms_since(started);
+    let (mut function, mut sched) = trace.time("sched_list", 1, || {
+        let function = working.function(top).expect("top exists").clone();
+        let sched = schedule(&function, pre_wire, &library, &options.constraints())?;
+        Ok::<_, SchedError>((function, sched))
+    })?;
 
     // Wire insertion adds blocks/ops and redirects operands, so the
     // post-wire graph is built afresh for this point.
-    let started = Instant::now();
-    let wire_report = insert_wire_variables(&mut function, &mut sched);
-    let graph = DependenceGraph::build(&function)?;
-    phases.sched_wires_ms = ms_since(started);
+    let (wire_report, graph) = trace.time("sched_wires", 1, || {
+        let wire_report = insert_wire_variables(&mut function, &mut sched);
+        DependenceGraph::build(&function).map(|graph| (wire_report, graph))
+    })?;
 
-    let started = Instant::now();
-    let chaining = validate_chaining(&function, &graph, &sched, &library)?;
-    phases.sched_validate_ms = ms_since(started);
+    let chaining = trace.time("sched_validate", 1, || {
+        validate_chaining(&function, &graph, &sched, &library)
+    })?;
 
-    let started = Instant::now();
-    let controller = Controller::build(&function, &graph, &sched);
-    phases.sched_controller_ms = ms_since(started);
+    let controller = trace.time("sched_controller", 1, || {
+        Controller::build(&function, &graph, &sched)
+    });
+    trace.push("schedule", 0, schedule_started);
 
-    phases.schedule_ms = phases.sched_deps_ms
-        + phases.sched_list_ms
-        + phases.sched_wires_ms
-        + phases.sched_validate_ms
-        + phases.sched_controller_ms;
+    let binding = trace.time("bind", 0, || {
+        let lifetimes = LifetimeAnalysis::compute(&function, &sched);
+        Binding::compute(&function, &sched, &lifetimes, &library)
+    });
 
-    let started = Instant::now();
-    let lifetimes = LifetimeAnalysis::compute(&function, &sched);
-    let binding = Binding::compute(&function, &sched, &lifetimes, &library);
-    phases.bind_ms = ms_since(started);
-
-    let started = Instant::now();
-    let report = DatapathReport::build(&function, &sched, &binding, &controller, &library);
-    phases.rtl_ms = ms_since(started);
+    let report = trace.time("rtl", 0, || {
+        DatapathReport::build(&function, &sched, &binding, &controller, &library)
+    });
     stages.push(StageSnapshot {
         stage: "scheduled".to_string(),
         stats: FunctionStats::of(&function),
@@ -651,17 +599,17 @@ pub fn synthesize_transformed(
         stages,
         wire_report,
         chaining,
-        phases,
+        trace,
     })
 }
 
 /// Runs the coordinated flow on `program`, synthesizing the function `top`.
 ///
 /// Equivalent to [`transform_program`] followed by
-/// [`synthesize_transformed`], with the transformation's wall time recorded
-/// in [`PhaseBreakdown::transform_ms`]; sweeps that vary only the clock
-/// period should call the two halves directly and reuse the transformed
-/// program.
+/// [`synthesize_transformed`], with the transformation's spans put first in
+/// the result's [`trace`](SynthesisResult::trace); sweeps that vary only the
+/// clock period should call the two halves directly and reuse the
+/// transformed program.
 ///
 /// # Errors
 /// Returns [`SynthesisError`] when the top function is missing or scheduling
@@ -671,11 +619,10 @@ pub fn synthesize(
     top: &str,
     options: &FlowOptions,
 ) -> Result<SynthesisResult, SynthesisError> {
-    let started = Instant::now();
     let transformed = transform_program(program, top, options)?;
-    let transform_ms = ms_since(started);
     let mut result = synthesize_transformed(&transformed, options)?;
-    result.phases.transform_ms = transform_ms;
+    let back_end = std::mem::replace(&mut result.trace, transformed.trace);
+    result.trace.spans.extend(back_end.spans);
     Ok(result)
 }
 
@@ -947,22 +894,38 @@ mod tests {
     }
 
     #[test]
-    fn results_carry_their_phase_times() {
+    fn results_carry_their_spans() {
         let program = build_ild_program(4);
         let options = FlowOptions::microprocessor_block(200.0);
+        let back_end = [
+            "sched_deps",
+            "sched_list",
+            "sched_wires",
+            "sched_validate",
+            "sched_controller",
+            "schedule",
+            "bind",
+            "rtl",
+        ];
+        let names = |trace: &Trace| -> Vec<String> {
+            trace.spans.iter().map(|span| span.name.clone()).collect()
+        };
+
+        // The passes in the order they ran, then `transform`, then the back
+        // end.
         let full = synthesize(&program, ILD_FUNCTION, &options).unwrap();
-        assert!(full.phases.transform_ms > 0.0);
+        let mut expected: Vec<String> = full.pass_log.iter().map(|r| r.pass.clone()).collect();
+        expected.push("transform".to_string());
+        expected.extend(back_end.iter().map(|name| name.to_string()));
+        assert_eq!(names(&full.trace), expected);
+
         let transformed = transform_program(&program, ILD_FUNCTION, &options).unwrap();
         let back_half = synthesize_transformed(&transformed, &options).unwrap();
-        assert_eq!(back_half.phases.transform_ms, 0.0);
-        for phases in [full.phases, back_half.phases] {
-            assert!(phases.schedule_ms > 0.0);
-            let sub_total = phases.sched_deps_ms
-                + phases.sched_list_ms
-                + phases.sched_wires_ms
-                + phases.sched_validate_ms
-                + phases.sched_controller_ms;
-            assert_eq!(sub_total, phases.schedule_ms);
+        assert_eq!(names(&back_half.trace), back_end);
+
+        for trace in [&full.trace, &back_half.trace] {
+            let ms = |name: &str| trace.spans.iter().find(|s| s.name == name).unwrap().ms;
+            assert!(ms("schedule") >= ms("sched_list"));
         }
     }
 

@@ -6,10 +6,8 @@
 //! *pass*. [`DefUseGraph`] stores the chains in dense [`SecondaryMap`] side
 //! tables and is kept exactly consistent through every edit by routing all
 //! IR mutations through a [`Rewriter`]: operand replacement, whole-operation
-//! rewrites, erasure and insertion all unlink and relink the affected chains
-//! in O(degree) time. Passes that edit the function directly (the
-//! complementary code motions) simply recompute it with
-//! [`DefUseGraph::compute`].
+//! rewrites and erasure all unlink and relink the affected chains in
+//! O(degree) time.
 //!
 //! The worklist-driven passes in `spark-transforms` are built on this pair:
 //! they query the graph instead of rescanning the function, and they learn
@@ -305,24 +303,6 @@ impl<'a> Rewriter<'a> {
         true
     }
 
-    /// Replaces every operand occurrence of variable `from` with `to` across
-    /// all live operations reading it. Returns the number of rewritten
-    /// operands.
-    pub fn replace_all_uses(&mut self, from: VarId, to: Value) -> usize {
-        let readers: Vec<OpId> = self.graph.uses_of(from).to_vec();
-        let mut count = 0;
-        for op in readers {
-            for index in 0..self.function.ops[op].args.len() {
-                if self.function.ops[op].args[index] == Value::Var(from)
-                    && self.replace_operand(op, index, to)
-                {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
     /// Rewrites the kind and operands of `op` in place (the destination is
     /// kept). Used to turn a computed operation into a `Copy` of a constant
     /// or an earlier result.
@@ -368,24 +348,6 @@ impl<'a> Rewriter<'a> {
         self.log.touched.push(op);
     }
 
-    /// Creates a new live operation and inserts it into `block` at position
-    /// `index`, linking its chains.
-    pub fn insert_op(
-        &mut self,
-        block: BlockId,
-        index: usize,
-        kind: OpKind,
-        dest: Option<VarId>,
-        args: Vec<Value>,
-    ) -> OpId {
-        let op = self.function.add_op(kind, dest, args);
-        self.function.blocks[block].insert(index, op);
-        self.graph.link_op(self.function, op);
-        self.graph.op_block.insert(op, block);
-        self.log.touched.push(op);
-        op
-    }
-
     /// Finishes editing, returning the log of what changed.
     pub fn finish(self) -> EditLog {
         self.log
@@ -397,7 +359,6 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::types::Type;
-    use crate::value::Constant;
 
     fn sample() -> (Function, VarId, VarId, VarId) {
         // x = a + 1; y = x + x; out = y
@@ -447,18 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_all_uses_rewrites_every_occurrence() {
-        let (mut f, _, x, _) = sample();
-        let mut graph = DefUseGraph::compute(&f);
-        let mut rw = Rewriter::new(&mut f, &mut graph);
-        let n = rw.replace_all_uses(x, Value::Const(Constant::word(3)));
-        assert_eq!(n, 2);
-        rw.finish();
-        assert!(graph.uses_of(x).is_empty());
-        graph.assert_consistent(&f);
-    }
-
-    #[test]
     fn rewrite_and_erase_keep_graph_consistent() {
         let (mut f, a, x, y) = sample();
         let mut graph = DefUseGraph::compute(&f);
@@ -494,19 +443,6 @@ mod tests {
         assert!(f.ops[def_x].args.is_empty());
         let verdict = crate::verify(&f);
         assert!(verdict.is_ok(), "{verdict:?}");
-        graph.assert_consistent(&f);
-    }
-
-    #[test]
-    fn insert_op_links_the_new_operation() {
-        let (mut f, a, x, _) = sample();
-        let mut graph = DefUseGraph::compute(&f);
-        let block = graph.block_of(graph.defs_of(x)[0]).unwrap();
-        let mut rw = Rewriter::new(&mut f, &mut graph);
-        let t = rw.insert_op(block, 0, OpKind::Not, None, vec![Value::Var(a)]);
-        rw.finish();
-        assert!(graph.uses_of(a).contains(&t));
-        assert_eq!(graph.block_of(t), Some(block));
         graph.assert_consistent(&f);
     }
 

@@ -175,11 +175,6 @@ impl<K: DenseKey, V> SecondaryMap<K, V> {
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.iter().map(|(_, v)| v)
     }
-
-    /// Iterates over present values mutably, in key order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.iter_mut().map(|(_, v)| v)
-    }
 }
 
 impl<K: DenseKey, V> Default for SecondaryMap<K, V> {

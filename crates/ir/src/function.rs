@@ -357,25 +357,6 @@ impl Function {
         }
     }
 
-    /// Replaces every use of variable `from` with `to` in all live operations
-    /// (operand positions only; destinations are untouched). Returns the
-    /// number of rewritten operands.
-    pub fn replace_uses(&mut self, from: VarId, to: Value) -> usize {
-        let mut count = 0;
-        for (_, op) in self.ops.iter_mut() {
-            if op.dead {
-                continue;
-            }
-            for arg in &mut op.args {
-                if *arg == Value::Var(from) {
-                    *arg = to;
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
     /// Deep-clones `region` (its nodes, blocks and operations) applying the
     /// variable substitution `var_map` to every operand, destination and loop
     /// index. Variables not present in the map are shared with the original.
@@ -565,7 +546,6 @@ impl Function {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Constant;
     use crate::FunctionStats;
 
     fn sample_function() -> (Function, VarId, VarId, VarId) {
@@ -634,16 +614,6 @@ mod tests {
         assert!(verdict.is_ok(), "{verdict:?}");
         // A clone carries the dead op without operands.
         assert!(f.clone().ops[op].args.is_empty());
-    }
-
-    #[test]
-    fn replace_uses_rewrites_operands() {
-        let (mut f, a, _, _) = sample_function();
-        let n = f.replace_uses(a, Value::Const(Constant::word(7)));
-        assert_eq!(n, 2);
-        for op in f.live_ops() {
-            assert_eq!(f.ops[op].args[0], Value::word(7));
-        }
     }
 
     #[test]

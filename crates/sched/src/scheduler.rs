@@ -98,14 +98,6 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Control step of `op`.
-    ///
-    /// # Panics
-    /// Panics if the operation was not scheduled.
-    pub fn state_of(&self, op: OpId) -> usize {
-        self.op_state[&op]
-    }
-
     /// Records the placement of `op`: control step, start/finish times within
     /// the state and functional-unit instance. Keeps the per-state op index
     /// and `num_states` consistent; use this instead of inserting into the

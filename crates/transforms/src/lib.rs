@@ -6,9 +6,8 @@
 //! * **Coarse grain:** [`inline_calls`], [`unroll_all_loops`],
 //!   [`while_to_for`] (the source-level rewrite of the natural Figure 16
 //!   description into the synthesizable Figure 10 form).
-//! * **Speculative code motions:** [`speculate`] (hoist pure operations above
-//!   the conditions they depend on — Figure 11), [`reverse_speculation`] and
-//!   [`early_condition_execution`].
+//! * **Speculative code motion:** [`speculate`] (hoist pure operations above
+//!   the conditions they depend on — Figure 11).
 //! * **Fine grain:** [`constant_propagation`] (with folding — Figures 3/14),
 //!   [`copy_propagation`], [`common_subexpression_elimination`] and
 //!   [`dead_code_elimination`].
@@ -54,7 +53,6 @@
 
 #![warn(missing_docs)]
 
-mod code_motion;
 mod const_prop;
 mod copy_prop;
 mod cse;
@@ -67,7 +65,6 @@ mod speculation;
 mod unroll;
 mod while_to_for;
 
-pub use code_motion::{early_condition_execution, reverse_speculation};
 pub use const_prop::{constant_propagation, constant_propagation_seeded, fold_constants};
 pub use copy_prop::{copy_propagation, copy_propagation_seeded};
 pub use cse::{common_subexpression_elimination, common_subexpression_elimination_seeded};
