@@ -9,6 +9,8 @@
 //! CSE, dead-code elimination, chaining-aware scheduling, wire-variable
 //! insertion, binding and RTL generation — recording the effect of every
 //! stage so the figure-by-figure evolution of the design can be reproduced.
+//! The unrolled code is cleaned up once before it is speculated again, so
+//! the branches that constant propagation resolves are never hoisted.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -285,16 +287,17 @@ enum Seed {
 }
 
 /// Drives the transformation half of the coordinated flow: the coarse-grain
-/// passes in the paper's order, then the fine-grain clean-up as a sequence
-/// of worklist passes over shared, incrementally-maintained analyses.
+/// passes in the paper's order, with one fine-grain round before the second
+/// speculation, then the fine-grain clean-up as a sequence of worklist
+/// passes over shared, incrementally-maintained analyses.
 ///
 /// The manager owns the cached [`xf::FineState`] (def–use graph and
 /// structural positions) and seeds every fine-grain pass with the operations
 /// the previous fine passes touched — so the second constant-propagation /
-/// copy-propagation / DCE round examines only what actually changed instead
-/// of rescanning the whole function. A coarse pass restructures the
-/// function, so it drops the cache and resets every seed to
-/// [`Seed::Everything`].
+/// copy-propagation / DCE round of the clean-up examines only what actually
+/// changed instead of rescanning the whole function. A coarse pass
+/// restructures the function, so it drops the cache and resets every seed
+/// to [`Seed::Everything`].
 pub(crate) struct PassManager<'a> {
     options: &'a FlowOptions,
     top: String,
@@ -458,11 +461,21 @@ impl<'a> PassManager<'a> {
         }
         // Speculation opportunities often only appear after unrolling exposes
         // the per-byte conditionals; run it again in the aggressive flow.
+        // Clean up first: until the unrolled loop index is propagated, every
+        // per-iteration branch would be hoisted into temporaries that the
+        // clean-up below deletes again. This round starts from the whole
+        // function, and the speculation after it drops its analyses.
         if options.speculate {
+            if options.constant_propagation {
+                self.fine(FinePass::ConstProp)?;
+            }
+            self.fine(FinePass::CopyProp)?;
+            self.fine(FinePass::Dce)?;
             self.coarse(|p, top| xf::speculate(p.function_mut(top).expect("top exists")))?;
         }
 
         // ---- Fine-grain clean-up: worklist passes over shared analyses ----
+        // The first round rescans the whole function: a coarse pass ran last.
         if options.constant_propagation {
             self.fine(FinePass::ConstProp)?;
             self.snapshot("constant-propagation");
