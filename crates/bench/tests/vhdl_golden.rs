@@ -17,12 +17,12 @@ use spark_ild::{build_ild_program, ILD_FUNCTION};
 const GOLDEN: &[(&str, u64)] = &[
     ("abs_diff", 0x55cc630b3388f28f),
     ("dot4", 0xee6d1ec000c74b62),
-    ("ild_n8", 0x45f14bf4e63fa60a),
-    ("ild_natural_n8", 0x8017d175bef6c09c),
+    ("ild_n8", 0xf772756ab5573ffc),
+    ("ild_natural_n8", 0xdc760163c7d57d12),
     ("matmul2", 0xe7071f7d75d6eaf9),
     ("parity8", 0x307141d73393258e),
-    ("quantize", 0x40e866b2b3604283),
-    ("row_minmax", 0xcc065167981bd357),
+    ("quantize", 0x53e182ef4111d9f2),
+    ("row_minmax", 0xa39854302f4c364f),
     ("running_max", 0x2be488853a1acfcb),
     ("sad4", 0xff39f3067ad0db71),
     ("while_accumulator", 0x58071f0c5342bd35),
@@ -30,9 +30,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("width_copy", 0x39fddd1a5820b2c8),
     ("width_cse", 0xe4b315e368789cda),
     ("window_mark", 0xdc188319f7bcae42),
-    ("ild8", 0xd30484a4c2bbc73c),
+    ("ild8", 0x745131dd5560f252),
     ("ild8_baseline", 0x136b299c38c344a4),
-    ("ild16", 0xf0b4f30d4757c269),
+    ("ild16", 0x00777d2fede8a11c),
     ("ild16_baseline", 0x0173091611b9a9f3),
 ];
 
