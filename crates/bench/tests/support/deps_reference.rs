@@ -15,7 +15,7 @@ pub fn reference_preds(function: &Function, graph: &DependenceGraph) -> Vec<Vec<
     let mut last_defs: HashMap<VarId, Vec<OpId>> = HashMap::new();
     let mut last_uses: HashMap<VarId, Vec<OpId>> = HashMap::new();
     let mut all = Vec::with_capacity(graph.order.len());
-    for &op_id in &graph.order {
+    for (position, &op_id) in graph.order.iter().enumerate() {
         let op = &function.ops[op_id];
         let guard = graph.guard_of(op_id);
         let exclusive = |other: OpId| graph.guard_of(other).mutually_exclusive(&guard);
@@ -48,6 +48,17 @@ pub fn reference_preds(function: &Function, graph: &DependenceGraph) -> Vec<Vec<
         }
         for used in op.uses_iter() {
             last_uses.entry(used).or_default().push(op_id);
+        }
+        // A guard condition counts as read when it is defined again later.
+        for &(cond, _) in &guard.terms {
+            if let Some(cond_var) = cond.as_var() {
+                let defined_later = graph.order[position..]
+                    .iter()
+                    .any(|&later| function.ops[later].def() == Some(cond_var));
+                if defined_later {
+                    last_uses.entry(cond_var).or_default().push(op_id);
+                }
+            }
         }
         if let Some(defined) = op.def() {
             last_defs.entry(defined).or_default().push(op_id);

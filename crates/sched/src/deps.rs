@@ -273,6 +273,7 @@ impl DependenceGraph {
         // Data dependences by program order. The edges of each consumer are
         // appended to the flat list as they are found, so every operation's
         // range is contiguous and the ranges follow `order`.
+        let (mut last_defs, mut last_uses) = Histories::sized_for(function, &graph);
         let DependenceGraph {
             ref order,
             ref mut edges,
@@ -280,7 +281,6 @@ impl DependenceGraph {
             ref guard_ids,
             ref guard_table,
         } = graph;
-        let (mut last_defs, mut last_uses) = Histories::sized_for(function, order);
         for &op_id in order {
             let op = &function.ops[op_id];
             let gid = guard_ids[&op_id];
@@ -335,9 +335,18 @@ impl DependenceGraph {
                 }
             }
 
-            // Update access history.
+            // Update access history. A guard condition is read too: when it
+            // is defined again later, that definition must not move above
+            // this op, so the op joins the condition's use history.
             for used in op.uses_iter() {
                 last_uses.push(used, op_id);
+            }
+            for &(cond, _) in &guard_table.guard(gid).terms {
+                if let Some(cond_var) = cond.as_var() {
+                    if !last_defs.is_full(cond_var) {
+                        last_uses.push(cond_var, op_id);
+                    }
+                }
             }
             if let Some(defined) = op.def() {
                 last_defs.push(defined, op_id);
@@ -401,7 +410,8 @@ impl DependenceGraph {
 /// A counting pre-pass gives each variable one range, sized to its total
 /// number of accesses; the scan fills a variable's range front to back as it
 /// reaches the accesses, so the filled prefix is the history so far, in
-/// program order.
+/// program order. A def range is full once the scan has passed the
+/// variable's last definition.
 struct Histories {
     /// Accessing operations, grouped by variable.
     ops: Vec<OpId>,
@@ -409,19 +419,29 @@ struct Histories {
     start: Vec<u32>,
     /// One past the last filled slot of each variable's range.
     end: Vec<u32>,
+    /// One past the last slot of each variable's range.
+    limit: Vec<u32>,
 }
 
 impl Histories {
     /// Empty def and use histories with one range per variable of
-    /// `function`, sized by the accesses of the operations in `order`.
-    fn sized_for(function: &Function, order: &[OpId]) -> (Histories, Histories) {
+    /// `function`, sized by the accesses of the operations in `order`: their
+    /// operands and definitions, and the conditions of their guards in
+    /// `graph`.
+    fn sized_for(function: &Function, graph: &DependenceGraph) -> (Histories, Histories) {
         let vars = function.vars.len();
         let mut def_counts = vec![0u32; vars];
         let mut use_counts = vec![0u32; vars];
-        for &op_id in order {
+        for &op_id in &graph.order {
             let op = &function.ops[op_id];
             for used in op.uses_iter() {
                 use_counts[used.index()] += 1;
+            }
+            let guard = graph.guard_table.guard(graph.guard_ids[&op_id]);
+            for (cond, _) in &guard.terms {
+                if let Some(cond_var) = cond.as_var() {
+                    use_counts[cond_var.index()] += 1;
+                }
             }
             if let Some(defined) = op.def() {
                 def_counts[defined.index()] += 1;
@@ -437,17 +457,28 @@ impl Histories {
     /// become the start offsets in place).
     fn with_counts(mut counts: Vec<u32>) -> Histories {
         let mut total = 0u32;
+        let mut limit = Vec::with_capacity(counts.len());
         for count in &mut counts {
             let len = *count;
             *count = total;
             total += len;
+            limit.push(total);
         }
         Histories {
             // Placeholders: a slot is always written before `of` exposes it.
             ops: vec![OpId::from_raw(0); total as usize],
             end: counts.clone(),
             start: counts,
+            limit,
         }
+    }
+
+    /// True once every access of `var` counted by the pre-pass is in its
+    /// history.
+    #[inline]
+    fn is_full(&self, var: VarId) -> bool {
+        let v = var.index();
+        self.end[v] == self.limit[v]
     }
 
     /// The history of `var` so far.
@@ -674,6 +705,28 @@ mod tests {
         assert!(preds
             .iter()
             .any(|d| d.from == reader && d.kind == DepKind::Anti));
+    }
+
+    #[test]
+    fn guard_reads_order_a_later_redefinition_of_the_condition() {
+        // An unrolled loop reuses its condition temporary: the second
+        // iteration's compare must stay after the first iteration's guarded
+        // store, or the store sees the wrong condition.
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let c = b.var("c", Type::Bool);
+        let x = b.var("x", Type::Bits(8));
+        b.assign(OpKind::Gt, c, vec![Value::Var(a), Value::word(100)]);
+        b.if_begin(Value::Var(c));
+        let guarded = b.copy(x, Value::word(1));
+        b.if_end();
+        let redefine = b.assign(OpKind::Gt, c, vec![Value::Var(a), Value::word(200)]);
+        let f = b.finish();
+        let graph = DependenceGraph::build(&f).unwrap();
+        assert!(graph
+            .preds_of(redefine)
+            .iter()
+            .any(|d| d.from == guarded && d.kind == DepKind::Anti && d.var == c));
     }
 
     #[test]
