@@ -178,3 +178,22 @@ fn corpus_programs_single_cycle_where_expected() {
         );
     }
 }
+
+#[test]
+fn guarded_stores_survive_the_multi_state_asic_flow() {
+    // `guard_anti` reuses one condition temporary per unrolled iteration;
+    // the baseline's multi-state schedules must keep each redefinition after
+    // the store the previous value guards.
+    let source = std::fs::read_to_string(programs_dir().join("guard_anti.spark")).unwrap();
+    let compiled = spark_front::compile(&source).unwrap();
+    for clock in [8.0, 40.0, 2000.0] {
+        let result = synthesize(
+            &compiled.program,
+            &compiled.top,
+            &FlowOptions::asic_baseline(clock),
+        )
+        .unwrap();
+        check_rtl_matches_interp(&compiled, &compiled.top, &result, 0..8)
+            .unwrap_or_else(|e| panic!("asic flow at {clock} ns: {e}"));
+    }
+}

@@ -17,6 +17,7 @@ use spark_ild::{build_ild_program, ILD_FUNCTION};
 const GOLDEN: &[(&str, u64)] = &[
     ("abs_diff", 0x55cc630b3388f28f),
     ("dot4", 0xee6d1ec000c74b62),
+    ("guard_anti", 0x4248cd261e0507f3),
     ("ild_n8", 0xf772756ab5573ffc),
     ("ild_natural_n8", 0xdc760163c7d57d12),
     ("matmul2", 0xe7071f7d75d6eaf9),
