@@ -26,9 +26,11 @@ use spark_transforms as xf;
 
 /// Builds a deterministic random function from a byte script: a mix of
 /// straight-line arithmetic over a growing variable pool, conditionals,
-/// small counted loops, repeated expressions (CSE fodder), constant copies
-/// (const-prop fodder) and variable copies (copy-prop fodder), ending in
-/// writes to primary outputs so not everything is dead.
+/// small counted loops (some with a branch on the loop index, which is
+/// constant per iteration once unrolled), repeated expressions (CSE
+/// fodder), constant copies (const-prop fodder) and variable copies
+/// (copy-prop fodder), ending in writes to primary outputs so not
+/// everything is dead.
 fn build_scripted_function(script: &[u8]) -> Function {
     let mut b = FunctionBuilder::new("gen");
     let p0 = b.param("p0", Type::Bits(8));
@@ -109,6 +111,15 @@ fn build_scripted_function(script: &[u8]) -> Function {
                 b.copy(acc, Value::Var(pick(a, &pool)));
                 b.for_begin(i, 0, Value::word(u64::from(c % 3) + 1), 1);
                 b.assign(OpKind::Add, acc, vec![Value::Var(acc), Value::Var(i)]);
+                if c % 2 == 0 {
+                    let t = b.var(&format!("t{loops}"), Type::Bool);
+                    let k = Value::word(u64::from(a % 3));
+                    b.assign(OpKind::Lt, t, vec![Value::Var(i), k]);
+                    b.if_begin(Value::Var(t));
+                    let other = Value::Var(pick(a, &pool));
+                    b.assign(OpKind::Xor, acc, vec![Value::Var(acc), other]);
+                    b.if_end();
+                }
                 b.loop_end();
                 pool.push(acc);
                 loops += 1;
@@ -181,6 +192,21 @@ fn uncompacted_transformed_function(script: &[u8]) -> Function {
     let mut f = build_scripted_function(script);
     xf::speculate(&mut f);
     xf::unroll_all_loops(&mut f);
+    xf::constant_propagation(&mut f);
+    xf::copy_propagation(&mut f);
+    xf::dead_code_elimination(&mut f);
+    xf::speculate(&mut f);
+    reference_cleanup(&mut f);
+    f
+}
+
+/// A generated program through the recipe without the clean-up before the
+/// second speculation: the unrolled code is speculated while the loop
+/// index is still a variable.
+fn speculated_before_cleanup(script: &[u8]) -> Function {
+    let mut f = build_scripted_function(script);
+    xf::speculate(&mut f);
+    xf::unroll_all_loops(&mut f);
     xf::speculate(&mut f);
     reference_cleanup(&mut f);
     f
@@ -211,6 +237,46 @@ fn design_point_outcome(result: &SynthesisResult) -> (u64, Vec<Vec<usize>>, Stri
         })
         .collect();
     (synthesis_fingerprint(result), states, result.vhdl())
+}
+
+/// What a design point decided, as `synthesis_fingerprint` sees it, but
+/// with every variable named by the program-order positions of the ops that
+/// define it (an input by its name) instead of by arena id: per op its kind,
+/// state, start, finish and unit instance, then the register of every
+/// variable, then the report. Two clean-ups that keep different ones of two
+/// equal temporaries give the same key.
+fn design_key(result: &SynthesisResult) -> (Vec<String>, Vec<String>, String) {
+    let f = &result.function;
+    let s = &result.schedule;
+    let order = f.live_ops();
+    let ops = order
+        .iter()
+        .map(|&op| {
+            let (state, start) = (s.op_state.get(&op), s.op_start.get(&op));
+            let (finish, instance) = (s.op_finish.get(&op), s.op_instance.get(&op));
+            format!(
+                "{:?} {state:?} {start:?} {finish:?} {instance:?}",
+                f.ops[op].kind
+            )
+        })
+        .collect();
+    let mut registers: Vec<String> = f
+        .vars
+        .iter()
+        .filter_map(|(var, decl)| {
+            let register = result.binding.register_of.get(&var)?;
+            let defs: Vec<usize> = (0..order.len())
+                .filter(|&i| f.ops[order[i]].def() == Some(var))
+                .collect();
+            Some(if defs.is_empty() {
+                format!("{} {register}", decl.name)
+            } else {
+                format!("{defs:?} {register}")
+            })
+        })
+        .collect();
+    registers.sort();
+    (ops, registers, result.report.to_string())
 }
 
 const ILD_N: usize = 8;
@@ -463,6 +529,44 @@ proptest! {
                         design_point_outcome(&want) == design_point_outcome(&got),
                         "{:?} at {} ns", options.mode, clock
                     ),
+                    (want, got) => prop_assert_eq!(
+                        want.err().map(|e| e.to_string()),
+                        got.err().map(|e| e.to_string())
+                    ),
+                }
+            }
+        }
+    }
+
+    /// Cleaning up the unrolled code before the second speculation changes
+    /// no design decision: generated programs give the same per-state op
+    /// order and the same program-order schedule, binding and report, in
+    /// both flows at three clocks, as when the unrolled code is speculated
+    /// first. The variables may be numbered differently, so the design is
+    /// compared by `design_key`, not by `synthesis_fingerprint`.
+    #[test]
+    fn cleanup_before_second_speculation_preserves_every_design_point(
+        script in proptest::collection::vec(any::<u8>(), 96),
+    ) {
+        let mut program = Program::new();
+        program.add_function(build_scripted_function(&script));
+        let flow = FlowOptions::microprocessor_block(100.0);
+        let cleaned_first = transform_program(&program, "gen", &flow).unwrap();
+        let speculated_first = as_transformed(speculated_before_cleanup(&script));
+        for clock in [7.0, 20.0, 100.0] {
+            for options in [
+                FlowOptions::microprocessor_block(clock),
+                FlowOptions::asic_baseline(clock),
+            ] {
+                let want = synthesize_transformed(&speculated_first, &options);
+                let got = synthesize_transformed(&cleaned_first, &options);
+                match (want, got) {
+                    (Ok(want), Ok(got)) => {
+                        let (_, want_states, _) = design_point_outcome(&want);
+                        let (_, got_states, _) = design_point_outcome(&got);
+                        prop_assert_eq!(want_states, got_states, "{:?} at {} ns", options.mode, clock);
+                        prop_assert_eq!(design_key(&want), design_key(&got), "{:?} at {} ns", options.mode, clock);
+                    }
                     (want, got) => prop_assert_eq!(
                         want.err().map(|e| e.to_string()),
                         got.err().map(|e| e.to_string())
