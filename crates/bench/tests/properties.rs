@@ -228,24 +228,35 @@ fn as_transformed(function: Function) -> TransformedProgram {
 /// arena id: the synthesis fingerprint (schedule, binding, datapath report),
 /// the per-state op order and the VHDL text.
 fn design_point_outcome(result: &SynthesisResult) -> (u64, Vec<Vec<usize>>, String) {
+    (
+        synthesis_fingerprint(result),
+        state_order(result),
+        result.vhdl(),
+    )
+}
+
+/// The program-order positions of the ops in each state, in schedule order.
+fn state_order(result: &SynthesisResult) -> Vec<Vec<usize>> {
     let order = result.function.live_ops();
     let position = |op| order.iter().position(|&o| o == op).unwrap_or(usize::MAX);
-    let states = (0..result.schedule.num_states)
+    (0..result.schedule.num_states)
         .map(|s| {
             let ops = result.schedule.ops_in_state(s);
             ops.iter().map(|&op| position(op)).collect()
         })
-        .collect();
-    (synthesis_fingerprint(result), states, result.vhdl())
+        .collect()
 }
+
+/// Per-state op order, per-op schedule rows, registers and report.
+type DesignKey = (Vec<Vec<usize>>, Vec<String>, Vec<String>, String);
 
 /// What a design point decided, as `synthesis_fingerprint` sees it, but
 /// with every variable named by the program-order positions of the ops that
-/// define it (an input by its name) instead of by arena id: per op its kind,
-/// state, start, finish and unit instance, then the register of every
-/// variable, then the report. Two clean-ups that keep different ones of two
-/// equal temporaries give the same key.
-fn design_key(result: &SynthesisResult) -> (Vec<String>, Vec<String>, String) {
+/// define it (an input by its name) instead of by arena id: the per-state
+/// op order; per op its kind, state, start, finish and unit instance; the
+/// register of every variable; the report. Two clean-ups that keep
+/// different ones of two equal temporaries give the same key.
+fn design_key(result: &SynthesisResult) -> DesignKey {
     let f = &result.function;
     let s = &result.schedule;
     let order = f.live_ops();
@@ -276,7 +287,12 @@ fn design_key(result: &SynthesisResult) -> (Vec<String>, Vec<String>, String) {
         })
         .collect();
     registers.sort();
-    (ops, registers, result.report.to_string())
+    (
+        state_order(result),
+        ops,
+        registers,
+        result.report.to_string(),
+    )
 }
 
 const ILD_N: usize = 8;
@@ -561,12 +577,11 @@ proptest! {
                 let want = synthesize_transformed(&speculated_first, &options);
                 let got = synthesize_transformed(&cleaned_first, &options);
                 match (want, got) {
-                    (Ok(want), Ok(got)) => {
-                        let (_, want_states, _) = design_point_outcome(&want);
-                        let (_, got_states, _) = design_point_outcome(&got);
-                        prop_assert_eq!(want_states, got_states, "{:?} at {} ns", options.mode, clock);
-                        prop_assert_eq!(design_key(&want), design_key(&got), "{:?} at {} ns", options.mode, clock);
-                    }
+                    (Ok(want), Ok(got)) => prop_assert_eq!(
+                        design_key(&want),
+                        design_key(&got),
+                        "{:?} at {} ns", options.mode, clock
+                    ),
                     (want, got) => prop_assert_eq!(
                         want.err().map(|e| e.to_string()),
                         got.err().map(|e| e.to_string())
