@@ -425,9 +425,9 @@ struct Histories {
 
 impl Histories {
     /// Empty def and use histories with one range per variable of
-    /// `function`, sized by the accesses of the operations in `order`: their
-    /// operands and definitions, and the conditions of their guards in
-    /// `graph`.
+    /// `function`, sized by the accesses of the operations in `graph.order`:
+    /// their definitions, their operands and the conditions of their guards.
+    /// Guard reads are counted whether or not the scan records them.
     fn sized_for(function: &Function, graph: &DependenceGraph) -> (Histories, Histories) {
         let vars = function.vars.len();
         let mut def_counts = vec![0u32; vars];
