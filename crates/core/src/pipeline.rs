@@ -10,7 +10,8 @@
 //! insertion, binding and RTL generation — recording the effect of every
 //! stage so the figure-by-figure evolution of the design can be reproduced.
 //! The unrolled code is cleaned up once before it is speculated again, so
-//! the branches that constant propagation resolves are never hoisted.
+//! the operations of branches that constant propagation resolves are never
+//! speculated.
 
 use std::sync::OnceLock;
 use std::time::Instant;
