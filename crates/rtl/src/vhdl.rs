@@ -661,6 +661,40 @@ end architecture;
     }
 
     #[test]
+    fn statements_inside_a_state_keep_program_order() {
+        // p = a*b; acc = p; p = c*d; acc = acc + p, chained into one state:
+        // the wire of `p` is written twice, and the first read of it must
+        // see a*b, so it has to sit between the two writes.
+        let mut b = FunctionBuilder::new("order");
+        let [a, x, c, d] = ["a", "x", "c", "d"].map(|name| b.param(name, Type::Bits(8)));
+        let p = b.var("p", Type::Bits(16));
+        let acc = b.output("acc", Type::Bits(16));
+        b.assign(OpKind::Mul, p, vec![Value::Var(a), Value::Var(x)]);
+        b.copy(acc, Value::Var(p));
+        b.assign(OpKind::Mul, p, vec![Value::Var(c), Value::Var(d)]);
+        b.assign(OpKind::Add, acc, vec![Value::Var(acc), Value::Var(p)]);
+        let vhdl = emit(b.finish());
+        assert!(vhdl.contains("signal state : integer range 0 to 0;"));
+        let lines: Vec<&str> = vhdl.lines().map(str::trim_start).collect();
+        let writes: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].starts_with("v_w_p_0 :="))
+            .collect();
+        assert_eq!(writes.len(), 2, "{vhdl}");
+        let reads_p = |line: &str| {
+            line.split_once(":=")
+                .or_else(|| line.split_once("<="))
+                .is_some_and(|(_, rhs)| rhs.contains("v_w_p_0"))
+        };
+        let first_read = (0..lines.len())
+            .find(|&i| reads_p(lines[i]))
+            .expect("the wire of p is read");
+        assert!(
+            writes[0] < first_read && first_read < writes[1],
+            "the first read of p's wire must see a*b:\n{vhdl}"
+        );
+    }
+
+    #[test]
     fn names_are_sanitized_once_and_plain_names_are_borrowed() {
         let (f, v) = vars();
         let w = Writer::new(&f);
