@@ -235,15 +235,16 @@ fn design_point_outcome(result: &SynthesisResult) -> (u64, Vec<Vec<usize>>, Stri
     )
 }
 
-/// The program-order positions of the ops in each state, in schedule order.
+/// The program-order positions of the ops in each controller state, in the
+/// order the state runs them.
 fn state_order(result: &SynthesisResult) -> Vec<Vec<usize>> {
     let order = result.function.live_ops();
     let position = |op| order.iter().position(|&o| o == op).unwrap_or(usize::MAX);
-    (0..result.schedule.num_states)
-        .map(|s| {
-            let ops = result.schedule.ops_in_state(s);
-            ops.iter().map(|&op| position(op)).collect()
-        })
+    result
+        .controller
+        .steps
+        .iter()
+        .map(|step| step.ops.iter().map(|o| position(o.op)).collect())
         .collect()
 }
 

@@ -219,15 +219,6 @@ pub fn check_wires_match_reference(
     {
         return Err("schedule entries differ".to_string());
     }
-    for state in 0..want_s.num_states {
-        if got_s.ops_in_state(state) != want_s.ops_in_state(state) {
-            return Err(format!(
-                "ops of state {state} differ:\n  one pass:  {:?}\n  reference: {:?}",
-                got_s.ops_in_state(state),
-                want_s.ops_in_state(state)
-            ));
-        }
-    }
     Ok(got_report)
 }
 

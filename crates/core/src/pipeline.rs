@@ -163,8 +163,6 @@ pub struct StageSnapshot {
 pub struct SynthesisResult {
     /// The transformed, scheduled top-level function.
     pub function: Function,
-    /// Dependence graph of the final function (guards included).
-    pub graph: DependenceGraph,
     /// The schedule.
     pub schedule: Schedule,
     /// The FSM controller.
@@ -198,7 +196,7 @@ impl SynthesisResult {
     /// # Errors
     /// Returns [`RtlSimError`] if the datapath hits an out-of-bounds access.
     pub fn simulate(&self, env: &Env) -> Result<RtlOutcome, RtlSimError> {
-        RtlSimulator::new(&self.function, &self.graph, &self.schedule).run(env)
+        RtlSimulator::new(&self.function, &self.controller).run(env)
     }
 
     /// Simulates the generated design on a whole workload of input sets,
@@ -208,7 +206,7 @@ impl SynthesisResult {
     /// # Errors
     /// Returns [`RtlSimError`] on the first failing input set.
     pub fn simulate_batch(&self, envs: &[Env]) -> Result<Vec<RtlOutcome>, RtlSimError> {
-        RtlSimulator::new(&self.function, &self.graph, &self.schedule).run_batch(envs)
+        RtlSimulator::new(&self.function, &self.controller).run_batch(envs)
     }
 
     /// True when the design fits a single cycle — the architecture the
@@ -604,7 +602,6 @@ pub fn synthesize_transformed(
 
     Ok(SynthesisResult {
         function,
-        graph,
         schedule: sched,
         controller,
         binding,

@@ -5,6 +5,9 @@
 //! state boundary (reads observe the value at state entry, writes become
 //! visible in the next state), wire-variables combinational within the state,
 //! and guarded operations committing only when their branch conditions hold.
+//! It runs the [`Controller`]'s steps — each state's operations in the order
+//! and under the guards the VHDL emitter writes — so it checks the emitted
+//! controller, not a second reading of the schedule.
 //!
 //! This is deliberately a *different* evaluation model from the sequential
 //! [`spark_ir::Interpreter`]: agreement between the two on the same inputs
@@ -19,8 +22,8 @@
 
 use std::collections::BTreeMap;
 
-use spark_ir::{Env, Function, OpId, OpKind, PortDirection, SecondaryMap, Type, Value, VarId};
-use spark_sched::{DependenceGraph, Guard, Schedule};
+use spark_ir::{Env, Function, OpKind, PortDirection, SecondaryMap, Type, Value, VarId};
+use spark_sched::{Controller, Guard};
 
 /// Result of one block evaluation (one pass through all FSM states).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -95,17 +98,15 @@ struct SimTables {
 #[derive(Clone, Debug)]
 pub struct RtlSimulator<'a> {
     function: &'a Function,
-    graph: &'a DependenceGraph,
-    schedule: &'a Schedule,
+    controller: &'a Controller,
 }
 
 impl<'a> RtlSimulator<'a> {
-    /// Creates a simulator for one scheduled function.
-    pub fn new(function: &'a Function, graph: &'a DependenceGraph, schedule: &'a Schedule) -> Self {
+    /// Creates a simulator for one scheduled function and its controller.
+    pub fn new(function: &'a Function, controller: &'a Controller) -> Self {
         RtlSimulator {
             function,
-            graph,
-            schedule,
+            controller,
         }
     }
 
@@ -115,13 +116,12 @@ impl<'a> RtlSimulator<'a> {
     /// Returns [`RtlSimError`] on out-of-bounds array accesses or operations
     /// that have no datapath implementation (calls).
     pub fn run(&self, env: &Env) -> Result<RtlOutcome, RtlSimError> {
-        let program_order = self.function.live_ops();
-        self.run_with(env, &program_order, &mut SimTables::default())
+        self.run_with(env, &mut SimTables::default())
     }
 
     /// Runs one block evaluation per input set, in order, reusing the value
-    /// tables (register file, array store, per-state snapshots) and the
-    /// program-order op list across buffers. With the per-buffer setup
+    /// tables (register file, array store, per-state snapshots) across
+    /// buffers. With the per-buffer setup
     /// amortised this is the preferred entry point for workloads — corpus
     /// checks, golden-model sweeps — that simulate the same design on many
     /// input sets.
@@ -129,19 +129,13 @@ impl<'a> RtlSimulator<'a> {
     /// # Errors
     /// Returns [`RtlSimError`] on the first failing input set.
     pub fn run_batch(&self, envs: &[Env]) -> Result<Vec<RtlOutcome>, RtlSimError> {
-        let program_order = self.function.live_ops();
         let mut tables = SimTables::default();
         envs.iter()
-            .map(|env| self.run_with(env, &program_order, &mut tables))
+            .map(|env| self.run_with(env, &mut tables))
             .collect()
     }
 
-    fn run_with(
-        &self,
-        env: &Env,
-        program_order: &[OpId],
-        tables: &mut SimTables,
-    ) -> Result<RtlOutcome, RtlSimError> {
+    fn run_with(&self, env: &Env, tables: &mut SimTables) -> Result<RtlOutcome, RtlSimError> {
         let function = self.function;
         // Register file and array state, in dense per-variable tables.
         let SimTables {
@@ -175,10 +169,7 @@ impl<'a> RtlSimulator<'a> {
             }
         }
 
-        let num_states = self.schedule.num_states.max(1);
-        let unconditional = Guard::default();
-
-        for state in 0..num_states {
+        for step in &self.controller.steps {
             register_snapshot.clone_from(registers);
             array_snapshot.clone_from(arrays);
             wires.clear();
@@ -231,15 +222,11 @@ impl<'a> RtlSimulator<'a> {
                 })
             };
 
-            for &op_id in program_order {
-                if self.schedule.op_state.get(&op_id) != Some(&state) {
+            for scheduled in &step.ops {
+                if !guard_holds(&scheduled.guard, wires, next_registers, written_this_state) {
                     continue;
                 }
-                let op = &function.ops[op_id];
-                let guard = self.graph.guard_ref(op_id).unwrap_or(&unconditional);
-                if !guard_holds(guard, wires, next_registers, written_this_state) {
-                    continue;
-                }
+                let op = &function.ops[scheduled.op];
                 let a = |i: usize| op.args.get(i).copied().unwrap_or(Value::word(0));
                 let result: Option<u64> = match &op.kind {
                     OpKind::Add => Some(read(a(0), wires).wrapping_add(read(a(1), wires))),
@@ -317,7 +304,7 @@ impl<'a> RtlSimulator<'a> {
         }
 
         let mut outcome = RtlOutcome {
-            cycles: num_states,
+            cycles: self.controller.num_states().max(1),
             ..RtlOutcome::default()
         };
         for (var_id, var) in function.vars.iter() {
@@ -339,11 +326,13 @@ impl<'a> RtlSimulator<'a> {
 mod tests {
     use super::*;
     use spark_ir::{FunctionBuilder, Interpreter, Program, Type};
-    use spark_sched::{insert_wire_variables, schedule, Constraints, ResourceLibrary};
+    use spark_sched::{
+        insert_wire_variables, schedule, Constraints, DependenceGraph, ResourceLibrary,
+    };
 
-    /// Schedules `f` for a single cycle, inserts wire-variables and returns
-    /// everything needed to simulate it.
-    fn prepare(mut f: Function, period: f64) -> (Function, DependenceGraph, Schedule) {
+    /// Schedules `f` at `period`, inserts wire-variables and returns the
+    /// function with its controller.
+    fn prepare(mut f: Function, period: f64) -> (Function, Controller) {
         let graph = DependenceGraph::build(&f).unwrap();
         let lib = ResourceLibrary::new();
         let mut sched =
@@ -351,7 +340,8 @@ mod tests {
         insert_wire_variables(&mut f, &mut sched);
         // Guards may have changed structurally (new blocks) — rebuild.
         let graph = DependenceGraph::build(&f).unwrap();
-        (f, graph, sched)
+        let controller = Controller::build(&f, &graph, &sched);
+        (f, controller)
     }
 
     fn chained_conditional() -> Function {
@@ -375,8 +365,8 @@ mod tests {
     #[test]
     fn rtl_matches_interpreter_on_single_cycle_design() {
         let original = chained_conditional();
-        let (f, graph, sched) = prepare(original.clone(), 20.0);
-        assert_eq!(sched.num_states, 1);
+        let (f, controller) = prepare(original.clone(), 20.0);
+        assert!(controller.is_single_cycle());
 
         let mut program = Program::new();
         program.add_function(original);
@@ -384,7 +374,7 @@ mod tests {
             for b in [0u64, 3, 250] {
                 let env = Env::new().with_scalar("a", a).with_scalar("b", b);
                 let golden = Interpreter::new(&program).run("design", &env).unwrap();
-                let rtl = RtlSimulator::new(&f, &graph, &sched).run(&env).unwrap();
+                let rtl = RtlSimulator::new(&f, &controller).run(&env).unwrap();
                 assert_eq!(golden.scalar("out"), rtl.scalar("out"), "a={a} b={b}");
             }
         }
@@ -394,14 +384,14 @@ mod tests {
     fn rtl_matches_interpreter_on_multi_cycle_design() {
         let original = chained_conditional();
         // Tight clock: comparator, adders spread over several states.
-        let (f, graph, sched) = prepare(original.clone(), 2.5);
-        assert!(sched.num_states > 1);
+        let (f, controller) = prepare(original.clone(), 2.5);
+        assert!(controller.num_states() > 1);
         let mut program = Program::new();
         program.add_function(original);
         for a in [7u64, 42] {
             let env = Env::new().with_scalar("a", a).with_scalar("b", 9);
             let golden = Interpreter::new(&program).run("design", &env).unwrap();
-            let rtl = RtlSimulator::new(&f, &graph, &sched).run(&env).unwrap();
+            let rtl = RtlSimulator::new(&f, &controller).run(&env).unwrap();
             assert_eq!(golden.scalar("out"), rtl.scalar("out"), "a={a}");
         }
     }
@@ -416,8 +406,9 @@ mod tests {
         let graph = DependenceGraph::build(&f).unwrap();
         let lib = ResourceLibrary::new();
         let sched = schedule(&f, &graph, &lib, &Constraints::microprocessor_block(20.0)).unwrap();
+        let controller = Controller::build(&f, &graph, &sched);
         let env = Env::new().with_scalar("a", 20).with_scalar("b", 1);
-        let rtl = RtlSimulator::new(&f, &graph, &sched).run(&env).unwrap();
+        let rtl = RtlSimulator::new(&f, &controller).run(&env).unwrap();
         // golden would be (20+1)+1 = 22; the hazard yields 0+1 = 1.
         assert_ne!(rtl.scalar("out"), Some(22));
     }
@@ -431,8 +422,8 @@ mod tests {
         b.array_write(mark, Value::word(2), Value::bool(true));
         b.if_end();
         let f = b.finish();
-        let (f, graph, sched) = prepare(f, 10.0);
-        let sim = RtlSimulator::new(&f, &graph, &sched);
+        let (f, controller) = prepare(f, 10.0);
+        let sim = RtlSimulator::new(&f, &controller);
         let taken = sim.run(&Env::new().with_scalar("c", 1)).unwrap();
         assert_eq!(taken.array("Mark"), Some(&[0, 0, 1, 0][..]));
         let skipped = sim.run(&Env::new().with_scalar("c", 0)).unwrap();
@@ -446,8 +437,8 @@ mod tests {
         let mark = b.output_array("Mark", Type::Bool, 2);
         b.array_write(mark, Value::Var(i), Value::bool(true));
         let f = b.finish();
-        let (f, graph, sched) = prepare(f, 10.0);
-        let err = RtlSimulator::new(&f, &graph, &sched)
+        let (f, controller) = prepare(f, 10.0);
+        let err = RtlSimulator::new(&f, &controller)
             .run(&Env::new().with_scalar("i", 9))
             .unwrap_err();
         assert!(matches!(err, RtlSimError::OutOfBounds { .. }));

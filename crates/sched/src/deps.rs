@@ -364,15 +364,10 @@ impl DependenceGraph {
 
     /// Guard of an operation (unconditional if unknown).
     pub fn guard_of(&self, op: OpId) -> Guard {
-        self.guard_ref(op).cloned().unwrap_or_default()
-    }
-
-    /// Borrowed guard of an operation, if it is part of the graph. The
-    /// allocation-free variant of [`DependenceGraph::guard_of`] for hot paths.
-    pub fn guard_ref(&self, op: OpId) -> Option<&Guard> {
         self.guard_ids
             .get(&op)
-            .map(|&id| self.guard_table.guard(id))
+            .map(|&id| self.guard_table.guard(id).clone())
+            .unwrap_or_default()
     }
 
     /// Interned guard id of an operation, if it is part of the graph.

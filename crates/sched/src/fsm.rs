@@ -7,6 +7,11 @@
 //! conjunction of branch conditions under which the operation's result is
 //! committed. Single-cycle microprocessor blocks degenerate to a one-state
 //! controller, which is exactly the goal of the paper's methodology.
+//!
+//! A state's operations are listed in program order. Chained producers and
+//! consumers pass values through wire-variables (Section 3.1.2), so that
+//! order is part of the design: the VHDL emitter writes it and the RTL
+//! simulator runs it, and this module is the one place that decides it.
 
 use spark_ir::{Function, OpId};
 
@@ -31,7 +36,7 @@ pub struct ScheduledOp {
 pub struct ControlStep {
     /// State index.
     pub index: usize,
-    /// Operations executed in this state, ordered by start time then op id.
+    /// Operations executed in this state, in program order.
     pub ops: Vec<ScheduledOp>,
 }
 
@@ -59,24 +64,15 @@ impl Controller {
                 ops: Vec::new(),
             })
             .collect();
-        let mut all_ops: Vec<OpId> = function.live_ops();
-        // Preserve program order within a state (ties broken by start time).
-        all_ops.retain(|op| schedule.op_state.contains_key(op));
-        for op in all_ops {
-            let state = schedule.op_state[&op];
+        for op in function.live_ops() {
+            let Some(&state) = schedule.op_state.get(&op) else {
+                continue;
+            };
             steps[state].ops.push(ScheduledOp {
                 op,
                 guard: graph.guard_of(op),
                 start_ns: schedule.op_start.get(&op).copied().unwrap_or(0.0),
                 finish_ns: schedule.op_finish.get(&op).copied().unwrap_or(0.0),
-            });
-        }
-        for step in &mut steps {
-            step.ops.sort_by(|a, b| {
-                a.start_ns
-                    .partial_cmp(&b.start_ns)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.op.cmp(&b.op))
             });
         }
         Controller { steps }
@@ -175,13 +171,25 @@ mod tests {
     }
 
     #[test]
-    fn ops_are_ordered_by_start_time() {
-        let (f, graph, sched) = small_design();
+    fn ops_are_in_program_order() {
+        // `z` starts at 0 ns, before the chained `y`, yet stays last.
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let c = b.param("c", Type::Bits(8));
+        let [x, y, z] = ["x", "y", "z"].map(|name| b.output(name, Type::Bits(8)));
+        b.assign(OpKind::Add, x, vec![Value::Var(a), Value::word(1)]);
+        b.assign(OpKind::Add, y, vec![Value::Var(x), Value::word(1)]);
+        b.assign(OpKind::Add, z, vec![Value::Var(c), Value::word(1)]);
+        let f = b.finish();
+        let graph = DependenceGraph::build(&f).unwrap();
+        let lib = ResourceLibrary::new();
+        let sched = schedule(&f, &graph, &lib, &Constraints::microprocessor_block(10.0)).unwrap();
         let controller = Controller::build(&f, &graph, &sched);
-        let starts: Vec<f64> = controller.steps[0].ops.iter().map(|o| o.start_ns).collect();
-        let mut sorted = starts.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(starts, sorted);
+        assert!(controller.is_single_cycle());
+        let ops = &controller.steps[0].ops;
+        assert!(ops[2].start_ns < ops[1].start_ns);
+        let listed: Vec<OpId> = ops.iter().map(|o| o.op).collect();
+        assert_eq!(listed, f.live_ops());
     }
 
     #[test]

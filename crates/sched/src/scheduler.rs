@@ -72,8 +72,9 @@ impl Constraints {
 /// All per-operation facts live in dense [`SecondaryMap`]s keyed by the
 /// arena id. The fields stay public for reading; new operations (such as the
 /// copies inserted by wire-variable insertion) should be added through
-/// [`Schedule::record`], which also maintains the precomputed state → ops
-/// index behind [`Schedule::ops_in_state`].
+/// [`Schedule::record`], which keeps the maps and `num_states` consistent.
+/// The per-state op lists live in the [`Controller`](crate::Controller), in
+/// program order.
 #[derive(Clone, Debug, Default)]
 pub struct Schedule {
     /// Number of control steps (FSM states).
@@ -92,49 +93,25 @@ pub struct Schedule {
     /// For every operation, the functional-unit instance index it was packed
     /// onto (class taken from the operation kind).
     pub op_instance: SecondaryMap<OpId, usize>,
-    /// Operations per state in recording (scheduling) order — the O(1) index
-    /// behind [`Schedule::ops_in_state`].
-    state_ops: Vec<Vec<OpId>>,
 }
 
 impl Schedule {
     /// Records the placement of `op`: control step, start/finish times within
-    /// the state and functional-unit instance. Keeps the per-state op index
-    /// and `num_states` consistent; use this instead of inserting into the
-    /// component maps directly.
+    /// the state and functional-unit instance. Keeps `num_states` consistent;
+    /// use this instead of inserting into the component maps directly.
     pub fn record(&mut self, op: OpId, state: usize, start: f64, finish: f64, instance: usize) {
         let previous = self.op_state.insert(op, state);
         debug_assert!(previous.is_none(), "operation {op:?} scheduled twice");
         self.op_start.insert(op, start);
         self.op_finish.insert(op, finish);
         self.op_instance.insert(op, instance);
-        if self.state_ops.len() <= state {
-            self.state_ops.resize_with(state + 1, Vec::new);
-        }
-        self.state_ops[state].push(op);
         self.num_states = self.num_states.max(state + 1);
-    }
-
-    /// Operations assigned to `state`, in scheduling order — an O(1) slice
-    /// borrow from the index precomputed at construction.
-    pub fn ops_in_state(&self, state: usize) -> &[OpId] {
-        self.state_ops.get(state).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The longest combinational path (ns) in `state`.
-    pub fn state_critical_path(&self, state: usize) -> f64 {
-        self.ops_in_state(state)
-            .iter()
-            .map(|op| self.op_finish.get(op).copied().unwrap_or(0.0))
-            .fold(0.0, f64::max)
     }
 
     /// The longest combinational path (ns) over all states — the cycle time
     /// the design actually needs.
     pub fn critical_path_ns(&self) -> f64 {
-        (0..self.num_states)
-            .map(|s| self.state_critical_path(s))
-            .fold(0.0, f64::max)
+        self.op_finish.values().copied().fold(0.0, f64::max)
     }
 
     /// Total number of scheduled operations.
@@ -460,22 +437,5 @@ mod tests {
         assert_eq!(sched.num_states, 1);
         assert_eq!(sched.critical_path_ns(), 0.0);
         assert!(!sched.fu_instances.contains_key(&FuClass::Wire));
-    }
-
-    #[test]
-    fn ops_in_state_index_matches_op_state_map() {
-        let f = adder_chain();
-        let graph = DependenceGraph::build(&f).unwrap();
-        let lib = ResourceLibrary::new();
-        let sched = schedule(&f, &graph, &lib, &Constraints::microprocessor_block(4.5)).unwrap();
-        let mut indexed = 0usize;
-        for state in 0..sched.num_states {
-            for op in sched.ops_in_state(state) {
-                assert_eq!(sched.op_state.get(op), Some(&state));
-                indexed += 1;
-            }
-        }
-        assert_eq!(indexed, sched.len());
-        assert!(sched.ops_in_state(sched.num_states).is_empty());
     }
 }
