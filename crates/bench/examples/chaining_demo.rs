@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let wires = insert_wire_variables(&mut f, &mut sched);
     let graph = DependenceGraph::build(&f)?;
-    let chaining = validate_chaining(&f, &graph, &sched, &library)?;
+    let chaining = validate_chaining(&f, &graph, &sched)?;
 
     println!("\n== after wire-variable insertion (Figures 6-7) ==\n{f}");
     println!("states: {}", sched.num_states);

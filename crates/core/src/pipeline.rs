@@ -579,7 +579,7 @@ pub fn synthesize_transformed(
     })?;
 
     let chaining = trace.time("sched_validate", 1, || {
-        validate_chaining(&function, &graph, &sched, &library)
+        validate_chaining(&function, &graph, &sched)
     })?;
 
     let controller = trace.time("sched_controller", 1, || {

@@ -12,7 +12,6 @@
 use spark_ir::{BlockId, Cfg, Function, OpId};
 
 use crate::deps::{DepKind, DependenceGraph, SchedError};
-use crate::resources::ResourceLibrary;
 use crate::scheduler::Schedule;
 
 /// Summary of the chaining structure of a schedule.
@@ -44,7 +43,6 @@ pub fn validate_chaining(
     function: &Function,
     graph: &DependenceGraph,
     schedule: &Schedule,
-    library: &ResourceLibrary,
 ) -> Result<ChainingReport, SchedError> {
     let mut report = ChainingReport::default();
     let cfg = Cfg::build(function);
@@ -118,7 +116,6 @@ pub fn validate_chaining(
                 finish, schedule.clock_period_ns
             )));
         }
-        let _ = library;
     }
     Ok(report)
 }
@@ -224,7 +221,7 @@ mod tests {
         let lib = ResourceLibrary::new();
         let sched = schedule(&f, &graph, &lib, &Constraints::microprocessor_block(10.0)).unwrap();
         assert_eq!(sched.num_states, 1);
-        let report = validate_chaining(&f, &graph, &sched, &lib).unwrap();
+        let report = validate_chaining(&f, &graph, &sched).unwrap();
         assert!(
             report.chained_pairs >= 3,
             "op 4 chains with the writes on all trails"
@@ -249,7 +246,7 @@ mod tests {
             &Constraints::microprocessor_block(10.0).without_chaining(),
         )
         .unwrap();
-        let report = validate_chaining(&f, &graph, &sched, &lib).unwrap();
+        let report = validate_chaining(&f, &graph, &sched).unwrap();
         assert_eq!(report.chained_pairs, 0);
         assert_eq!(report.cross_block_pairs, 0);
     }
@@ -264,7 +261,7 @@ mod tests {
         // Corrupt a finish time beyond the clock period.
         let victim = sched.op_finish.keys().last().unwrap();
         sched.op_finish.insert(victim, 99.0);
-        let err = validate_chaining(&f, &graph, &sched, &lib).unwrap_err();
+        let err = validate_chaining(&f, &graph, &sched).unwrap_err();
         assert!(matches!(err, SchedError::Unschedulable(_)));
     }
 }
