@@ -121,10 +121,9 @@ impl<'a> RtlSimulator<'a> {
 
     /// Runs one block evaluation per input set, in order, reusing the value
     /// tables (register file, array store, per-state snapshots) across
-    /// buffers. With the per-buffer setup
-    /// amortised this is the preferred entry point for workloads — corpus
-    /// checks, golden-model sweeps — that simulate the same design on many
-    /// input sets.
+    /// buffers. With the per-buffer setup amortised this is the preferred
+    /// entry point for workloads — corpus checks, golden-model sweeps — that
+    /// simulate the same design on many input sets.
     ///
     /// # Errors
     /// Returns [`RtlSimError`] on the first failing input set.
