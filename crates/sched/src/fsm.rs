@@ -56,7 +56,8 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Builds the controller from a schedule.
+    /// Builds the controller from a schedule, listing each state's operations
+    /// in program order.
     pub fn build(function: &Function, graph: &DependenceGraph, schedule: &Schedule) -> Self {
         let mut steps: Vec<ControlStep> = (0..schedule.num_states)
             .map(|index| ControlStep {
