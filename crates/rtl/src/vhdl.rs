@@ -490,6 +490,67 @@ end architecture;
         assert_eq!(emit(b.finish()), expected);
     }
 
+    #[test]
+    fn a_guard_written_in_its_own_state_is_read_through_its_wire() {
+        // c = a > 10; if (c) y = a + 1, chained into one state. A signal
+        // assignment lands at the end of the cycle, so the `if` must test
+        // the wire-variable the comparison drives, not `r_c`.
+        let mut b = FunctionBuilder::new("gate");
+        let a = b.param("a", Type::Bits(8));
+        let c = b.var("c", Type::Bool);
+        let y = b.output("y", Type::Bits(8));
+        b.assign(OpKind::Gt, c, vec![Value::Var(a), Value::word(10)]);
+        b.if_begin(Value::Var(c));
+        b.assign(OpKind::Add, y, vec![Value::Var(a), Value::word(1)]);
+        b.if_end();
+        let expected = "\
+-- Generated by the Spark HLS reproduction (DAC 2002 coordinated transformations)
+library ieee;
+use ieee.std_logic_1164.all;
+use ieee.numeric_std.all;
+
+entity gate is
+  port (
+    clk : in std_logic;
+    rst : in std_logic;
+    a : in std_logic_vector(7 downto 0);
+    y : out std_logic_vector(7 downto 0)
+  );
+end entity;
+
+architecture spark of gate is
+  signal state : integer range 0 to 0;
+  signal r_c : std_logic;
+  signal r_y : std_logic_vector(7 downto 0);
+begin
+  datapath : process(clk)
+    variable v_w_c_0 : std_logic;
+  begin
+    if rising_edge(clk) then
+      if rst = '1' then
+        state <= 0;
+      else
+        case state is
+          when 0 =>
+            v_w_c_0 := bool_to_sl(unsigned(a) > unsigned(std_logic_vector(to_unsigned(10, 32))));
+            r_c <= v_w_c_0;
+            if v_w_c_0 = '1' then
+            r_y <= std_logic_vector(unsigned(a) + unsigned(std_logic_vector(to_unsigned(1, 32))));
+            end if;
+            state <= 0;
+          when others => state <= 0;
+        end case;
+      end if;
+    end if;
+  end process;
+  y <= r_y;
+end architecture;
+";
+        let vhdl = emit(b.finish());
+        assert!(!vhdl.contains("if r_c"), "{vhdl}");
+        assert_eq!(vhdl, expected);
+    }
+
     /// One variable of every kind the operand writer distinguishes.
     struct Vars {
         a: VarId,
