@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &library,
         &Constraints::microprocessor_block(10.0),
     )?;
-    let wires = insert_wire_variables(&mut f, &mut sched);
+    let wires = insert_wire_variables(&mut f, &graph, &mut sched);
     let graph = DependenceGraph::build(&f)?;
     let chaining = validate_chaining(&f, &graph, &sched)?;
 

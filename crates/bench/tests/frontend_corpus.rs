@@ -197,3 +197,41 @@ fn guarded_stores_survive_the_multi_state_asic_flow() {
             .unwrap_or_else(|e| panic!("asic flow at {clock} ns: {e}"));
     }
 }
+
+#[test]
+fn no_guard_reads_a_register_written_earlier_in_its_state() {
+    // Section 3.1.2 for conditions: a register written in a state holds the
+    // new value only from the next state on, so a later op of the same state
+    // guarded by it must test the condition's wire-variable instead.
+    for path in corpus_paths() {
+        let stem = path.file_stem().unwrap().to_string_lossy().to_string();
+        let source = std::fs::read_to_string(&path).unwrap();
+        let compiled = spark_front::compile(&source).unwrap();
+        for clock in [8.0, 40.0, 2000.0] {
+            for options in [
+                FlowOptions::microprocessor_block(clock),
+                FlowOptions::asic_baseline(clock),
+            ] {
+                let result = synthesize(&compiled.program, &compiled.top, &options)
+                    .unwrap_or_else(|e| panic!("`{stem}` {:?} at {clock} ns: {e}", options.mode));
+                let f = &result.function;
+                for step in &result.controller.steps {
+                    let mut written = Vec::new();
+                    for scheduled in &step.ops {
+                        for cond in scheduled.guard.terms.iter().filter_map(|(c, _)| c.as_var()) {
+                            assert!(
+                                f.vars[cond].is_wire() || !written.contains(&cond),
+                                "`{stem}` {:?} at {clock} ns: state {} tests register `{}` \
+                                 after writing it",
+                                options.mode,
+                                step.index,
+                                f.vars[cond].name
+                            );
+                        }
+                        written.extend(f.ops[scheduled.op].def());
+                    }
+                }
+            }
+        }
+    }
+}

@@ -156,14 +156,17 @@ use spark_bench::corpus::synthesis_fingerprint;
 /// The fingerprint keys operations by their position in program order, not
 /// by arena id, so the constants below were re-captured when that keying was
 /// introduced, on a build whose schedules, bindings and reports still
-/// matched the seed's; any behavioural drift in scheduling, binding or
-/// reporting shows up as a fingerprint mismatch.
+/// matched the seed's. The coordinated-flow constants were re-captured once
+/// more when guard conditions started reading through wire-variables: the
+/// commit copies that adds move the op list, not the schedule, binding or
+/// report. Any behavioural drift in scheduling, binding or reporting shows
+/// up as a fingerprint mismatch.
 #[test]
 fn dense_map_scheduler_is_byte_identical_to_seed_behavior() {
     let golden: [(u32, u64, u64); 3] = [
-        (4, 0x97f295dadb3b6e1e, 0x7e47ed96176d20cf),
-        (8, 0xe116ec94ebdaecbf, 0xda53f9dc295d16c1),
-        (16, 0x72c4a7bf7ddb7776, 0x711feeb3080ee68a),
+        (4, 0x566e1bae27c3e809, 0x7e47ed96176d20cf),
+        (8, 0xc94a0e680c721c59, 0xda53f9dc295d16c1),
+        (16, 0x31dd4051521283da, 0x711feeb3080ee68a),
     ];
     for (n, spark_expected, baseline_expected) in golden {
         let program = build_ild_program(n);

@@ -180,7 +180,7 @@ fn pre_and_post_wire_graphs(script: &[u8]) -> [(Function, DependenceGraph); 2] {
     )
     .unwrap();
     let pre_wire = f.clone();
-    insert_wire_variables(&mut f, &mut sched);
+    insert_wire_variables(&mut f, &graph, &mut sched);
     let post_wire = DependenceGraph::build(&f).unwrap();
     [(pre_wire, graph), (f, post_wire)]
 }
@@ -611,7 +611,7 @@ proptest! {
                 &Constraints::microprocessor_block(clock),
             )
             .unwrap();
-            let check = wires_reference::check_wires_match_reference(&f, &sched);
+            let check = wires_reference::check_wires_match_reference(&f, &graph, &sched);
             prop_assert!(check.is_ok(), "{} ns: {:?}", clock, check.err());
         }
     }

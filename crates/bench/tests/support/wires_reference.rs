@@ -6,13 +6,15 @@
 use spark_ir::{
     BlockId, Function, HtgNode, NodeId, OpId, OpKind, RegionId, SecondaryMap, Value, Var, VarId,
 };
-use spark_sched::{Schedule, WireReport};
+use spark_sched::{DependenceGraph, Schedule, WireReport};
 
 /// Wire-variable insertion with one `(writers, readers)` table per variable
 /// and state, splicing each commit copy and initializer node into place as
-/// it is created.
+/// it is created. Each condition of an op's guard in `graph` counts as a
+/// read by that op.
 pub fn reference_insert_wire_variables(
     function: &mut Function,
+    graph: &DependenceGraph,
     schedule: &mut Schedule,
 ) -> WireReport {
     let mut report = WireReport::default();
@@ -52,6 +54,11 @@ pub fn reference_insert_wire_variables(
         for used in op.uses_iter() {
             if !function.vars[used].is_array() {
                 state_entry(&mut accesses, used, state).1.push(op_id);
+            }
+        }
+        for (cond, _) in graph.guard_of(op_id).terms {
+            if let Some(cond) = cond.as_var() {
+                state_entry(&mut accesses, cond, state).1.push(op_id);
             }
         }
         if let Some(defined) = op.def() {
@@ -183,19 +190,20 @@ fn outermost_compounds(function: &Function) -> SecondaryMap<BlockId, NodeId> {
 }
 
 /// Runs `insert_wire_variables` and the reference on copies of the same
-/// scheduled function and checks that they agree exactly: every op (id,
+/// scheduled function (`graph` is its pre-wire dependence graph) and checks that they agree exactly: every op (id,
 /// kind, destination, operands), every variable, every block's op list,
 /// every HTG node and region (the body's node order included), every
 /// schedule entry (including each state's recording order) and the
 /// `WireReport`. Returns the report, or the first difference.
 pub fn check_wires_match_reference(
     function: &Function,
+    graph: &DependenceGraph,
     schedule: &Schedule,
 ) -> Result<WireReport, String> {
     let (mut got_f, mut got_s) = (function.clone(), schedule.clone());
-    let got_report = spark_sched::insert_wire_variables(&mut got_f, &mut got_s);
+    let got_report = spark_sched::insert_wire_variables(&mut got_f, graph, &mut got_s);
     let (mut want_f, mut want_s) = (function.clone(), schedule.clone());
-    let want_report = reference_insert_wire_variables(&mut want_f, &mut want_s);
+    let want_report = reference_insert_wire_variables(&mut want_f, graph, &mut want_s);
 
     if got_report != want_report {
         return Err(format!(

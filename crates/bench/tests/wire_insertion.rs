@@ -25,7 +25,7 @@ fn ild_wires_match_the_nested_table_reference() {
             let constraints = Constraints::microprocessor_block(clock);
             let schedule = schedule(top, graph, &library, &constraints)
                 .unwrap_or_else(|e| panic!("n={n} at {clock} ns: {e}"));
-            let report = check_wires_match_reference(top, &schedule)
+            let report = check_wires_match_reference(top, graph, &schedule)
                 .unwrap_or_else(|e| panic!("n={n} at {clock} ns: {e}"));
             total.commit_copies += report.commit_copies;
             total.initializers += report.initializers;

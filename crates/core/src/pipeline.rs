@@ -574,7 +574,7 @@ pub fn synthesize_transformed(
     // Wire insertion adds blocks/ops and redirects operands, so the
     // post-wire graph is built afresh for this point.
     let (wire_report, graph) = trace.time("sched_wires", 1, || {
-        let wire_report = insert_wire_variables(&mut function, &mut sched);
+        let wire_report = insert_wire_variables(&mut function, pre_wire, &mut sched);
         DependenceGraph::build(&function).map(|graph| (wire_report, graph))
     })?;
 

@@ -5,6 +5,9 @@
 //! state boundary (reads observe the value at state entry, writes become
 //! visible in the next state), wire-variables combinational within the state,
 //! and guarded operations committing only when their branch conditions hold.
+//! A guard condition is read like any operand — the value at state entry,
+//! unless the controller names a wire-variable — which is how the VHDL
+//! signal it becomes behaves.
 //! It runs the [`Controller`]'s steps — each state's operations in the order
 //! and under the guards the VHDL emitter writes — so it checks the emitted
 //! controller, not a second reading of the schedule.
@@ -15,15 +18,16 @@
 //! preserved the behaviour — the verification step the paper could not do
 //! against a hand design.
 //!
-//! After operation chaining, same-state consumers must read wire-variables
-//! (inserted by [`spark_sched::insert_wire_variables`]); running the RTL
-//! simulator on a chained design *without* that pass will expose the
-//! register-read hazard, which is exactly what the tests check.
+//! After operation chaining, same-state consumers — operands and guard
+//! conditions alike — must read wire-variables (inserted by
+//! [`spark_sched::insert_wire_variables`]); running the RTL simulator on a
+//! chained design *without* that pass will expose the register-read hazard,
+//! which is exactly what the tests check.
 
 use std::collections::BTreeMap;
 
 use spark_ir::{Env, Function, OpKind, PortDirection, SecondaryMap, Type, Value, VarId};
-use spark_sched::{Controller, Guard};
+use spark_sched::Controller;
 
 /// Result of one block evaluation (one pass through all FSM states).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -76,22 +80,21 @@ impl std::fmt::Display for RtlSimError {
 
 impl std::error::Error for RtlSimError {}
 
-/// Reusable value tables of one simulator run. Holding these across
-/// [`RtlSimulator::run_batch`] iterations lets every buffer after the first
-/// reuse the allocations of the scalar register file and the per-state
-/// snapshot/next tables instead of reallocating them per input set. (The
-/// array store still collects one fresh `Vec` per array variable per run —
-/// the env binding is cloned anyway.)
+/// Reusable value tables of one simulator run: the register file and array
+/// store as of state entry, the state's wire-variables, and the `next_*`
+/// tables every register and array write of the state goes to (swapped in
+/// at the state boundary). Holding these across [`RtlSimulator::run_batch`]
+/// iterations lets every buffer after the first reuse their allocations
+/// instead of reallocating them per input set. (The array store still
+/// collects one fresh `Vec` per array variable per run — the env binding is
+/// cloned anyway.)
 #[derive(Clone, Debug, Default)]
 struct SimTables {
     registers: SecondaryMap<VarId, u64>,
     arrays: SecondaryMap<VarId, Vec<u64>>,
-    register_snapshot: SecondaryMap<VarId, u64>,
-    array_snapshot: SecondaryMap<VarId, Vec<u64>>,
     wires: SecondaryMap<VarId, u64>,
     next_registers: SecondaryMap<VarId, u64>,
     next_arrays: SecondaryMap<VarId, Vec<u64>>,
-    written_this_state: SecondaryMap<VarId, ()>,
 }
 
 /// Cycle-accurate simulator for a scheduled function.
@@ -120,7 +123,7 @@ impl<'a> RtlSimulator<'a> {
     }
 
     /// Runs one block evaluation per input set, in order, reusing the value
-    /// tables (register file, array store, per-state snapshots) across
+    /// tables (register file, array store, wires, next-state tables) across
     /// buffers. With the per-buffer setup amortised this is the preferred
     /// entry point for workloads — corpus checks, golden-model sweeps — that
     /// simulate the same design on many input sets.
@@ -140,12 +143,9 @@ impl<'a> RtlSimulator<'a> {
         let SimTables {
             registers,
             arrays,
-            register_snapshot,
-            array_snapshot,
             wires,
             next_registers,
             next_arrays,
-            written_this_state,
         } = tables;
         registers.clear();
         arrays.clear();
@@ -169,18 +169,12 @@ impl<'a> RtlSimulator<'a> {
         }
 
         for step in &self.controller.steps {
-            register_snapshot.clone_from(registers);
-            array_snapshot.clone_from(arrays);
             wires.clear();
             next_registers.clone_from(registers);
             next_arrays.clone_from(arrays);
-            // Registers already written earlier in this state. Data operands
-            // must go through wire-variables to see such values (that is what
-            // Section 3.1.2 is about), but the *controller* taps condition
-            // signals combinationally: a branch condition computed in this
-            // cycle steers the commits of this same cycle.
-            written_this_state.clear();
 
+            // Writes go to the `next_*` tables, so `registers` and `arrays`
+            // hold the values at state entry for the whole state.
             let read = |value: Value, wires: &SecondaryMap<VarId, u64>| -> u64 {
                 match value {
                     Value::Const(c) => c.value(),
@@ -188,41 +182,18 @@ impl<'a> RtlSimulator<'a> {
                         if function.vars[v].is_wire() {
                             wires.get(&v).copied().unwrap_or(0)
                         } else {
-                            register_snapshot.get(&v).copied().unwrap_or(0)
+                            registers.get(&v).copied().unwrap_or(0)
                         }
                     }
                 }
-            };
-            let read_fresh = |value: Value,
-                              wires: &SecondaryMap<VarId, u64>,
-                              next_registers: &SecondaryMap<VarId, u64>,
-                              written: &SecondaryMap<VarId, ()>|
-             -> u64 {
-                match value {
-                    Value::Const(c) => c.value(),
-                    Value::Var(v) => {
-                        if function.vars[v].is_wire() {
-                            wires.get(&v).copied().unwrap_or(0)
-                        } else if written.contains_key(&v) {
-                            next_registers.get(&v).copied().unwrap_or(0)
-                        } else {
-                            register_snapshot.get(&v).copied().unwrap_or(0)
-                        }
-                    }
-                }
-            };
-            let guard_holds = |guard: &Guard,
-                               wires: &SecondaryMap<VarId, u64>,
-                               next_registers: &SecondaryMap<VarId, u64>,
-                               written: &SecondaryMap<VarId, ()>|
-             -> bool {
-                guard.terms.iter().all(|(cond, polarity)| {
-                    (read_fresh(*cond, wires, next_registers, written) != 0) == *polarity
-                })
             };
 
             for scheduled in &step.ops {
-                if !guard_holds(&scheduled.guard, wires, next_registers, written_this_state) {
+                let guard = &scheduled.guard.terms;
+                if !guard
+                    .iter()
+                    .all(|&(cond, polarity)| (read(cond, wires) != 0) == polarity)
+                {
                     continue;
                 }
                 let op = &function.ops[scheduled.op];
@@ -261,7 +232,7 @@ impl<'a> RtlSimulator<'a> {
                     }
                     OpKind::ArrayRead { array } => {
                         let index = read(a(0), wires);
-                        let contents = array_snapshot.get(array).cloned().unwrap_or_default();
+                        let contents = arrays.get(array).map_or(&[][..], Vec::as_slice);
                         Some(
                             *contents
                                 .get(index as usize)
@@ -293,7 +264,6 @@ impl<'a> RtlSimulator<'a> {
                         wires.insert(dest, masked);
                     } else {
                         next_registers.insert(dest, masked);
-                        written_this_state.insert(dest, ());
                     }
                 }
             }
@@ -336,7 +306,7 @@ mod tests {
         let lib = ResourceLibrary::new();
         let mut sched =
             schedule(&f, &graph, &lib, &Constraints::microprocessor_block(period)).unwrap();
-        insert_wire_variables(&mut f, &mut sched);
+        insert_wire_variables(&mut f, &graph, &mut sched);
         // Guards may have changed structurally (new blocks) — rebuild.
         let graph = DependenceGraph::build(&f).unwrap();
         let controller = Controller::build(&f, &graph, &sched);
@@ -410,6 +380,48 @@ mod tests {
         let rtl = RtlSimulator::new(&f, &controller).run(&env).unwrap();
         // golden would be (20+1)+1 = 22; the hazard yields 0+1 = 1.
         assert_ne!(rtl.scalar("out"), Some(22));
+    }
+
+    #[test]
+    fn a_guard_written_in_its_own_state_needs_its_wire() {
+        // c = a > 10; if (c) out = b, in one state. Without wire insertion
+        // the guard reads the register `c`, which only takes the comparison
+        // at the state boundary, so the store is skipped; with it, the guard
+        // reads the comparison's wire and the RTL matches the interpreter.
+        let mut b = FunctionBuilder::new("gate");
+        let a = b.param("a", Type::Bits(8));
+        let bb = b.param("b", Type::Bits(8));
+        let c = b.var("c", Type::Bool);
+        let out = b.output("out", Type::Bits(8));
+        b.assign(OpKind::Gt, c, vec![Value::Var(a), Value::word(10)]);
+        b.if_begin(Value::Var(c));
+        b.copy(out, Value::Var(bb));
+        b.if_end();
+        let original = b.finish();
+        let mut program = Program::new();
+        program.add_function(original.clone());
+        let env = Env::new().with_scalar("a", 20).with_scalar("b", 5);
+        let golden = Interpreter::new(&program).run("gate", &env).unwrap();
+        assert_eq!(golden.scalar("out"), Some(5));
+
+        let graph = DependenceGraph::build(&original).unwrap();
+        let lib = ResourceLibrary::new();
+        let sched = schedule(
+            &original,
+            &graph,
+            &lib,
+            &Constraints::microprocessor_block(20.0),
+        )
+        .unwrap();
+        let controller = Controller::build(&original, &graph, &sched);
+        assert!(controller.is_single_cycle());
+        let stale = RtlSimulator::new(&original, &controller).run(&env).unwrap();
+        assert_ne!(stale.scalar("out"), golden.scalar("out"));
+
+        let (f, controller) = prepare(original, 20.0);
+        assert!(controller.is_single_cycle());
+        let rtl = RtlSimulator::new(&f, &controller).run(&env).unwrap();
+        assert_eq!(rtl.scalar("out"), golden.scalar("out"));
     }
 
     #[test]

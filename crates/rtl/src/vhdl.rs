@@ -371,7 +371,7 @@ mod tests {
         let lib = ResourceLibrary::new();
         let mut sched =
             schedule(&f, &graph, &lib, &Constraints::microprocessor_block(20.0)).unwrap();
-        insert_wire_variables(&mut f, &mut sched);
+        insert_wire_variables(&mut f, &graph, &mut sched);
         let graph = DependenceGraph::build(&f).unwrap();
         let controller = Controller::build(&f, &graph, &sched);
         VhdlEmitter::new(&f, &controller).emit()

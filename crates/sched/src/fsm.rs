@@ -12,8 +12,14 @@
 //! consumers pass values through wire-variables (Section 3.1.2), so that
 //! order is part of the design: the VHDL emitter writes it and the RTL
 //! simulator runs it, and this module is the one place that decides it.
+//!
+//! A guard condition is read like any operand: a condition committed
+//! earlier in the same state (`cond = wire`, inserted by
+//! [`insert_wire_variables`](crate::insert_wire_variables)) is tested
+//! through its wire, since the register only takes the new value at the
+//! state boundary.
 
-use spark_ir::{Function, OpId};
+use spark_ir::{Function, OpId, OpKind, SecondaryMap, Value, VarId};
 
 use crate::deps::{DependenceGraph, Guard};
 use crate::scheduler::Schedule;
@@ -23,7 +29,8 @@ use crate::scheduler::Schedule;
 pub struct ScheduledOp {
     /// The operation.
     pub op: OpId,
-    /// Guard under which its result is committed.
+    /// Guard under which its result is committed. A condition committed
+    /// earlier in the same state is named by its wire-variable.
     pub guard: Guard,
     /// Start time within the state (ns).
     pub start_ns: f64,
@@ -57,7 +64,8 @@ pub struct Controller {
 
 impl Controller {
     /// Builds the controller from a schedule, listing each state's operations
-    /// in program order.
+    /// in program order and pointing each guard term on a condition committed
+    /// earlier in the same state at the condition's wire.
     pub fn build(function: &Function, graph: &DependenceGraph, schedule: &Schedule) -> Self {
         let mut steps: Vec<ControlStep> = (0..schedule.num_states)
             .map(|index| ControlStep {
@@ -65,13 +73,31 @@ impl Controller {
                 ops: Vec::new(),
             })
             .collect();
+        // Per register, the state and wire of its latest commit copy.
+        let mut committed: SecondaryMap<VarId, (usize, VarId)> = SecondaryMap::new();
         for op in function.live_ops() {
             let Some(&state) = schedule.op_state.get(&op) else {
                 continue;
             };
+            let mut guard = graph.guard_of(op);
+            for (cond, _) in &mut guard.terms {
+                if let Some(&(at, wire)) = cond.as_var().and_then(|c| committed.get(&c)) {
+                    if at == state {
+                        *cond = Value::Var(wire);
+                    }
+                }
+            }
+            let operation = &function.ops[op];
+            if let (OpKind::Copy, Some(dest), [Value::Var(src)]) =
+                (&operation.kind, operation.dest, operation.args.as_slice())
+            {
+                if function.vars[*src].is_wire() && !function.vars[dest].is_wire() {
+                    committed.insert(dest, (state, *src));
+                }
+            }
             steps[state].ops.push(ScheduledOp {
                 op,
-                guard: graph.guard_of(op),
+                guard,
                 start_ns: schedule.op_start.get(&op).copied().unwrap_or(0.0),
                 finish_ns: schedule.op_finish.get(&op).copied().unwrap_or(0.0),
             });

@@ -10,6 +10,12 @@
 //! conditional so that every chaining trail supplies a value (the situation
 //! of Figures 6 and 7).
 //!
+//! A guard condition counts as a read: an operation guarded by `cond` reads
+//! `cond` at its own program position, so a condition computed earlier in
+//! the same state gets its wire and commit copy exactly as a data operand
+//! does, and [`Controller::build`](crate::Controller::build) points the
+//! guard at that wire.
+//!
 //! The rewrites add operations and redirect operands, so a
 //! [`DependenceGraph`](crate::DependenceGraph) built before insertion no
 //! longer describes the function: callers build a fresh one afterwards.
@@ -18,6 +24,7 @@ use spark_ir::{
     BlockId, Function, HtgNode, NodeId, OpId, OpKind, RegionId, SecondaryMap, Value, VarId,
 };
 
+use crate::deps::DependenceGraph;
 use crate::scheduler::Schedule;
 
 /// Statistics of a wire-variable insertion run.
@@ -37,8 +44,8 @@ pub struct WireReport {
 }
 
 /// One scalar access by a scheduled live operation: `op`, at `position` in
-/// program order, reads or (`is_writer`) writes `var` in control step
-/// `state`.
+/// program order, reads (as an operand or a guard condition) or
+/// (`is_writer`) writes `var` in control step `state`.
 #[derive(Clone, Copy)]
 struct Access {
     var: VarId,
@@ -50,6 +57,8 @@ struct Access {
 
 /// Inserts wire-variables for every value that is produced and consumed in
 /// the same control step, updating `schedule` with the new copy operations.
+/// `graph` is the dependence graph `schedule` was built from; it supplies
+/// each operation's guard, whose conditions count as reads.
 ///
 /// Returns a [`WireReport`] describing the rewrites. The transformation
 /// preserves sequential semantics (checked by the interpreter-equivalence
@@ -63,7 +72,11 @@ struct Access {
 /// commits are spliced in after their writers, and the initializers in
 /// front of their compound nodes, once per touched block and once for the
 /// body region at the end.
-pub fn insert_wire_variables(function: &mut Function, schedule: &mut Schedule) -> WireReport {
+pub fn insert_wire_variables(
+    function: &mut Function,
+    graph: &DependenceGraph,
+    schedule: &mut Schedule,
+) -> WireReport {
     let mut report = WireReport::default();
 
     let order: Vec<OpId> = function.live_ops();
@@ -89,6 +102,15 @@ pub fn insert_wire_variables(function: &mut Function, schedule: &mut Schedule) -
             if !function.vars[used].is_array() {
                 accesses.push(access(used, false));
             }
+        }
+        if let Some(guard) = graph.guard_id_of(op) {
+            let terms = &graph.guard_table().guard(guard).terms;
+            accesses.extend(
+                terms
+                    .iter()
+                    .filter_map(|(c, _)| c.as_var())
+                    .map(|c| access(c, false)),
+            );
         }
         if let Some(defined) = operation.def() {
             if !function.vars[defined].is_array() {
@@ -271,7 +293,7 @@ mod tests {
         let lib = ResourceLibrary::new();
         let mut sched =
             schedule(f, &graph, &lib, &Constraints::microprocessor_block(period)).unwrap();
-        let report = insert_wire_variables(f, &mut sched);
+        let report = insert_wire_variables(f, &graph, &mut sched);
         (sched, report)
     }
 
@@ -458,7 +480,7 @@ mod tests {
         let lib = ResourceLibrary::new();
         let mut sched =
             schedule(f, &pre, &lib, &Constraints::microprocessor_block(period)).unwrap();
-        let report = insert_wire_variables(f, &mut sched);
+        let report = insert_wire_variables(f, &pre, &mut sched);
         let post = DependenceGraph::build(f).unwrap();
         assert_eq!(post.order, f.live_ops());
         let position: SecondaryMap<OpId, usize> = post
