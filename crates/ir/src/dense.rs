@@ -194,7 +194,7 @@ impl<K: DenseKey, V: Clone> Clone for SecondaryMap<K, V> {
 
     /// Clones `source` into `self`, reusing the slot vector's allocation —
     /// the building block behind batch drivers (such as the RTL simulator's
-    /// per-state snapshots) that overwrite the same tables run after run.
+    /// next-state tables) that overwrite the same tables run after run.
     fn clone_from(&mut self, source: &Self) {
         self.slots.clone_from(&source.slots);
         self.len = source.len;

@@ -4,10 +4,8 @@
 //! hardware would: one pass through the FSM states, registers sampled at the
 //! state boundary (reads observe the value at state entry, writes become
 //! visible in the next state), wire-variables combinational within the state,
-//! and guarded operations committing only when their branch conditions hold.
-//! A guard condition is read like any operand — the value at state entry,
-//! unless the controller names a wire-variable — which is how the VHDL
-//! signal it becomes behaves.
+//! and guarded operations committing only when their branch conditions hold;
+//! a condition is read like any operand, as the VHDL signal it becomes is.
 //! It runs the [`Controller`]'s steps — each state's operations in the order
 //! and under the guards the VHDL emitter writes — so it checks the emitted
 //! controller, not a second reading of the schedule.
@@ -80,14 +78,11 @@ impl std::fmt::Display for RtlSimError {
 
 impl std::error::Error for RtlSimError {}
 
-/// Reusable value tables of one simulator run: the register file and array
-/// store as of state entry, the state's wire-variables, and the `next_*`
-/// tables every register and array write of the state goes to (swapped in
-/// at the state boundary). Holding these across [`RtlSimulator::run_batch`]
-/// iterations lets every buffer after the first reuse their allocations
-/// instead of reallocating them per input set. (The array store still
-/// collects one fresh `Vec` per array variable per run — the env binding is
-/// cloned anyway.)
+/// Reusable value tables of one simulator run: registers and arrays as of
+/// state entry, wires, and the `next_*` tables a state writes. Holding these
+/// across [`RtlSimulator::run_batch`] iterations lets every buffer after the
+/// first reuse their allocations. (The array store still collects one fresh
+/// `Vec` per array variable per run — the env binding is cloned anyway.)
 #[derive(Clone, Debug, Default)]
 struct SimTables {
     registers: SecondaryMap<VarId, u64>,
@@ -232,15 +227,11 @@ impl<'a> RtlSimulator<'a> {
                     }
                     OpKind::ArrayRead { array } => {
                         let index = read(a(0), wires);
-                        let contents = arrays.get(array).map_or(&[][..], Vec::as_slice);
-                        Some(
-                            *contents
-                                .get(index as usize)
-                                .ok_or(RtlSimError::OutOfBounds {
-                                    array: function.vars[*array].name.clone(),
-                                    index,
-                                })?,
-                        )
+                        let value = arrays.get(array).and_then(|c| c.get(index as usize));
+                        Some(*value.ok_or(RtlSimError::OutOfBounds {
+                            array: function.vars[*array].name.clone(),
+                            index,
+                        })?)
                     }
                     OpKind::ArrayWrite { array } => {
                         let index = read(a(0), wires);

@@ -12,12 +12,8 @@
 //! consumers pass values through wire-variables (Section 3.1.2), so that
 //! order is part of the design: the VHDL emitter writes it and the RTL
 //! simulator runs it, and this module is the one place that decides it.
-//!
-//! A guard condition is read like any operand: a condition committed
-//! earlier in the same state (`cond = wire`, inserted by
-//! [`insert_wire_variables`](crate::insert_wire_variables)) is tested
-//! through its wire, since the register only takes the new value at the
-//! state boundary.
+//! A guard term reads its condition like any operand: through the wire a
+//! condition was committed from earlier in the same state, if any.
 
 use spark_ir::{Function, OpId, OpKind, SecondaryMap, Value, VarId};
 
@@ -29,8 +25,7 @@ use crate::scheduler::Schedule;
 pub struct ScheduledOp {
     /// The operation.
     pub op: OpId,
-    /// Guard under which its result is committed. A condition committed
-    /// earlier in the same state is named by its wire-variable.
+    /// Guard under which its result is committed.
     pub guard: Guard,
     /// Start time within the state (ns).
     pub start_ns: f64,
@@ -64,8 +59,7 @@ pub struct Controller {
 
 impl Controller {
     /// Builds the controller from a schedule, listing each state's operations
-    /// in program order and pointing each guard term on a condition committed
-    /// earlier in the same state at the condition's wire.
+    /// in program order.
     pub fn build(function: &Function, graph: &DependenceGraph, schedule: &Schedule) -> Self {
         let mut steps: Vec<ControlStep> = (0..schedule.num_states)
             .map(|index| ControlStep {
@@ -81,10 +75,9 @@ impl Controller {
             };
             let mut guard = graph.guard_of(op);
             for (cond, _) in &mut guard.terms {
-                if let Some(&(at, wire)) = cond.as_var().and_then(|c| committed.get(&c)) {
-                    if at == state {
-                        *cond = Value::Var(wire);
-                    }
+                match cond.as_var().and_then(|c| committed.get(&c)) {
+                    Some(&(at, wire)) if at == state => *cond = Value::Var(wire),
+                    _ => {}
                 }
             }
             let operation = &function.ops[op];

@@ -10,11 +10,8 @@
 //! conditional so that every chaining trail supplies a value (the situation
 //! of Figures 6 and 7).
 //!
-//! A guard condition counts as a read: an operation guarded by `cond` reads
-//! `cond` at its own program position, so a condition computed earlier in
-//! the same state gets its wire and commit copy exactly as a data operand
-//! does, and [`Controller::build`](crate::Controller::build) points the
-//! guard at that wire.
+//! A guard condition counts as a read, by each op it guards, so it gets its
+//! wire and commit copy exactly as a data operand does.
 //!
 //! The rewrites add operations and redirect operands, so a
 //! [`DependenceGraph`](crate::DependenceGraph) built before insertion no
@@ -44,8 +41,8 @@ pub struct WireReport {
 }
 
 /// One scalar access by a scheduled live operation: `op`, at `position` in
-/// program order, reads (as an operand or a guard condition) or
-/// (`is_writer`) writes `var` in control step `state`.
+/// program order, reads (an operand or guard condition) or (`is_writer`)
+/// writes `var` in control step `state`.
 #[derive(Clone, Copy)]
 struct Access {
     var: VarId,
@@ -57,8 +54,7 @@ struct Access {
 
 /// Inserts wire-variables for every value that is produced and consumed in
 /// the same control step, updating `schedule` with the new copy operations.
-/// `graph` is the dependence graph `schedule` was built from; it supplies
-/// each operation's guard, whose conditions count as reads.
+/// `graph`, the dependence graph `schedule` was built from, gives the guards.
 ///
 /// Returns a [`WireReport`] describing the rewrites. The transformation
 /// preserves sequential semantics (checked by the interpreter-equivalence
@@ -103,14 +99,11 @@ pub fn insert_wire_variables(
                 accesses.push(access(used, false));
             }
         }
-        if let Some(guard) = graph.guard_id_of(op) {
-            let terms = &graph.guard_table().guard(guard).terms;
-            accesses.extend(
-                terms
-                    .iter()
-                    .filter_map(|(c, _)| c.as_var())
-                    .map(|c| access(c, false)),
-            );
+        let guard = graph
+            .guard_id_of(op)
+            .map(|id| graph.guard_table().guard(id));
+        for (cond, _) in guard.iter().flat_map(|g| &g.terms) {
+            accesses.extend(cond.as_var().map(|c| access(c, false)));
         }
         if let Some(defined) = operation.def() {
             if !function.vars[defined].is_array() {
