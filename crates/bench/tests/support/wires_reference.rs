@@ -190,11 +190,12 @@ fn outermost_compounds(function: &Function) -> SecondaryMap<BlockId, NodeId> {
 }
 
 /// Runs `insert_wire_variables` and the reference on copies of the same
-/// scheduled function (`graph` is its pre-wire dependence graph) and checks that they agree exactly: every op (id,
-/// kind, destination, operands), every variable, every block's op list,
-/// every HTG node and region (the body's node order included), every
-/// schedule entry (including each state's recording order) and the
-/// `WireReport`. Returns the report, or the first difference.
+/// scheduled function (`graph` is its pre-wire dependence graph) and checks
+/// that they agree exactly: every op (id, kind, destination, operands),
+/// every variable, every block's op list, every HTG node and region (the
+/// body's node order included), every schedule entry (including each
+/// state's recording order) and the `WireReport`. Returns the report, or
+/// the first difference.
 pub fn check_wires_match_reference(
     function: &Function,
     graph: &DependenceGraph,
