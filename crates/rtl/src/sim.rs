@@ -184,11 +184,9 @@ impl<'a> RtlSimulator<'a> {
             };
 
             for scheduled in &step.ops {
-                let guard = &scheduled.guard.terms;
-                if !guard
-                    .iter()
-                    .all(|&(cond, polarity)| (read(cond, wires) != 0) == polarity)
-                {
+                let holds =
+                    |&(cond, polarity): &(Value, bool)| (read(cond, wires) != 0) == polarity;
+                if !scheduled.guard.terms.iter().all(holds) {
                     continue;
                 }
                 let op = &function.ops[scheduled.op];
