@@ -23,7 +23,9 @@ pub fn reference_preds(function: &Function, graph: &DependenceGraph) -> Vec<Vec<
         for &(cond, _) in &guard.terms {
             if let Some(cond_var) = cond.as_var() {
                 for &producer in history(&last_defs, cond_var) {
-                    preds.push(edge(producer, DepKind::Control, cond_var));
+                    if !exclusive(producer) {
+                        preds.push(edge(producer, DepKind::Control, cond_var));
+                    }
                 }
             }
         }

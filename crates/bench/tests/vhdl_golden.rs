@@ -16,6 +16,7 @@ use spark_ild::{build_ild_program, ILD_FUNCTION};
 /// `(design, FNV-1a 64 of its VHDL)`.
 const GOLDEN: &[(&str, u64)] = &[
     ("abs_diff", 0x49ded91ce3c3c0ef),
+    ("cross_branch_guard", 0x308695bc58ec713c),
     ("dot4", 0xb27a3658b86ae444),
     ("guard_anti", 0x24da460ece1dc95b),
     ("ild_n8", 0xbcd84ae851414a36),

@@ -287,10 +287,13 @@ impl DependenceGraph {
             let start = edges.len() as u32;
 
             // Control dependences: the op depends on the producers of every
-            // condition in its guard.
+            // condition in its guard that can run in the same pass.
             for &(cond, _) in &guard_table.guard(gid).terms {
                 if let Some(cond_var) = cond.as_var() {
                     for &producer in last_defs.of(cond_var) {
+                        if guard_table.mutually_exclusive(guard_ids[&producer], gid) {
+                            continue;
+                        }
                         edges.push(Dependence {
                             from: producer,
                             kind: DepKind::Control,
@@ -722,6 +725,36 @@ mod tests {
             .preds_of(redefine)
             .iter()
             .any(|d| d.from == guarded && d.kind == DepKind::Anti && d.var == c));
+    }
+
+    #[test]
+    fn control_edges_skip_condition_writes_in_the_other_branch() {
+        // `d` is written under `c` and read as a guard only under `!c`: the
+        // guarded op depends on the unconditional `d = e` alone.
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let c = b.param("c", Type::Bool);
+        let e = b.param("e", Type::Bool);
+        let d = b.var("d", Type::Bool);
+        let x = b.output("x", Type::Bits(8));
+        let outer = b.copy(d, Value::Var(e));
+        b.if_begin(Value::Var(c));
+        let then_def = b.assign(OpKind::Gt, d, vec![Value::Var(a), Value::word(3)]);
+        b.else_begin();
+        b.if_begin(Value::Var(d));
+        let guarded = b.assign(OpKind::Add, x, vec![Value::Var(a), Value::word(1)]);
+        b.if_end();
+        b.if_end();
+        let f = b.finish();
+        let graph = DependenceGraph::build(&f).unwrap();
+        let controls: Vec<OpId> = graph
+            .preds_of(guarded)
+            .iter()
+            .filter(|dep| dep.kind == DepKind::Control)
+            .map(|dep| dep.from)
+            .collect();
+        assert_eq!(controls, vec![outer]);
+        assert!(graph.mutually_exclusive(then_def, guarded));
     }
 
     #[test]
