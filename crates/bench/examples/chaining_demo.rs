@@ -1,15 +1,15 @@
 //! Operation chaining across conditional boundaries, step by step: the
-//! Figure 4–7 examples. Shows the chaining trails (Section 3.1.1), the
-//! wire-variables and copies inserted on every trail (Section 3.1.2), and
-//! the resulting single-cycle schedule.
+//! Figure 4–7 examples. Shows the producers chained into one operation
+//! along its trails (Section 3.1.1), the wire-variables and copies inserted
+//! on every trail (Section 3.1.2), and the resulting single-cycle schedule.
 //!
 //! ```bash
 //! cargo run --example chaining_demo
 //! ```
 
-use spark_ir::{Cfg, FunctionBuilder, OpKind, Type, Value};
+use spark_ir::{FunctionBuilder, OpKind, Type, Value};
 use spark_sched::{
-    insert_wire_variables, schedule, validate_chaining, Constraints, DependenceGraph,
+    insert_wire_variables, schedule, validate_chaining, Constraints, DepKind, DependenceGraph,
     ResourceLibrary,
 };
 
@@ -34,27 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     b.else_begin();
     b.copy(o1, Value::Var(c));
     b.if_end();
-    b.assign(OpKind::Add, o2, vec![Value::Var(o1), Value::Var(d)]);
+    let op4 = b.assign(OpKind::Add, o2, vec![Value::Var(o1), Value::Var(d)]);
     let mut f = b.finish();
 
     println!("== behavioral description (Figure 5 structure) ==\n{f}");
 
-    // Chaining trails backwards from the block of operation 4.
-    let cfg = Cfg::build(&f);
-    let reader_block = *f.blocks_in_region(f.body).last().expect("reader block");
-    let trails = cfg.backward_trails(reader_block, 16);
-    println!("== backward chaining trails from the reader block ==");
-    for trail in &trails {
-        let labels: Vec<&str> = trail
-            .iter()
-            .map(|&block| f.blocks[block].label.as_str())
-            .collect();
-        println!("  <{}>", labels.join(", "));
-    }
-
     // Schedule for a single cycle and insert wire-variables. The insertion
-    // adds copies and redirects operands, so the dependence graph the
-    // trails are validated against is rebuilt from the rewritten function.
+    // only adds copies under guards the graph already holds, so the graph
+    // the schedule was built from also validates the chains.
     let graph = DependenceGraph::build(&f)?;
     let library = ResourceLibrary::new();
     let mut sched = schedule(
@@ -63,8 +50,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &library,
         &Constraints::microprocessor_block(10.0),
     )?;
+
+    // One producer per trail into operation 4's block: every write of `o1`
+    // that is not mutually exclusive with it, chained into its state.
+    println!("== producers chained into operation 4, one per trail ==");
+    let op_blocks = f.op_blocks();
+    for dep in graph.preds_of(op4) {
+        if matches!(dep.kind, DepKind::Flow | DepKind::Control)
+            && sched.op_state.get(&dep.from) == sched.op_state.get(&op4)
+        {
+            println!(
+                "  op{} in {}: {}",
+                dep.from.raw(),
+                f.blocks[op_blocks[dep.from]].label,
+                f.vars[dep.var].name
+            );
+        }
+    }
+
     let wires = insert_wire_variables(&mut f, &graph, &mut sched);
-    let graph = DependenceGraph::build(&f)?;
     let chaining = validate_chaining(&f, &graph, &sched)?;
 
     println!("\n== after wire-variable insertion (Figures 6-7) ==\n{f}");

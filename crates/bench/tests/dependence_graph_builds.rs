@@ -1,9 +1,8 @@
 //! Pins the dependence-graph construction contract of the scheduling
-//! substrate: **one** shared pre-wire `DependenceGraph::build` per
-//! transformed program, plus **one** post-wire build per scheduled point
-//! (wire insertion rewrites the function, and the graph is rebuilt from it).
-//! A point that fails to schedule never reaches wire insertion and builds
-//! nothing of its own.
+//! substrate: **one** `DependenceGraph::build` per transformed program,
+//! shared by the scheduler, wire insertion, the chaining check and every
+//! design point scheduled against that program. No point builds a graph of
+//! its own, whether it schedules or fails.
 //!
 //! This file is its own test binary, so `DependenceGraph::build_count()`
 //! moves only under the calls made here; everything runs inside a single
@@ -20,7 +19,7 @@ fn one_graph_build_per_synthesis_point_and_one_per_sweep() {
     let program = build_ild_program(8);
 
     // A full synthesize run: transform + schedule + wire insertion +
-    // validation + controller — the pre-wire build and the post-wire build.
+    // validation + controller, all on one graph.
     let before = DependenceGraph::build_count();
     let result = synthesize(
         &program,
@@ -31,33 +30,32 @@ fn one_graph_build_per_synthesis_point_and_one_per_sweep() {
     assert!(result.is_single_cycle());
     assert_eq!(
         DependenceGraph::build_count(),
-        before + 2,
-        "one synthesis point builds the pre-wire and the post-wire graph once each"
+        before + 1,
+        "one synthesis point builds one graph"
     );
 
     // A clock sweep: every period point schedules against the transformed
-    // program's shared pre-wire graph and rebuilds only its own post-wire
-    // graph.
+    // program's shared graph, however many points there are.
     let before = DependenceGraph::build_count();
     let points = sweep_clock_period(&program, ILD_FUNCTION, &[50.0, 100.0, 200.0, 500.0]).unwrap();
     assert_eq!(points.len(), 4);
     assert!(points.iter().all(|p| p.report.is_some()));
     assert_eq!(
         DependenceGraph::build_count(),
-        before + 1 + 4,
-        "a clock sweep shares one pre-wire graph and builds one post-wire graph per point"
+        before + 1,
+        "a clock sweep shares one graph across its points"
     );
 
-    // Infeasible points (schedule errors) stop before wire insertion and
-    // build nothing of their own.
+    // Infeasible points (schedule errors) build nothing of their own
+    // either.
     let before = DependenceGraph::build_count();
     let points = sweep_clock_period(&program, ILD_FUNCTION, &[0.01, 0.02, 300.0]).unwrap();
     assert!(points[0].report.is_none() && points[1].report.is_none());
     assert!(points[2].report.is_some());
-    assert_eq!(DependenceGraph::build_count(), before + 1 + 1);
+    assert_eq!(DependenceGraph::build_count(), before + 1);
 
     // The DSE helper synthesizes every configuration from scratch: one
-    // pre-wire and one post-wire build per configuration.
+    // build per configuration.
     let before = DependenceGraph::build_count();
     let configurations = vec![
         ("fast".to_string(), FlowOptions::microprocessor_block(100.0)),
@@ -68,12 +66,12 @@ fn one_graph_build_per_synthesis_point_and_one_per_sweep() {
     assert!(points.iter().all(|p| p.report.is_some()));
     assert_eq!(
         DependenceGraph::build_count(),
-        before + 2 * 3,
-        "one pre-wire and one post-wire build per configuration"
+        before + 3,
+        "one build per configuration"
     );
 
-    // An explicit transform + repeated back-half synthesis: the pre-wire
-    // graph is built lazily on the first point and reused afterwards.
+    // An explicit transform + repeated back-half synthesis: the graph is
+    // built lazily on the first point and reused afterwards.
     let transformed = transform_program(
         &program,
         ILD_FUNCTION,
@@ -86,5 +84,5 @@ fn one_graph_build_per_synthesis_point_and_one_per_sweep() {
         let point = spark_core::synthesize_transformed(&transformed, &options).unwrap();
         assert!(point.report.critical_path_ns <= period);
     }
-    assert_eq!(DependenceGraph::build_count(), before + 1 + 3);
+    assert_eq!(DependenceGraph::build_count(), before + 1);
 }

@@ -505,6 +505,9 @@ proptest! {
     /// The dependence graph's flat def/use histories give every operation
     /// the same incoming edges, in the same order, as the per-variable
     /// history scan, on generated programs before and after wire insertion.
+    /// No edge joins two mutually exclusive operations: every producer lies
+    /// on a backward trail of its consumer, which the chaining check relies
+    /// on.
     #[test]
     fn flat_dependence_histories_match_per_variable_reference(
         script in proptest::collection::vec(any::<u8>(), 96),
@@ -515,6 +518,14 @@ proptest! {
         {
             let check = deps_reference::check_preds_match_reference(&f, &graph);
             prop_assert!(check.is_ok(), "{}: {:?}", stage, check);
+            for &op in &graph.order {
+                for dep in graph.preds_of(op) {
+                    prop_assert!(
+                        !graph.mutually_exclusive(dep.from, op),
+                        "{}: {:?} edge into {:?} from an exclusive op", stage, dep, op
+                    );
+                }
+            }
         }
     }
 

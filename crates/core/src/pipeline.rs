@@ -236,8 +236,8 @@ pub struct TransformedProgram {
     /// Wall-clock spans of the transformation: one per pass, then
     /// `transform` around them all.
     pub trace: Trace,
-    /// Lazily built pre-wire dependence graph of the top function, shared
-    /// by every point scheduled against this program. See
+    /// Lazily built dependence graph of the top function, shared by every
+    /// point scheduled against this program. See
     /// [`TransformedProgram::dependence_graph`].
     graph: OnceLock<Result<DependenceGraph, SchedError>>,
 }
@@ -246,7 +246,9 @@ impl TransformedProgram {
     /// The (clock-agnostic) dependence graph of the transformed top-level
     /// function, built on first use and shared by every subsequent
     /// [`synthesize_transformed`] call on this program — a clock sweep builds
-    /// it **once**, not once per period point.
+    /// it **once**, not once per period point. The scheduler, wire insertion
+    /// and the chaining check all read it; wire insertion does not
+    /// invalidate it, since its copies sit under guards it already holds.
     ///
     /// # Errors
     /// Returns [`SchedError`] when the transformed function still contains
@@ -537,13 +539,14 @@ pub fn transform_program(
     Ok(transformed)
 }
 
-/// Runs the back half of the flow — scheduling, chaining validation,
-/// wire-variable insertion, binding and RTL reporting — on an already
+/// Runs the back half of the flow — scheduling, wire-variable insertion,
+/// chaining validation, binding and RTL reporting — on an already
 /// transformed program, under the constraints (clock period, mode) of
-/// `options`. The result's [`trace`](SynthesisResult::trace) holds only the
-/// back-end spans: `sched_deps`, `sched_list`, `sched_wires`,
-/// `sched_validate` and `sched_controller` under `schedule`, then `bind` and
-/// `rtl`.
+/// `options`. Every step reads the program's one dependence graph
+/// ([`TransformedProgram::dependence_graph`]); none is built per point. The
+/// result's [`trace`](SynthesisResult::trace) holds only the back-end spans:
+/// `sched_deps`, `sched_list`, `sched_wires`, `sched_validate` and
+/// `sched_controller` under `schedule`, then `bind` and `rtl`.
 ///
 /// # Errors
 /// Returns [`SynthesisError::Scheduling`] when the constraints cannot be met.
@@ -559,31 +562,30 @@ pub fn synthesize_transformed(
     let working = &transformed.program;
 
     // ---- Scheduling, chaining, binding, RTL --------------------------------
-    // The pre-wire dependence graph (with its interned guard table) is
-    // shared: built at most once per transformed program, not once per
-    // clock point.
+    // The dependence graph (with its interned guard table) is shared: built
+    // at most once per transformed program, not once per clock point.
     let schedule_started = Instant::now();
-    let pre_wire = trace.time("sched_deps", 1, || transformed.dependence_graph())?;
+    let graph = trace.time("sched_deps", 1, || transformed.dependence_graph())?;
 
     let (mut function, mut sched) = trace.time("sched_list", 1, || {
         let function = working.function(top).expect("top exists").clone();
-        let sched = schedule(&function, pre_wire, &library, &options.constraints())?;
+        let sched = schedule(&function, graph, &library, &options.constraints())?;
         Ok::<_, SchedError>((function, sched))
     })?;
 
-    // Wire insertion adds blocks/ops and redirects operands, so the
-    // post-wire graph is built afresh for this point.
-    let (wire_report, graph) = trace.time("sched_wires", 1, || {
-        let wire_report = insert_wire_variables(&mut function, pre_wire, &mut sched);
-        DependenceGraph::build(&function).map(|graph| (wire_report, graph))
-    })?;
+    // Wire insertion only adds copies under guards the scheduler already
+    // saw, so the chaining check keeps reading the graph the schedule was
+    // built from.
+    let wire_report = trace.time("sched_wires", 1, || {
+        insert_wire_variables(&mut function, graph, &mut sched)
+    });
 
     let chaining = trace.time("sched_validate", 1, || {
-        validate_chaining(&function, &graph, &sched)
+        validate_chaining(&function, graph, &sched)
     })?;
 
     let controller = trace.time("sched_controller", 1, || {
-        Controller::build(&function, &graph, &sched)
+        Controller::build(&function, &sched)
     });
     trace.push("schedule", 0, schedule_started);
 

@@ -10,10 +10,9 @@
 //! * basic blocks and a **hierarchical task graph** ([`HtgNode`], [`Region`])
 //!   with `if` and loop compound nodes, the structure on which speculative
 //!   code motions and loop transformations operate;
-//! * a structured [`FunctionBuilder`], a flattened [`Cfg`] with backward
-//!   *chaining trails*, def–use analysis, a reference [`Interpreter`] (the
-//!   golden semantics every transformation must preserve) and a structural
-//!   [`verify`] pass.
+//! * a structured [`FunctionBuilder`], def–use analysis, a reference
+//!   [`Interpreter`] (the golden semantics every transformation must
+//!   preserve) and a structural [`verify`] pass.
 //!
 //! # Examples
 //!
@@ -50,7 +49,6 @@ mod analysis;
 mod arena;
 mod block;
 mod builder;
-mod cfg;
 mod defuse;
 mod dense;
 mod display;
@@ -68,7 +66,6 @@ pub use analysis::FunctionStats;
 pub use arena::{Arena, Id};
 pub use block::{BasicBlock, BlockId};
 pub use builder::FunctionBuilder;
-pub use cfg::{Cfg, CfgNode, CfgNodeKind, TrailCounter};
 pub use defuse::{DefUseGraph, EditLog, Rewriter};
 pub use dense::{DenseKey, SecondaryMap};
 pub use function::Function;

@@ -148,7 +148,7 @@ mod tests {
         .unwrap();
         let lifetimes = LifetimeAnalysis::compute(f, &sched);
         let binding = Binding::compute(f, &sched, &lifetimes, &library);
-        let controller = Controller::build(f, &graph, &sched);
+        let controller = Controller::build(f, &sched);
         DatapathReport::build(f, &sched, &binding, &controller, &library)
     }
 

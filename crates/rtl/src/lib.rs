@@ -32,7 +32,7 @@
 //! let sched = schedule(&f, &graph, &library, &Constraints::microprocessor_block(10.0))?;
 //! let lifetimes = LifetimeAnalysis::compute(&f, &sched);
 //! let binding = Binding::compute(&f, &sched, &lifetimes, &library);
-//! let controller = Controller::build(&f, &graph, &sched);
+//! let controller = Controller::build(&f, &sched);
 //! let report = DatapathReport::build(&f, &sched, &binding, &controller, &library);
 //! assert_eq!(report.states, 1);
 //! let vhdl = VhdlEmitter::new(&f, &controller).emit();

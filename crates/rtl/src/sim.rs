@@ -296,9 +296,7 @@ mod tests {
         let mut sched =
             schedule(&f, &graph, &lib, &Constraints::microprocessor_block(period)).unwrap();
         insert_wire_variables(&mut f, &graph, &mut sched);
-        // Guards may have changed structurally (new blocks) — rebuild.
-        let graph = DependenceGraph::build(&f).unwrap();
-        let controller = Controller::build(&f, &graph, &sched);
+        let controller = Controller::build(&f, &sched);
         (f, controller)
     }
 
@@ -364,7 +362,7 @@ mod tests {
         let graph = DependenceGraph::build(&f).unwrap();
         let lib = ResourceLibrary::new();
         let sched = schedule(&f, &graph, &lib, &Constraints::microprocessor_block(20.0)).unwrap();
-        let controller = Controller::build(&f, &graph, &sched);
+        let controller = Controller::build(&f, &sched);
         let env = Env::new().with_scalar("a", 20).with_scalar("b", 1);
         let rtl = RtlSimulator::new(&f, &controller).run(&env).unwrap();
         // golden would be (20+1)+1 = 22; the hazard yields 0+1 = 1.
@@ -402,7 +400,7 @@ mod tests {
             &Constraints::microprocessor_block(20.0),
         )
         .unwrap();
-        let controller = Controller::build(&original, &graph, &sched);
+        let controller = Controller::build(&original, &sched);
         assert!(controller.is_single_cycle());
         let stale = RtlSimulator::new(&original, &controller).run(&env).unwrap();
         assert_ne!(stale.scalar("out"), golden.scalar("out"));

@@ -372,8 +372,7 @@ mod tests {
         let mut sched =
             schedule(&f, &graph, &lib, &Constraints::microprocessor_block(20.0)).unwrap();
         insert_wire_variables(&mut f, &graph, &mut sched);
-        let graph = DependenceGraph::build(&f).unwrap();
-        let controller = Controller::build(&f, &graph, &sched);
+        let controller = Controller::build(&f, &sched);
         VhdlEmitter::new(&f, &controller).emit()
     }
 

@@ -266,8 +266,13 @@ impl DependenceGraph {
             guard_ids: SecondaryMap::with_capacity(function.ops.len()),
             ..DependenceGraph::default()
         };
-        let mut guard_stack = Guard::default();
-        collect(function, function.body, &mut guard_stack, &mut graph)?;
+        walk_guards(function, |guard, ops| {
+            let gid = graph.guard_table.intern(guard);
+            for &op_id in ops {
+                graph.order.push(op_id);
+                graph.guard_ids.insert(op_id, gid);
+            }
+        })?;
         graph.guard_table.seal();
 
         // Data dependences by program order. The edges of each consumer are
@@ -495,16 +500,40 @@ impl Histories {
     }
 }
 
-fn collect(
+/// Walks the HTG of `function` in program order and calls `visit` once per
+/// basic block with the block's guard and its live operations.
+///
+/// This is the one guard walk: [`DependenceGraph::build`] interns its guards
+/// from it, and [`Controller::build`](crate::Controller::build) reads the
+/// guards of the function that wire insertion rewrote.
+///
+/// # Errors
+/// Returns [`SchedError::ContainsLoops`] at a loop node and
+/// [`SchedError::ContainsCalls`] at a live call.
+pub(crate) fn walk_guards(
+    function: &Function,
+    mut visit: impl FnMut(&Guard, &[OpId]),
+) -> Result<(), SchedError> {
+    walk_region(
+        function,
+        function.body,
+        &mut Guard::default(),
+        &mut Vec::new(),
+        &mut visit,
+    )
+}
+
+fn walk_region(
     function: &Function,
     region: RegionId,
     guard: &mut Guard,
-    graph: &mut DependenceGraph,
+    live: &mut Vec<OpId>,
+    visit: &mut impl FnMut(&Guard, &[OpId]),
 ) -> Result<(), SchedError> {
     for &node in &function.regions[region].nodes {
         match &function.nodes[node] {
             HtgNode::Block(b) => {
-                let gid = graph.guard_table.intern(guard);
+                live.clear();
                 for &op_id in &function.blocks[*b].ops {
                     let op = &function.ops[op_id];
                     if op.dead {
@@ -513,16 +542,16 @@ fn collect(
                     if matches!(op.kind, spark_ir::OpKind::Call { .. }) {
                         return Err(SchedError::ContainsCalls);
                     }
-                    graph.order.push(op_id);
-                    graph.guard_ids.insert(op_id, gid);
+                    live.push(op_id);
                 }
+                visit(guard, live);
             }
             HtgNode::If(i) => {
                 guard.terms.push((i.cond, true));
-                collect(function, i.then_region, guard, graph)?;
+                walk_region(function, i.then_region, guard, live, visit)?;
                 guard.terms.pop();
                 guard.terms.push((i.cond, false));
-                collect(function, i.else_region, guard, graph)?;
+                walk_region(function, i.else_region, guard, live, visit)?;
                 guard.terms.pop();
             }
             HtgNode::Loop(_) => return Err(SchedError::ContainsLoops),

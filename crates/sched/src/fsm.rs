@@ -17,7 +17,7 @@
 
 use spark_ir::{Function, OpId, OpKind, SecondaryMap, Value, VarId};
 
-use crate::deps::{DependenceGraph, Guard};
+use crate::deps::{walk_guards, Guard};
 use crate::scheduler::Schedule;
 
 /// One scheduled operation inside a control step.
@@ -59,8 +59,12 @@ pub struct Controller {
 
 impl Controller {
     /// Builds the controller from a schedule, listing each state's operations
-    /// in program order.
-    pub fn build(function: &Function, graph: &DependenceGraph, schedule: &Schedule) -> Self {
+    /// in program order under the guards of their blocks.
+    ///
+    /// # Panics
+    /// Panics if `function` still contains loops or calls: a scheduled
+    /// function has neither.
+    pub fn build(function: &Function, schedule: &Schedule) -> Self {
         let mut steps: Vec<ControlStep> = (0..schedule.num_states)
             .map(|index| ControlStep {
                 index,
@@ -69,32 +73,35 @@ impl Controller {
             .collect();
         // Per register, the state and wire of its latest commit copy.
         let mut committed: SecondaryMap<VarId, (usize, VarId)> = SecondaryMap::new();
-        for op in function.live_ops() {
-            let Some(&state) = schedule.op_state.get(&op) else {
-                continue;
-            };
-            let mut guard = graph.guard_of(op);
-            for (cond, _) in &mut guard.terms {
-                match cond.as_var().and_then(|c| committed.get(&c)) {
-                    Some(&(at, wire)) if at == state => *cond = Value::Var(wire),
-                    _ => {}
+        walk_guards(function, |block_guard, ops| {
+            for &op in ops {
+                let Some(&state) = schedule.op_state.get(&op) else {
+                    continue;
+                };
+                let mut guard = block_guard.clone();
+                for (cond, _) in &mut guard.terms {
+                    match cond.as_var().and_then(|c| committed.get(&c)) {
+                        Some(&(at, wire)) if at == state => *cond = Value::Var(wire),
+                        _ => {}
+                    }
                 }
-            }
-            let operation = &function.ops[op];
-            if let (OpKind::Copy, Some(dest), [Value::Var(src)]) =
-                (&operation.kind, operation.dest, operation.args.as_slice())
-            {
-                if function.vars[*src].is_wire() && !function.vars[dest].is_wire() {
-                    committed.insert(dest, (state, *src));
+                let operation = &function.ops[op];
+                if let (OpKind::Copy, Some(dest), [Value::Var(src)]) =
+                    (&operation.kind, operation.dest, operation.args.as_slice())
+                {
+                    if function.vars[*src].is_wire() && !function.vars[dest].is_wire() {
+                        committed.insert(dest, (state, *src));
+                    }
                 }
+                steps[state].ops.push(ScheduledOp {
+                    op,
+                    guard,
+                    start_ns: schedule.op_start.get(&op).copied().unwrap_or(0.0),
+                    finish_ns: schedule.op_finish.get(&op).copied().unwrap_or(0.0),
+                });
             }
-            steps[state].ops.push(ScheduledOp {
-                op,
-                guard,
-                start_ns: schedule.op_start.get(&op).copied().unwrap_or(0.0),
-                finish_ns: schedule.op_finish.get(&op).copied().unwrap_or(0.0),
-            });
-        }
+        })
+        .expect("a scheduled function has no loops or calls");
         Controller { steps }
     }
 
@@ -151,11 +158,12 @@ impl std::fmt::Display for Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deps::DependenceGraph;
     use crate::resources::ResourceLibrary;
     use crate::scheduler::{schedule, Constraints};
     use spark_ir::{FunctionBuilder, OpKind, Type, Value};
 
-    fn small_design() -> (Function, DependenceGraph, Schedule) {
+    fn small_design() -> (Function, Schedule) {
         let mut b = FunctionBuilder::new("f");
         let a = b.param("a", Type::Bits(8));
         let c = b.param("c", Type::Bool);
@@ -171,13 +179,13 @@ mod tests {
         let graph = DependenceGraph::build(&f).unwrap();
         let lib = ResourceLibrary::new();
         let sched = schedule(&f, &graph, &lib, &Constraints::microprocessor_block(10.0)).unwrap();
-        (f, graph, sched)
+        (f, sched)
     }
 
     #[test]
     fn controller_reflects_schedule() {
-        let (f, graph, sched) = small_design();
-        let controller = Controller::build(&f, &graph, &sched);
+        let (f, sched) = small_design();
+        let controller = Controller::build(&f, &sched);
         assert!(controller.is_single_cycle());
         assert_eq!(controller.steps[0].ops.len(), f.live_op_count());
         assert!(controller.critical_path_ns() > 0.0);
@@ -204,7 +212,7 @@ mod tests {
         let graph = DependenceGraph::build(&f).unwrap();
         let lib = ResourceLibrary::new();
         let sched = schedule(&f, &graph, &lib, &Constraints::microprocessor_block(10.0)).unwrap();
-        let controller = Controller::build(&f, &graph, &sched);
+        let controller = Controller::build(&f, &sched);
         assert!(controller.is_single_cycle());
         let ops = &controller.steps[0].ops;
         assert!(ops[2].start_ns < ops[1].start_ns);
@@ -214,8 +222,8 @@ mod tests {
 
     #[test]
     fn display_lists_states() {
-        let (f, graph, sched) = small_design();
-        let controller = Controller::build(&f, &graph, &sched);
+        let (f, sched) = small_design();
+        let controller = Controller::build(&f, &sched);
         let text = controller.to_string();
         assert!(text.contains("state S0"));
         assert!(text.contains("guard term"));
@@ -235,7 +243,7 @@ mod tests {
         let graph = DependenceGraph::build(&f).unwrap();
         let lib = ResourceLibrary::new();
         let sched = schedule(&f, &graph, &lib, &Constraints::microprocessor_block(4.5)).unwrap();
-        let controller = Controller::build(&f, &graph, &sched);
+        let controller = Controller::build(&f, &sched);
         assert_eq!(controller.num_states(), 3);
         assert!(!controller.is_single_cycle());
     }

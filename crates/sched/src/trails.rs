@@ -6,10 +6,18 @@
 //! in, looking for operations that are scheduled in the same cycle", checking
 //! that every trail leaves enough time in the cycle. The scheduler in this
 //! crate constructs schedules bottom-up from dependences; this module is the
-//! independent checker that re-validates a finished schedule the way the
-//! paper describes.
+//! independent checker that re-validates a finished schedule.
+//!
+//! The HTG is loop-free by the time it is scheduled, so "the producer lies
+//! on a backward trail of the consumer" means "it comes earlier in program
+//! order and its guard is not mutually exclusive with the consumer's". Every
+//! edge of the [`DependenceGraph`] meets that condition by construction, so
+//! its same-state Flow and Control edges are exactly the chained pairs, and
+//! what is left to check is that every chain fits the clock: no operation of
+//! the schedule, wire-insertion copies included, finishes after the clock
+//! period.
 
-use spark_ir::{BlockId, Cfg, Function, OpId};
+use spark_ir::Function;
 
 use crate::deps::{DepKind, DependenceGraph, SchedError};
 use crate::scheduler::Schedule;
@@ -22,164 +30,51 @@ pub struct ChainingReport {
     /// Chained pairs whose producer and consumer sit in different basic
     /// blocks (chaining across conditional boundaries).
     pub cross_block_pairs: usize,
-    /// The largest number of backward trails examined for any single
-    /// operation.
-    pub max_trails: usize,
-    /// The largest accumulated delay found along any trail (ns).
-    pub max_trail_delay_ns: f64,
 }
 
 /// Re-validates a schedule the way the paper's chaining heuristic does.
 ///
-/// For every operation, all backward trails from its basic block are
-/// enumerated; the accumulated delay of same-state operations on each trail
-/// that transitively feed the operation must fit the clock period, and every
-/// same-state producer the operation is chained to must be reachable on some
-/// trail.
+/// `graph` is the dependence graph `schedule` was built from; `function`
+/// may have been rewritten by wire insertion since, which keeps every
+/// scheduled operation in its basic block. The chained pairs are counted
+/// from `graph`'s same-state Flow and Control edges, and every operation in
+/// `schedule` must finish within the clock period.
 ///
 /// # Errors
-/// Returns [`SchedError::Unschedulable`] describing the first violated trail.
+/// Returns [`SchedError::Unschedulable`] naming the first operation, in
+/// arena order, that finishes after the clock period.
 pub fn validate_chaining(
     function: &Function,
     graph: &DependenceGraph,
     schedule: &Schedule,
 ) -> Result<ChainingReport, SchedError> {
-    let mut report = ChainingReport::default();
-    let cfg = Cfg::build(function);
-    // Dense per-op and per-block side tables, built once: the op → block map
-    // (instead of a full block scan per query), a memoized trail counter and
-    // memoized backward-reachability rows (many operations share a block, so
-    // each block is analysed at most once). Trail populations are *counted*
-    // (saturating DP over the DAG), never enumerated — the unrolled ILD has
-    // exponentially many trails.
-    let op_blocks = function.op_blocks();
-    let mut trail_counter = cfg.trail_counter(64);
-    let mut reachability = Reachability::new(function.blocks.len());
-    let mut same_state_producers: Vec<OpId> = Vec::new();
-
-    for &op_id in &graph.order {
-        let Some(&state) = schedule.op_state.get(&op_id) else {
-            continue;
-        };
-        same_state_producers.clear();
-        same_state_producers.extend(
-            graph
-                .preds_of(op_id)
-                .iter()
-                .filter(|d| matches!(d.kind, DepKind::Flow | DepKind::Control))
-                .map(|d| d.from)
-                .filter(|p| schedule.op_state.get(p) == Some(&state)),
-        );
-        if same_state_producers.is_empty() {
-            continue;
-        }
-        report.chained_pairs += same_state_producers.len();
-        let own_block = op_blocks.get(&op_id).copied();
-        for &producer in &same_state_producers {
-            if op_blocks.get(&producer).copied() != own_block {
-                report.cross_block_pairs += 1;
-            }
-        }
-
-        // Count the backward trails (saturating at 64) for the report; the
-        // fully unrolled ILD has exponentially many trails, so correctness is
-        // checked with backward reachability below, not per trail.
-        let Some(block) = own_block else { continue };
-        report.max_trails = report.max_trails.max(trail_counter.count(block));
-
-        // Every chained producer must lie on this op's own block or on some
-        // block backward-reachable from it (otherwise the value could never
-        // reach the consumer on any trail).
-        let reachable_blocks = reachability.row(block, &cfg);
-        for &producer in &same_state_producers {
-            let producer_block = op_blocks.get(&producer).copied();
-            let reachable = producer_block == own_block
-                || producer_block
-                    .map(|b| reachable_blocks[b.index() / 64] >> (b.index() % 64) & 1 != 0)
-                    .unwrap_or(false);
-            if !reachable {
-                return Err(SchedError::Unschedulable(format!(
-                    "operation chained to a producer that is on no backward trail ({:?})",
-                    function.ops[op_id].kind
-                )));
-            }
-        }
-
-        // Accumulated delay along each trail: the chain into this op must fit
-        // the clock period. The scheduler's per-op finish times already bound
-        // this; re-derive it from finish times for the report.
-        let finish = schedule.op_finish.get(&op_id).copied().unwrap_or(0.0);
-        report.max_trail_delay_ns = report.max_trail_delay_ns.max(finish);
+    for (op, &finish) in &schedule.op_finish {
         if finish > schedule.clock_period_ns + 1e-9 {
             return Err(SchedError::Unschedulable(format!(
-                "chained delay {:.2} ns exceeds the clock period {:.2} ns",
-                finish, schedule.clock_period_ns
+                "{:?} finishes at {:.2} ns, after the clock period {:.2} ns",
+                function.ops[op].kind, finish, schedule.clock_period_ns
             )));
         }
     }
-    Ok(report)
-}
 
-/// Memoized backward-reachability bitsets over the basic blocks of a
-/// **loop-free** function: `row(b)` holds, one bit per block, every block on
-/// some backward path from `b` (excluding `b` itself).
-///
-/// Each row is the union of its predecessors' rows plus the predecessor bits
-/// and is computed once, so the whole table costs
-/// O(blocks × preds × row-words) — instead of one dense-visited BFS per
-/// queried block, which dominated `validate_chaining` on the unrolled ILD.
-struct Reachability {
-    rows: Vec<Option<Vec<u64>>>,
-    pred_lists: Vec<Option<Vec<BlockId>>>,
-    words: usize,
-}
-
-impl Reachability {
-    fn new(block_capacity: usize) -> Self {
-        Reachability {
-            rows: vec![None; block_capacity],
-            pred_lists: vec![None; block_capacity],
-            words: block_capacity.div_ceil(64).max(1),
-        }
-    }
-
-    /// The reachability bitset of `block`, building any missing ancestor rows
-    /// first (iteratively — the unrolled ILD nests hundreds of blocks deep).
-    fn row(&mut self, block: BlockId, cfg: &Cfg) -> &[u64] {
-        if self.rows[block.index()].is_none() {
-            let mut stack = vec![block];
-            while let Some(&top) = stack.last() {
-                if self.rows[top.index()].is_some() {
-                    stack.pop();
-                    continue;
+    let mut report = ChainingReport::default();
+    let op_blocks = function.op_blocks();
+    for &op in &graph.order {
+        let Some(&state) = schedule.op_state.get(&op) else {
+            continue;
+        };
+        for dep in graph.preds_of(op) {
+            if matches!(dep.kind, DepKind::Flow | DepKind::Control)
+                && schedule.op_state.get(&dep.from) == Some(&state)
+            {
+                report.chained_pairs += 1;
+                if op_blocks.get(&dep.from) != op_blocks.get(&op) {
+                    report.cross_block_pairs += 1;
                 }
-                let preds = self.pred_lists[top.index()]
-                    .get_or_insert_with(|| cfg.pred_blocks(top))
-                    .clone();
-                let mut pending = false;
-                for &pred in &preds {
-                    if self.rows[pred.index()].is_none() {
-                        stack.push(pred);
-                        pending = true;
-                    }
-                }
-                if pending {
-                    continue;
-                }
-                let mut row = vec![0u64; self.words];
-                for &pred in &preds {
-                    let pred_row = self.rows[pred.index()].as_ref().expect("pred row built");
-                    for (word, &bits) in pred_row.iter().enumerate() {
-                        row[word] |= bits;
-                    }
-                    row[pred.index() / 64] |= 1 << (pred.index() % 64);
-                }
-                self.rows[top.index()] = Some(row);
-                stack.pop();
             }
         }
-        self.rows[block.index()].as_deref().expect("row just built")
     }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -187,11 +82,12 @@ mod tests {
     use super::*;
     use crate::resources::ResourceLibrary;
     use crate::scheduler::{schedule, Constraints};
-    use spark_ir::{FunctionBuilder, OpKind, Type, Value};
+    use spark_ir::{FunctionBuilder, OpId, OpKind, Type, Value};
 
     /// The Figure 5 shape: operation 4 chained with operations 1, 2, 3 that
-    /// sit in the branches of two conditionals.
-    fn figure5() -> Function {
+    /// sit in the branches of two conditionals. Returns the function, the
+    /// three writes of `o1` and operation 4.
+    fn figure5() -> (Function, [OpId; 3], OpId) {
         let mut b = FunctionBuilder::new("fig5");
         let cond1 = b.param("cond1", Type::Bool);
         let cond2 = b.param("cond2", Type::Bool);
@@ -203,20 +99,20 @@ mod tests {
         let o2 = b.output("o2", Type::Bits(8));
         b.if_begin(Value::Var(cond1));
         b.if_begin(Value::Var(cond2));
-        b.copy(o1, Value::Var(a)); // op 1
+        let op1 = b.copy(o1, Value::Var(a));
         b.else_begin();
-        b.copy(o1, Value::Var(bb)); // op 2
+        let op2 = b.copy(o1, Value::Var(bb));
         b.if_end();
         b.else_begin();
-        b.copy(o1, Value::Var(c)); // op 3
+        let op3 = b.copy(o1, Value::Var(c));
         b.if_end();
-        b.assign(OpKind::Add, o2, vec![Value::Var(o1), Value::Var(d)]); // op 4
-        b.finish()
+        let op4 = b.assign(OpKind::Add, o2, vec![Value::Var(o1), Value::Var(d)]);
+        (b.finish(), [op1, op2, op3], op4)
     }
 
     #[test]
     fn figure5_chains_across_three_trails_in_one_state() {
-        let f = figure5();
+        let (f, writes, op4) = figure5();
         let graph = DependenceGraph::build(&f).unwrap();
         let lib = ResourceLibrary::new();
         let sched = schedule(&f, &graph, &lib, &Constraints::microprocessor_block(10.0)).unwrap();
@@ -227,16 +123,26 @@ mod tests {
             "op 4 chains with the writes on all trails"
         );
         assert!(report.cross_block_pairs >= 3);
-        assert!(
-            report.max_trails >= 3,
-            "the paper lists three trails into BB8"
-        );
-        assert!(report.max_trail_delay_ns <= 10.0);
+        // The paper lists three trails into BB8: op 4's same-state producers
+        // are exactly the three writes, each in a block of its own.
+        let mut producers: Vec<OpId> = graph
+            .preds_of(op4)
+            .iter()
+            .filter(|d| matches!(d.kind, DepKind::Flow | DepKind::Control))
+            .map(|d| d.from)
+            .filter(|p| sched.op_state.get(p) == sched.op_state.get(&op4))
+            .collect();
+        producers.sort();
+        assert_eq!(producers, writes);
+        let blocks = f.op_blocks();
+        assert_ne!(blocks[writes[0]], blocks[writes[1]]);
+        assert_ne!(blocks[writes[0]], blocks[writes[2]]);
+        assert_ne!(blocks[writes[1]], blocks[writes[2]]);
     }
 
     #[test]
     fn no_chaining_means_empty_report() {
-        let f = figure5();
+        let (f, _, _) = figure5();
         let graph = DependenceGraph::build(&f).unwrap();
         let lib = ResourceLibrary::new();
         let sched = schedule(
@@ -253,7 +159,7 @@ mod tests {
 
     #[test]
     fn corrupted_schedule_is_rejected() {
-        let f = figure5();
+        let (f, _, _) = figure5();
         let graph = DependenceGraph::build(&f).unwrap();
         let lib = ResourceLibrary::new();
         let mut sched =
@@ -261,6 +167,24 @@ mod tests {
         // Corrupt a finish time beyond the clock period.
         let victim = sched.op_finish.keys().last().unwrap();
         sched.op_finish.insert(victim, 99.0);
+        let err = validate_chaining(&f, &graph, &sched).unwrap_err();
+        assert!(matches!(err, SchedError::Unschedulable(_)));
+    }
+
+    #[test]
+    fn an_unchained_op_past_the_clock_is_rejected() {
+        // Op 1 reads only parameters, so nothing is chained into it; its
+        // finish time is still checked against the clock.
+        let (f, writes, _) = figure5();
+        let graph = DependenceGraph::build(&f).unwrap();
+        let lib = ResourceLibrary::new();
+        let mut sched =
+            schedule(&f, &graph, &lib, &Constraints::microprocessor_block(10.0)).unwrap();
+        assert!(graph
+            .preds_of(writes[0])
+            .iter()
+            .all(|d| !matches!(d.kind, DepKind::Flow | DepKind::Control)));
+        sched.op_finish.insert(writes[0], 99.0);
         let err = validate_chaining(&f, &graph, &sched).unwrap_err();
         assert!(matches!(err, SchedError::Unschedulable(_)));
     }
