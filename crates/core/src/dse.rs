@@ -40,9 +40,9 @@ pub fn sweep_clock_period(
     // The transformation switches do not depend on the period, so any period
     // yields the same transformed program; scheduling gets the real one.
     let transformed = transform_program(program, top, &FlowOptions::microprocessor_block(1.0))?;
-    // Build the shared pre-wire dependence graph once up front instead of
-    // having every worker block on the first point's lazy build. Loop/call
-    // errors are surfaced per point, exactly as scheduling reported them.
+    // Build the shared dependence graph once up front instead of having
+    // every worker block on the first point's lazy build. Loop/call errors
+    // are surfaced per point, exactly as scheduling reported them.
     let _ = transformed.dependence_graph();
     Ok(par_map(periods_ns, |&period| {
         let options = FlowOptions::microprocessor_block(period);

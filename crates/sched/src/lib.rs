@@ -6,10 +6,13 @@
 //!   (unlimited for microprocessor blocks, constrained for the ASIC baseline);
 //! * [`DependenceGraph`] with branch [`Guard`]s and mutual exclusion, the
 //!   information needed to schedule and share resources across conditional
-//!   boundaries (Section 3.1);
+//!   boundaries (Section 3.1); one graph, built before scheduling, serves
+//!   every step below;
 //! * a chaining-aware list [`schedule`]r driven by [`Constraints`];
 //! * wire-variable insertion ([`insert_wire_variables`], Section 3.1.2);
-//! * chaining-trail validation ([`validate_chaining`], Section 3.1.1);
+//! * chaining-trail validation ([`validate_chaining`], Section 3.1.1): the
+//!   graph's same-state edges are the chains, and every operation must
+//!   finish within the clock;
 //! * a sequential FSM [`Controller`] consumed by RTL generation.
 //!
 //! # Examples

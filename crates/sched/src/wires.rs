@@ -13,9 +13,12 @@
 //! A guard condition counts as a read, by each op it guards, so it gets its
 //! wire and commit copy exactly as a data operand does.
 //!
-//! The rewrites add operations and redirect operands, so a
-//! [`DependenceGraph`](crate::DependenceGraph) built before insertion no
-//! longer describes the function: callers build a fresh one afterwards.
+//! The rewrites add copies only under guards the
+//! [`DependenceGraph`](crate::DependenceGraph) the schedule was built from
+//! already holds, and every scheduled operation keeps its basic block, so
+//! callers keep that graph for the chaining check. Its edges do not cover
+//! the new copies or the redirected operands; nothing after insertion
+//! needs them.
 
 use spark_ir::{
     BlockId, Function, HtgNode, NodeId, OpId, OpKind, RegionId, SecondaryMap, Value, VarId,
