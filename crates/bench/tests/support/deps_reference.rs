@@ -9,7 +9,8 @@ use spark_ir::{Function, OpId, VarId};
 use spark_sched::{DepKind, Dependence, DependenceGraph};
 
 /// Incoming edges of every operation in `graph.order`, found by the
-/// per-variable history scan. Guards and mutual exclusion come from the
+/// per-variable history scan, which an unconditional scalar definition
+/// restarts. Guards and mutual exclusion come from the
 /// graph's term-by-term [`spark_sched::Guard`]s, not from its bitset.
 pub fn reference_preds(function: &Function, graph: &DependenceGraph) -> Vec<Vec<Dependence>> {
     let mut last_defs: HashMap<VarId, Vec<OpId>> = HashMap::new();
@@ -46,6 +47,14 @@ pub fn reference_preds(function: &Function, graph: &DependenceGraph) -> Vec<Vec<
                 if reader != op_id && !exclusive(reader) {
                     preds.push(edge(reader, DepKind::Anti, defined));
                 }
+            }
+        }
+        // An unconditional scalar definition starts the variable's
+        // histories afresh.
+        if let Some(defined) = op.def() {
+            if guard.is_unconditional() && !function.vars[defined].is_array() {
+                last_defs.remove(&defined);
+                last_uses.remove(&defined);
             }
         }
         for used in op.uses_iter() {

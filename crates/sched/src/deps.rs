@@ -229,6 +229,13 @@ pub struct Dependence {
 
 /// Data-dependence information for one loop-free, call-free function.
 ///
+/// An operation depends on the earlier accesses of a variable back to, and
+/// including, the last unconditional definition of it (of a scalar): the
+/// definitions its read may see, and the accesses its write must not pass.
+/// Ordering behind older accesses follows through that definition's own
+/// edges, so the graph grows with the reaching definitions, not with every
+/// earlier access. Edges between mutually exclusive operations are dropped.
+///
 /// Edges are stored flat: one `Vec<Dependence>` grouped by consumer in
 /// `order`, with a per-operation range into it. Consumers take
 /// [`DependenceGraph::preds_of`] slices; nothing allocates per operation.
@@ -343,9 +350,22 @@ impl DependenceGraph {
                 }
             }
 
-            // Update access history. A guard condition is read too: when it
-            // is defined again later, that definition must not move above
-            // this op, so the op joins the condition's use history.
+            // Update access history. An unconditional scalar definition is
+            // the only earlier write a later access can depend on: a later
+            // read sees its value, and a later write is ordered after every
+            // earlier access through this op's own Output and Anti edges. So
+            // it clears the variable's histories before joining them. A
+            // guarded definition may not run, and an array write sets one
+            // element only; neither clears anything.
+            if let Some(defined) = op.def() {
+                if gid == GuardId::UNCONDITIONAL && !function.vars[defined].is_array() {
+                    last_defs.kill(defined);
+                    last_uses.kill(defined);
+                }
+            }
+            // A guard condition is read too: when it is defined again later,
+            // that definition must not move above this op, so the op joins
+            // the condition's use history.
             for used in op.uses_iter() {
                 last_uses.push(used, op_id);
             }
@@ -412,13 +432,14 @@ impl DependenceGraph {
 ///
 /// A counting pre-pass gives each variable one range, sized to its total
 /// number of accesses; the scan fills a variable's range front to back as it
-/// reaches the accesses, so the filled prefix is the history so far, in
-/// program order. A def range is full once the scan has passed the
-/// variable's last definition.
+/// reaches the accesses, so the filled part is the history so far, in
+/// program order. A kill moves the history's start up to its end, so the
+/// accesses before it drop out. A def range is full once the scan has
+/// passed the variable's last definition.
 struct Histories {
     /// Accessing operations, grouped by variable.
     ops: Vec<OpId>,
-    /// Start of each variable's range in `ops`.
+    /// Start of each variable's live history in `ops`.
     start: Vec<u32>,
     /// One past the last filled slot of each variable's range.
     end: Vec<u32>,
@@ -489,6 +510,13 @@ impl Histories {
     fn of(&self, var: VarId) -> &[OpId] {
         let v = var.index();
         &self.ops[self.start[v] as usize..self.end[v] as usize]
+    }
+
+    /// Forgets the history of `var` so far; later pushes start a new one.
+    #[inline]
+    fn kill(&mut self, var: VarId) {
+        let v = var.index();
+        self.start[v] = self.end[v];
     }
 
     /// Appends `op` to the history of `var`.
@@ -784,6 +812,80 @@ mod tests {
             .collect();
         assert_eq!(controls, vec![outer]);
         assert!(graph.mutually_exclusive(then_def, guarded));
+    }
+
+    /// The sources of `op`'s incoming edges of `kind`.
+    fn sources(graph: &DependenceGraph, op: OpId, kind: DepKind) -> Vec<OpId> {
+        graph
+            .preds_of(op)
+            .iter()
+            .filter(|d| d.kind == kind)
+            .map(|d| d.from)
+            .collect()
+    }
+
+    #[test]
+    fn unconditional_redefinition_cuts_edges_to_earlier_accesses() {
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let x = b.var("x", Type::Bits(8));
+        let y = b.var("y", Type::Bits(8));
+        let first = b.copy(x, Value::Var(a));
+        let early_read = b.assign(OpKind::Add, y, vec![Value::Var(x), Value::word(1)]);
+        let kill = b.assign(OpKind::Add, x, vec![Value::Var(a), Value::word(2)]);
+        let late_read = b.assign(OpKind::Add, y, vec![Value::Var(x), Value::word(3)]);
+        let last = b.copy(x, Value::word(4));
+        let f = b.finish();
+        let graph = DependenceGraph::build(&f).unwrap();
+        assert_eq!(sources(&graph, kill, DepKind::Output), vec![first]);
+        assert_eq!(sources(&graph, kill, DepKind::Anti), vec![early_read]);
+        assert_eq!(sources(&graph, late_read, DepKind::Flow), vec![kill]);
+        assert_eq!(sources(&graph, last, DepKind::Output), vec![kill]);
+        assert_eq!(sources(&graph, last, DepKind::Anti), vec![late_read]);
+    }
+
+    #[test]
+    fn guarded_redefinition_keeps_edges_to_earlier_accesses() {
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let c = b.param("c", Type::Bool);
+        let x = b.var("x", Type::Bits(8));
+        let y = b.var("y", Type::Bits(8));
+        let first = b.copy(x, Value::Var(a));
+        let early_read = b.assign(OpKind::Add, y, vec![Value::Var(x), Value::word(1)]);
+        b.if_begin(Value::Var(c));
+        let guarded = b.assign(OpKind::Add, x, vec![Value::Var(a), Value::word(2)]);
+        b.if_end();
+        let late_read = b.assign(OpKind::Add, y, vec![Value::Var(x), Value::word(3)]);
+        let last = b.copy(x, Value::word(4));
+        let f = b.finish();
+        let graph = DependenceGraph::build(&f).unwrap();
+        assert_eq!(sources(&graph, late_read, DepKind::Flow), vec![first, guarded]);
+        assert_eq!(sources(&graph, last, DepKind::Output), vec![first, guarded]);
+        assert_eq!(
+            sources(&graph, last, DepKind::Anti),
+            vec![early_read, late_read]
+        );
+    }
+
+    #[test]
+    fn unconditional_array_write_kills_nothing() {
+        let mut b = FunctionBuilder::new("f");
+        let i = b.param("i", Type::Bits(2));
+        let arr = b.array("arr", Type::Bits(8), 4);
+        let t = b.var("t", Type::Bits(8));
+        let first = b.array_write(arr, Value::word(0), Value::word(5));
+        let early_read = b.array_read(t, arr, Value::Var(i));
+        let second = b.array_write(arr, Value::word(1), Value::word(6));
+        let late_read = b.array_read(t, arr, Value::Var(i));
+        let f = b.finish();
+        let graph = DependenceGraph::build(&f).unwrap();
+        assert_eq!(sources(&graph, second, DepKind::Output), vec![first]);
+        assert_eq!(sources(&graph, second, DepKind::Anti), vec![early_read]);
+        assert_eq!(
+            sources(&graph, late_read, DepKind::Flow),
+            vec![first, second]
+        );
     }
 
     #[test]
