@@ -25,21 +25,37 @@ use spark_transforms as xf;
 // ---------------------------------------------------------------------------
 
 /// Builds a deterministic random function from a byte script: a mix of
-/// straight-line arithmetic over a growing variable pool, conditionals,
-/// small counted loops (some with a branch on the loop index, which is
-/// constant per iteration once unrolled), repeated expressions (CSE
-/// fodder), constant copies (const-prop fodder) and variable copies
-/// (copy-prop fodder), ending in writes to primary outputs so not
-/// everything is dead.
+/// straight-line arithmetic over a growing variable pool, conditionals
+/// (then- and else-branches), small counted loops (some with a branch on
+/// the loop index, which is constant per iteration once unrolled), repeated
+/// expressions (CSE fodder), constant copies (const-prop fodder) and
+/// variable copies (copy-prop fodder), ending in writes to primary outputs
+/// so not everything is dead. Two condition flags may be rewritten inside
+/// a branch and guard later code, also in the opposite branch; a pool
+/// variable may be redefined under a guard and then unconditionally.
 fn build_scripted_function(script: &[u8]) -> Function {
+    build_function(script, true)
+}
+
+/// [`build_scripted_function`] when `extended` is set. Without it, the
+/// older, narrower shapes: every `if` is on `cond` and has an empty else
+/// branch, and there are no flags and no redefinitions.
+fn build_function(script: &[u8], extended: bool) -> Function {
     let mut b = FunctionBuilder::new("gen");
     let p0 = b.param("p0", Type::Bits(8));
     let p1 = b.param("p1", Type::Bits(8));
     let cond = b.param("cond", Type::Bool);
     let out0 = b.output("out0", Type::Bits(8));
     let out1 = b.output("out1", Type::Bits(8));
+    let mut flags = [cond; 2];
+    if extended {
+        flags = [b.var("f0", Type::Bool), b.var("f1", Type::Bool)];
+        b.assign(OpKind::Lt, flags[0], vec![Value::Var(p0), Value::Var(p1)]);
+        b.copy(flags[1], Value::Var(cond));
+    }
     let mut pool = vec![p0, p1];
-    let mut depth = 0usize;
+    // One entry per open conditional: whether it is in its else-branch.
+    let mut open: Vec<bool> = Vec::new();
     let mut loops = 0usize;
 
     let mut bytes = script.iter().copied();
@@ -47,7 +63,7 @@ fn build_scripted_function(script: &[u8]) -> Function {
         let a = bytes.next().unwrap_or(1);
         let c = bytes.next().unwrap_or(2);
         let pick = |sel: u8, pool: &[spark_ir::VarId]| pool[sel as usize % pool.len()];
-        match choice % 10 {
+        match choice % if extended { 12 } else { 10 } {
             // Fresh computation over the pool.
             0..=2 => {
                 let kinds = [
@@ -91,21 +107,26 @@ fn build_scripted_function(script: &[u8]) -> Function {
                 b.assign(OpKind::Add, d2, vec![lhs, rhs]);
                 pool.push(d2);
             }
-            // Open a conditional (bounded nesting).
-            6 if depth < 2 => {
-                b.if_begin(Value::Var(cond));
-                depth += 1;
+            // Open a conditional on `cond` or a flag (bounded nesting).
+            6 if open.len() < 2 => {
+                let guard = if c % 3 == 0 { flags[a as usize % 2] } else { cond };
+                b.if_begin(Value::Var(guard));
+                open.push(false);
             }
-            // Else-branch or close of the innermost conditional.
-            7 if depth > 0 => {
-                if a % 2 == 0 {
+            // Switch the innermost conditional to its else-branch, or close it.
+            7 if !open.is_empty() => {
+                let in_else = open.last_mut().expect("a conditional is open");
+                if a % 2 == 0 && !*in_else {
                     b.else_begin();
+                    *in_else = true;
                 }
-                b.if_end();
-                depth -= 1;
+                if !extended || !*in_else {
+                    b.if_end();
+                    open.pop();
+                }
             }
             // A small counted loop accumulating into a fresh variable.
-            8 if depth == 0 && loops < 2 => {
+            8 if open.is_empty() && loops < 2 => {
                 let i = b.var(&format!("i{loops}"), Type::Bits(8));
                 let acc = b.var(&format!("v{}", pool.len()), Type::Bits(8));
                 b.copy(acc, Value::Var(pick(a, &pool)));
@@ -124,6 +145,24 @@ fn build_scripted_function(script: &[u8]) -> Function {
                 pool.push(acc);
                 loops += 1;
             }
+            // Rewrite a condition flag where the script stands, possibly
+            // inside a branch.
+            9 if extended => {
+                let lhs = Value::Var(pick(a, &pool));
+                let rhs = Value::Var(pick(c, &pool));
+                b.assign(OpKind::Lt, flags[c as usize % 2], vec![lhs, rhs]);
+            }
+            // Redefine a pool variable under a guard, then unconditionally.
+            10 if open.is_empty() && pool.len() > 2 => {
+                let target = pool[2 + a as usize % (pool.len() - 2)];
+                let guard = if c % 2 == 0 { cond } else { flags[a as usize % 2] };
+                b.if_begin(Value::Var(guard));
+                let step = Value::word(u64::from(c % 5) + 1);
+                b.assign(OpKind::Add, target, vec![Value::Var(target), step]);
+                b.if_end();
+                let other = Value::Var(pick(c, &pool));
+                b.assign(OpKind::Xor, target, vec![Value::Var(target), other]);
+            }
             // Write an output from the pool.
             _ => {
                 let dest = if a % 2 == 0 { out0 } else { out1 };
@@ -131,9 +170,8 @@ fn build_scripted_function(script: &[u8]) -> Function {
             }
         }
     }
-    while depth > 0 {
+    for _ in open.drain(..) {
         b.if_end();
-        depth -= 1;
     }
     // Always observe the two most recent pool values.
     b.copy(out0, Value::Var(pool[pool.len() - 1]));
@@ -200,11 +238,10 @@ fn uncompacted_transformed_function(script: &[u8]) -> Function {
     f
 }
 
-/// A generated program through the recipe without the clean-up before the
-/// second speculation: the unrolled code is speculated while the loop
-/// index is still a variable.
-fn speculated_before_cleanup(script: &[u8]) -> Function {
-    let mut f = build_scripted_function(script);
+/// A program through the recipe without the clean-up before the second
+/// speculation: the unrolled code is speculated while the loop index is
+/// still a variable.
+fn speculated_before_cleanup(mut f: Function) -> Function {
     xf::speculate(&mut f);
     xf::unroll_all_loops(&mut f);
     xf::speculate(&mut f);
@@ -571,16 +608,20 @@ proptest! {
     /// order and the same program-order schedule, binding and report, in
     /// both flows at three clocks, as when the unrolled code is speculated
     /// first. The variables may be numbered differently, so the design is
-    /// compared by `design_key`, not by `synthesis_fingerprint`.
+    /// compared by `design_key`, not by `synthesis_fingerprint`. It draws
+    /// the generator's narrower shapes: on the extended ones the two
+    /// recipes can keep different ones of two equal expressions, which
+    /// changes an operand order or leaves one more copy.
     #[test]
     fn cleanup_before_second_speculation_preserves_every_design_point(
         script in proptest::collection::vec(any::<u8>(), 96),
     ) {
+        let function = build_function(&script, false);
+        let speculated_first = as_transformed(speculated_before_cleanup(function.clone()));
         let mut program = Program::new();
-        program.add_function(build_scripted_function(&script));
+        program.add_function(function);
         let flow = FlowOptions::microprocessor_block(100.0);
         let cleaned_first = transform_program(&program, "gen", &flow).unwrap();
-        let speculated_first = as_transformed(speculated_before_cleanup(&script));
         for clock in [7.0, 20.0, 100.0] {
             for options in [
                 FlowOptions::microprocessor_block(clock),
