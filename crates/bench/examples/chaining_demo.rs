@@ -54,7 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One producer per trail into operation 4's block: every write of `o1`
     // that is not mutually exclusive with it, chained into its state.
     println!("== producers chained into operation 4, one per trail ==");
-    let op_blocks = f.op_blocks();
     for dep in graph.preds_of(op4) {
         if matches!(dep.kind, DepKind::Flow | DepKind::Control)
             && sched.op_state.get(&dep.from) == sched.op_state.get(&op4)
@@ -62,7 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "  op{} in {}: {}",
                 dep.from.raw(),
-                f.blocks[op_blocks[dep.from]].label,
+                f.blocks[graph
+                    .block_of(dep.from)
+                    .expect("producers are in the graph")]
+                .label,
                 f.vars[dep.var].name
             );
         }

@@ -109,7 +109,11 @@ fn build_function(script: &[u8], extended: bool) -> Function {
             }
             // Open a conditional on `cond` or a flag (bounded nesting).
             6 if open.len() < 2 => {
-                let guard = if c % 3 == 0 { flags[a as usize % 2] } else { cond };
+                let guard = if c % 3 == 0 {
+                    flags[a as usize % 2]
+                } else {
+                    cond
+                };
                 b.if_begin(Value::Var(guard));
                 open.push(false);
             }
@@ -155,7 +159,11 @@ fn build_function(script: &[u8], extended: bool) -> Function {
             // Redefine a pool variable under a guard, then unconditionally.
             10 if open.is_empty() && pool.len() > 2 => {
                 let target = pool[2 + a as usize % (pool.len() - 2)];
-                let guard = if c % 2 == 0 { cond } else { flags[a as usize % 2] };
+                let guard = if c % 2 == 0 {
+                    cond
+                } else {
+                    flags[a as usize % 2]
+                };
                 b.if_begin(Value::Var(guard));
                 let step = Value::word(u64::from(c % 5) + 1);
                 b.assign(OpKind::Add, target, vec![Value::Var(target), step]);

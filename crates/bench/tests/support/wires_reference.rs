@@ -25,7 +25,6 @@ pub fn reference_insert_wire_variables(
         .enumerate()
         .map(|(i, o)| (o, i))
         .collect();
-    let op_blocks = function.op_blocks();
     let outermost = outermost_compounds(function);
 
     type Accesses = (Vec<OpId>, Vec<OpId>);
@@ -94,11 +93,13 @@ pub fn reference_insert_wire_variables(
 
             let needs_initializer = writers.iter().any(|&w| {
                 position[&w] >= position[&first_writer]
-                    && op_blocks.get(&w).is_some_and(|b| outermost.contains_key(b))
+                    && graph
+                        .block_of(w)
+                        .is_some_and(|b| outermost.contains_key(&b))
             });
             if needs_initializer {
                 if let Some(&conditional) =
-                    op_blocks.get(&first_writer).and_then(|b| outermost.get(b))
+                    graph.block_of(first_writer).and_then(|b| outermost.get(&b))
                 {
                     let region = function.body;
                     let index = function.regions[region]
@@ -125,7 +126,7 @@ pub fn reference_insert_wire_variables(
                 if position[&writer] > position[chained_readers.last().expect("non-empty")] {
                     continue;
                 }
-                let Some(&block) = op_blocks.get(&writer) else {
+                let Some(block) = graph.block_of(writer) else {
                     continue;
                 };
                 function.ops[writer].dest = Some(wire);

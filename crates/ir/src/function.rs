@@ -292,26 +292,14 @@ impl Function {
 
     /// Looks up the block that contains `op`, if any (searching live blocks).
     ///
-    /// This scans every block; passes that need the owning block of many
-    /// operations should build the dense index once with
-    /// [`Function::op_blocks`] instead.
+    /// This scans every block. The transformation passes keep the owning
+    /// block of every operation in their [`DefUseGraph`](crate::DefUseGraph),
+    /// and the scheduler's dependence graph records it during its HTG walk.
     pub fn block_of(&self, op: OpId) -> Option<BlockId> {
         self.blocks
             .iter()
             .find(|(_, bb)| bb.ops.contains(&op))
             .map(|(id, _)| id)
-    }
-
-    /// Builds the operation → containing-block index in one pass over all
-    /// blocks. Detached (dead) operations are absent from the map.
-    pub fn op_blocks(&self) -> crate::SecondaryMap<OpId, BlockId> {
-        let mut map = crate::SecondaryMap::with_capacity(self.ops.len());
-        for (block, bb) in self.blocks.iter() {
-            for &op in &bb.ops {
-                map.insert(op, block);
-            }
-        }
-        map
     }
 
     /// Finds a variable by name (first match, a linear scan).

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use spark_ir::{DenseKey, Function, HtgNode, OpId, RegionId, SecondaryMap, Value, VarId};
+use spark_ir::{BlockId, DenseKey, Function, HtgNode, OpId, RegionId, SecondaryMap, Value, VarId};
 
 /// Why scheduling cannot proceed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -249,6 +249,8 @@ pub struct DependenceGraph {
     ranges: SecondaryMap<OpId, (u32, u32)>,
     /// Interned guard per operation.
     guard_ids: SecondaryMap<OpId, GuardId>,
+    /// Basic block of every operation.
+    blocks: SecondaryMap<OpId, BlockId>,
     /// The guard interner and exclusion bitset.
     guard_table: GuardTable,
 }
@@ -271,13 +273,15 @@ impl DependenceGraph {
         let mut graph = DependenceGraph {
             ranges: SecondaryMap::with_capacity(function.ops.len()),
             guard_ids: SecondaryMap::with_capacity(function.ops.len()),
+            blocks: SecondaryMap::with_capacity(function.ops.len()),
             ..DependenceGraph::default()
         };
-        walk_guards(function, |guard, ops| {
+        walk_guards(function, |guard, block, ops| {
             let gid = graph.guard_table.intern(guard);
             for &op_id in ops {
                 graph.order.push(op_id);
                 graph.guard_ids.insert(op_id, gid);
+                graph.blocks.insert(op_id, block);
             }
         })?;
         graph.guard_table.seal();
@@ -292,6 +296,7 @@ impl DependenceGraph {
             ref mut ranges,
             ref guard_ids,
             ref guard_table,
+            ..
         } = graph;
         for &op_id in order {
             let op = &function.ops[op_id];
@@ -401,6 +406,13 @@ impl DependenceGraph {
     /// Interned guard id of an operation, if it is part of the graph.
     pub fn guard_id_of(&self, op: OpId) -> Option<GuardId> {
         self.guard_ids.get(&op).copied()
+    }
+
+    /// Basic block of an operation, if it is part of the graph. Wire
+    /// insertion moves no scheduled operation to another block, so the
+    /// answer holds for the rewritten function too.
+    pub fn block_of(&self, op: OpId) -> Option<BlockId> {
+        self.blocks.get(&op).copied()
     }
 
     /// The guard interner and precomputed exclusion bitset.
@@ -529,7 +541,7 @@ impl Histories {
 }
 
 /// Walks the HTG of `function` in program order and calls `visit` once per
-/// basic block with the block's guard and its live operations.
+/// basic block with the block's guard, the block and its live operations.
 ///
 /// This is the one guard walk: [`DependenceGraph::build`] interns its guards
 /// from it, and [`Controller::build`](crate::Controller::build) reads the
@@ -540,7 +552,7 @@ impl Histories {
 /// [`SchedError::ContainsCalls`] at a live call.
 pub(crate) fn walk_guards(
     function: &Function,
-    mut visit: impl FnMut(&Guard, &[OpId]),
+    mut visit: impl FnMut(&Guard, BlockId, &[OpId]),
 ) -> Result<(), SchedError> {
     walk_region(
         function,
@@ -556,7 +568,7 @@ fn walk_region(
     region: RegionId,
     guard: &mut Guard,
     live: &mut Vec<OpId>,
-    visit: &mut impl FnMut(&Guard, &[OpId]),
+    visit: &mut impl FnMut(&Guard, BlockId, &[OpId]),
 ) -> Result<(), SchedError> {
     for &node in &function.regions[region].nodes {
         match &function.nodes[node] {
@@ -572,7 +584,7 @@ fn walk_region(
                     }
                     live.push(op_id);
                 }
-                visit(guard, live);
+                visit(guard, *b, live);
             }
             HtgNode::If(i) => {
                 guard.terms.push((i.cond, true));
@@ -860,7 +872,10 @@ mod tests {
         let last = b.copy(x, Value::word(4));
         let f = b.finish();
         let graph = DependenceGraph::build(&f).unwrap();
-        assert_eq!(sources(&graph, late_read, DepKind::Flow), vec![first, guarded]);
+        assert_eq!(
+            sources(&graph, late_read, DepKind::Flow),
+            vec![first, guarded]
+        );
         assert_eq!(sources(&graph, last, DepKind::Output), vec![first, guarded]);
         assert_eq!(
             sources(&graph, last, DepKind::Anti),

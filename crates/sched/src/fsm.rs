@@ -73,7 +73,7 @@ impl Controller {
             .collect();
         // Per register, the state and wire of its latest commit copy.
         let mut committed: SecondaryMap<VarId, (usize, VarId)> = SecondaryMap::new();
-        walk_guards(function, |block_guard, ops| {
+        walk_guards(function, |block_guard, _, ops| {
             for &op in ops {
                 let Some(&state) = schedule.op_state.get(&op) else {
                     continue;

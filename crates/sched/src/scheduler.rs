@@ -7,7 +7,7 @@
 //! resources and does not chain across basic blocks; both are expressed
 //! through [`Constraints`].
 
-use spark_ir::{BlockId, Function, OpId, SecondaryMap};
+use spark_ir::{Function, OpId, SecondaryMap};
 
 use crate::deps::{DepKind, DependenceGraph, SchedError};
 use crate::resources::{Allocation, FuClass, ResourceLibrary};
@@ -139,9 +139,6 @@ pub fn schedule(
     library: &ResourceLibrary,
     constraints: &Constraints,
 ) -> Result<Schedule, SchedError> {
-    // Block of every op, for the cross-block chaining test — built in one
-    // pass instead of a per-op block scan.
-    let block_of: SecondaryMap<OpId, BlockId> = function.op_blocks();
     let mut result = Schedule {
         clock_period_ns: constraints.clock_period_ns,
         ..Schedule::default()
@@ -182,7 +179,7 @@ pub fn schedule(
                 DepKind::Flow | DepKind::Control => {
                     let chainable = constraints.allow_chaining
                         && (constraints.allow_cross_block_chaining
-                            || block_of.get(&dep.from) == block_of.get(&op_id));
+                            || graph.block_of(dep.from) == graph.block_of(op_id));
                     data_deps.push((dep.from, chainable));
                     chainable
                 }

@@ -58,7 +58,6 @@ pub fn validate_chaining(
     }
 
     let mut report = ChainingReport::default();
-    let op_blocks = function.op_blocks();
     for &op in &graph.order {
         let Some(&state) = schedule.op_state.get(&op) else {
             continue;
@@ -68,7 +67,7 @@ pub fn validate_chaining(
                 && schedule.op_state.get(&dep.from) == Some(&state)
             {
                 report.chained_pairs += 1;
-                if op_blocks.get(&dep.from) != op_blocks.get(&op) {
+                if graph.block_of(dep.from) != graph.block_of(op) {
                     report.cross_block_pairs += 1;
                 }
             }
@@ -134,10 +133,10 @@ mod tests {
             .collect();
         producers.sort();
         assert_eq!(producers, writes);
-        let blocks = f.op_blocks();
-        assert_ne!(blocks[writes[0]], blocks[writes[1]]);
-        assert_ne!(blocks[writes[0]], blocks[writes[2]]);
-        assert_ne!(blocks[writes[1]], blocks[writes[2]]);
+        let block = |op| graph.block_of(op).unwrap();
+        assert_ne!(block(writes[0]), block(writes[1]));
+        assert_ne!(block(writes[0]), block(writes[2]));
+        assert_ne!(block(writes[1]), block(writes[2]));
     }
 
     #[test]

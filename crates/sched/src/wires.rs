@@ -57,13 +57,14 @@ struct Access {
 
 /// Inserts wire-variables for every value that is produced and consumed in
 /// the same control step, updating `schedule` with the new copy operations.
-/// `graph`, the dependence graph `schedule` was built from, gives the guards.
+/// `graph`, the dependence graph of `function` that `schedule` was built
+/// from, gives the program order, the guards and the blocks.
 ///
 /// Returns a [`WireReport`] describing the rewrites. The transformation
 /// preserves sequential semantics (checked by the interpreter-equivalence
 /// tests) and leaves registers holding exactly the values they held before.
 ///
-/// The pass makes one walk over the live operations, collecting every
+/// The pass makes one walk over the graph's operations, collecting every
 /// scalar access into one flat list, and a stable sort by
 /// `(variable, state)` groups it: variable-major, state-ascending, program
 /// order within a group. Each group creates its wire, initializer and commit
@@ -78,14 +79,12 @@ pub fn insert_wire_variables(
 ) -> WireReport {
     let mut report = WireReport::default();
 
-    let order: Vec<OpId> = function.live_ops();
-    let op_blocks = function.op_blocks();
     // Per-block guard structure, in one walk: the outermost compound node a
     // block lives under (absent for top-level blocks).
     let outermost = outermost_compounds(function);
 
-    let mut accesses: Vec<Access> = Vec::with_capacity(order.len() * 3);
-    for (position, &op) in order.iter().enumerate() {
+    let mut accesses: Vec<Access> = Vec::with_capacity(graph.order.len() * 3);
+    for (position, &op) in graph.order.iter().enumerate() {
         let Some(&state) = schedule.op_state.get(&op) else {
             continue;
         };
@@ -160,14 +159,14 @@ pub fn insert_wire_variables(
         // contains the first writer.
         let needs_initializer = group.iter().any(|a| {
             a.is_writer
-                && op_blocks
-                    .get(&a.op)
-                    .is_some_and(|b| outermost.contains_key(b))
+                && graph
+                    .block_of(a.op)
+                    .is_some_and(|b| outermost.contains_key(&b))
         });
         if needs_initializer {
-            if let Some(&compound) = op_blocks
-                .get(&first_writer.op)
-                .and_then(|b| outermost.get(b))
+            if let Some(&compound) = graph
+                .block_of(first_writer.op)
+                .and_then(|b| outermost.get(&b))
             {
                 let init_block = function.add_block(format!("winit_{}", function.vars[var].name));
                 let init_op =
@@ -187,7 +186,7 @@ pub fn insert_wire_variables(
             .iter()
             .filter(|a| a.is_writer && a.position <= last_chained_reader.position)
         {
-            let Some(&block) = op_blocks.get(&writer.op) else {
+            let Some(block) = graph.block_of(writer.op) else {
                 continue;
             };
             function.ops[writer.op].dest = Some(wire);
