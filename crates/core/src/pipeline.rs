@@ -443,7 +443,8 @@ impl<'a> PassManager<'a> {
 
     /// Runs the whole transformation recipe and returns the transformed
     /// program, its top function compacted ([`spark_ir::Function::compact`]):
-    /// it holds only live operations and reachable blocks, nodes and regions.
+    /// it holds only live operations, reachable blocks, nodes and regions,
+    /// and the variables they name besides the ports.
     fn run(mut self) -> Result<TransformedProgram, SynthesisError> {
         let options = self.options;
 
@@ -495,15 +496,17 @@ impl<'a> PassManager<'a> {
         }
         self.fine(FinePass::CopyProp)?;
         self.fine(FinePass::Dce)?;
-        self.snapshot("cleanup");
 
         // Hand the backend only the live IR: every design point copies the
-        // top function and sizes its per-op tables by its arenas.
+        // top function, sizes its per-op tables by its arenas, and binds,
+        // simulates and declares its variables. The last snapshot counts
+        // what the backend sees.
         self.working
             .function_mut(&self.top)
             .expect("top exists")
             .compact();
         self.verify_top("compact".to_string())?;
+        self.snapshot("cleanup");
 
         Ok(TransformedProgram {
             program: self.working,
@@ -847,6 +850,31 @@ mod tests {
             assert!(transformed.pass_log.iter().all(|r| r.pass != "compact"));
             let last = transformed.stages.last().unwrap();
             assert_eq!(last.stats, FunctionStats::of(top));
+            // Every variable is a parameter, a port, or named by live IR
+            // (the loops are unrolled, so nodes name only conditions).
+            let mut named = vec![false; top.vars.len()];
+            for (_, op) in top.ops.iter() {
+                for var in op.uses_iter().chain(op.def()) {
+                    named[var.index()] = true;
+                }
+            }
+            for (_, node) in top.nodes.iter() {
+                if let Some(cond) = match node {
+                    spark_ir::HtgNode::If(i) => i.cond.as_var(),
+                    _ => None,
+                } {
+                    named[cond.index()] = true;
+                }
+            }
+            for (id, var) in top.vars.iter() {
+                assert!(
+                    named[id.index()]
+                        || top.params.contains(&id)
+                        || var.direction != spark_ir::PortDirection::Internal,
+                    "`{}` is declared but nothing names it",
+                    var.name
+                );
+            }
         }
     }
 

@@ -426,15 +426,18 @@ impl Function {
     }
 
     /// Drops every operation that is dead or outside the blocks reachable
-    /// from the body, and every unreachable block, HTG node and region. The
-    /// survivors are renumbered in their original id order, so program order
-    /// and every iteration or tie-break by id are unchanged. Variables are
-    /// kept as they are: the RTL declares every one and
-    /// [`FunctionStats`](crate::FunctionStats) counts them.
+    /// from the body, and every unreachable block, HTG node and region. Of
+    /// the variables it keeps the parameters, the ports and those a kept
+    /// operation (destination, operand or array) or node (condition, loop
+    /// index or bound) names; the rest are internal and unused. The
+    /// survivors of every arena are renumbered in their original id order,
+    /// so program order and every iteration or tie-break by id are
+    /// unchanged.
     ///
-    /// Every operation, block, node and region id held outside the function
-    /// is invalidated. The transformation pipeline compacts its result once,
-    /// so each design point copies and sizes its tables by the live IR only.
+    /// Every variable, operation, block, node and region id held outside the
+    /// function is invalidated. The transformation pipeline compacts its
+    /// result once, so each design point copies, sizes its tables by,
+    /// binds, simulates and declares the live design only.
     pub fn compact(&mut self) {
         let mut keep_regions = vec![false; self.regions.len()];
         let mut keep_nodes = vec![false; self.nodes.len()];
@@ -490,6 +493,38 @@ impl Function {
             }
         }
         self.body = region(self.body);
+        self.compact_vars();
+    }
+
+    /// Drops the internal variables that no operation or node names (every
+    /// one left is live after [`Function::compact`]'s own pass), renumbering
+    /// the survivors in id order.
+    fn compact_vars(&mut self) {
+        let mut keep = vec![false; self.vars.len()];
+        for (id, var) in self.vars.iter() {
+            keep[id.index()] = var.direction != PortDirection::Internal;
+        }
+        for &param in &self.params {
+            keep[param.index()] = true;
+        }
+        for (_, op) in self.ops.iter_mut() {
+            op_vars(op, |var| keep[var.index()] = true);
+        }
+        for (_, node) in self.nodes.iter_mut() {
+            node_vars(node, |var| keep[var.index()] = true);
+        }
+        let vars = self.vars.retain(&keep);
+        let renumber =
+            |var: &mut VarId| *var = vars[var.index()].expect("a named variable is kept");
+        for param in &mut self.params {
+            renumber(param);
+        }
+        for (_, op) in self.ops.iter_mut() {
+            op_vars(op, renumber);
+        }
+        for (_, node) in self.nodes.iter_mut() {
+            node_vars(node, renumber);
+        }
     }
 
     /// Removes empty basic blocks and empty `if` nodes from every region.
@@ -528,6 +563,43 @@ impl Function {
             }
         }
         removed
+    }
+}
+
+/// Calls `visit` on every variable `op` names: its destination, its
+/// variable operands and the array it reads or writes.
+fn op_vars(op: &mut Operation, mut visit: impl FnMut(&mut VarId)) {
+    for var in op
+        .dest
+        .iter_mut()
+        .chain(op.args.iter_mut().filter_map(|arg| match arg {
+            Value::Var(var) => Some(var),
+            Value::Const(_) => None,
+        }))
+    {
+        visit(var);
+    }
+    if let OpKind::ArrayRead { array } | OpKind::ArrayWrite { array } = &mut op.kind {
+        visit(array);
+    }
+}
+
+/// Calls `visit` on every variable `node` names: an `if` condition, a loop
+/// index, bound or condition.
+fn node_vars(node: &mut HtgNode, mut visit: impl FnMut(&mut VarId)) {
+    let value = match node {
+        HtgNode::Block(_) => None,
+        HtgNode::If(i) => Some(&mut i.cond),
+        HtgNode::Loop(l) => match &mut l.kind {
+            LoopKind::For { index, end, .. } => {
+                visit(index);
+                Some(end)
+            }
+            LoopKind::While { cond } => Some(cond),
+        },
+    };
+    if let Some(Value::Var(var)) = value {
+        visit(var);
     }
 }
 
@@ -680,16 +752,24 @@ mod tests {
     /// `sample_function` between two top-level blocks, plus garbage
     /// interleaved with the live IR: a dead op left in a live block, an
     /// `if` node, its regions and a block no longer reachable from the body,
-    /// and an op never placed in any block.
+    /// an op never placed in any block, and variables only the garbage
+    /// names (`gone_*`) or nothing names (`unused`, `unused_out`; the
+    /// second is an output port).
     fn function_with_garbage() -> Function {
-        let (mut f, a, c, x) = sample_function();
+        let (mut f, a, _, x) = sample_function();
+        let unused = f.add_var(Var::register("unused", Type::Bits(8)));
+        let dead_dest = f.add_var(Var::register("gone_dead", Type::Bits(8)));
+        let _unused_out = f.add_var(Var::register("unused_out", Type::Bits(8)).as_output());
+        let orphan_dest = f.add_var(Var::register("gone_orphan", Type::Bits(8)));
+        let loose_arg = f.add_var(Var::register("gone_loose", Type::Bits(8)));
+        let orphan_cond = f.add_var(Var::register("gone_cond", Type::Bool));
         let body = f.body;
         let pre = f.add_block("pre");
         let dead = f.push_op(
             pre,
             OpKind::Add,
-            Some(x),
-            vec![Value::Var(a), Value::word(2)],
+            Some(dead_dest),
+            vec![Value::Var(unused), Value::word(2)],
         );
         f.push_op(
             pre,
@@ -702,13 +782,18 @@ mod tests {
         f.regions[body].nodes.insert(0, pre_node);
 
         let orphan = f.add_block("orphan");
-        f.push_op(orphan, OpKind::Copy, Some(x), vec![Value::word(9)]);
+        f.push_op(
+            orphan,
+            OpKind::Copy,
+            Some(orphan_dest),
+            vec![Value::word(9)],
+        );
         let orphan_then = f.add_region();
         let orphan_node = f.add_block_node(orphan);
         f.region_push(orphan_then, orphan_node);
         let orphan_else = f.add_region();
-        f.add_if_node(Value::Var(c), orphan_then, orphan_else);
-        f.add_op(OpKind::Copy, Some(x), vec![Value::word(4)]);
+        f.add_if_node(Value::Var(orphan_cond), orphan_then, orphan_else);
+        f.add_op(OpKind::Copy, Some(x), vec![Value::Var(loose_arg)]);
 
         let post = f.add_block("post");
         f.push_op(post, OpKind::Copy, Some(x), vec![Value::Var(a)]);
@@ -778,16 +863,53 @@ mod tests {
         let kept_sizes: Vec<usize> = f.regions.iter().map(|(_, r)| r.nodes.len()).collect();
         assert_eq!(sizes, kept_sizes);
 
-        // Program order, variables and statistics are unchanged.
-        let program_order = |f: &Function| -> Vec<Operation> {
-            f.live_ops().iter().map(|&op| f.ops[op].clone()).collect()
-        };
-        assert_eq!(program_order(&before), program_order(&f));
+        // The parameters, the ports and the variables live IR names survive,
+        // in their id order; nothing else does.
+        let vars: Vec<&str> = f.vars.iter().map(|(_, v)| &*v.name).collect();
+        assert_eq!(vars, ["a", "c", "x", "unused_out"]);
+        assert_eq!(f.params.len(), 2);
+
+        // Program order and the other statistics are unchanged.
         assert_eq!(before.to_string(), f.to_string());
-        let vars: Vec<&Var> = before.vars.iter().map(|(_, v)| v).collect();
-        let kept_vars: Vec<&Var> = f.vars.iter().map(|(_, v)| v).collect();
-        assert_eq!(vars, kept_vars);
-        assert_eq!(FunctionStats::of(&before), FunctionStats::of(&f));
+        assert_eq!(
+            FunctionStats {
+                variables: vars.len(),
+                ..FunctionStats::of(&before)
+            },
+            FunctionStats::of(&f)
+        );
+        let verdict = crate::verify(&f);
+        assert!(verdict.is_ok(), "{verdict:?}");
+    }
+
+    #[test]
+    fn compact_renumbers_variables_everywhere_they_are_named() {
+        // Every named variable comes after a dropped one, so each id the
+        // function holds moves: parameters, op destinations, operands and
+        // arrays, and the conditions, indices and bounds of HTG nodes.
+        let mut b = crate::FunctionBuilder::new("renumber");
+        let gone = b.var("gone", Type::Bits(8));
+        let n = b.param("n", Type::Bits(8));
+        let c = b.var("c", Type::Bool);
+        let i = b.var("i", Type::Bits(8));
+        let arr = b.output_array("arr", Type::Bits(8), 4);
+        let t = b.var("t", Type::Bits(8));
+        b.copy(gone, Value::word(1));
+        b.assign(OpKind::Lt, c, vec![Value::Var(n), Value::word(3)]);
+        b.if_begin(Value::Var(c));
+        b.for_begin(i, 0, Value::Var(n), 1);
+        b.array_read(t, arr, Value::Var(i));
+        b.array_write(arr, Value::Var(i), Value::Var(t));
+        b.loop_end();
+        b.if_end();
+        let mut f = b.finish();
+        let first = f.live_ops()[0];
+        f.kill_op(first);
+        let before = f.to_string();
+        f.compact();
+        let names: Vec<&str> = f.vars.iter().map(|(_, v)| &*v.name).collect();
+        assert_eq!(names, ["n", "c", "i", "arr", "t"]);
+        assert_eq!(f.to_string(), before);
         let verdict = crate::verify(&f);
         assert!(verdict.is_ok(), "{verdict:?}");
     }
