@@ -242,6 +242,7 @@ fn uncompacted_transformed_function(script: &[u8]) -> Function {
     xf::dead_code_elimination(&mut f);
     xf::speculate(&mut f);
     reference_cleanup(&mut f);
+    xf::isolate_conditions(&mut f);
     f
 }
 
@@ -253,6 +254,7 @@ fn speculated_before_cleanup(mut f: Function) -> Function {
     xf::unroll_all_loops(&mut f);
     xf::speculate(&mut f);
     reference_cleanup(&mut f);
+    xf::isolate_conditions(&mut f);
     f
 }
 
@@ -501,6 +503,7 @@ proptest! {
         let mut reference = original.clone();
         xf::unroll_all_loops(&mut reference);
         reference_cleanup(&mut reference);
+        xf::isolate_conditions(&mut reference);
 
         // Worklist pipeline: the pass manager's seeded fine-grain phase.
         let mut program = Program::new();
@@ -570,6 +573,44 @@ proptest! {
                     prop_assert!(
                         !graph.mutually_exclusive(dep.from, op),
                         "{}: {:?} edge into {:?} from an exclusive op", stage, dep, op
+                    );
+                }
+            }
+        }
+    }
+
+    /// Generated programs, synthesized in both flows at three clocks,
+    /// simulate as the interpreter runs them. The programs redefine
+    /// variables under guards before unconditional redefinitions and guard
+    /// code on conditions written in branches (also inside the `if` they
+    /// guard), so this checks the dependence graph's kill rule and
+    /// condition isolation on the designs they schedule.
+    #[test]
+    fn generated_designs_simulate_like_the_interpreter(
+        script in proptest::collection::vec(any::<u8>(), 96),
+        p0 in 0u64..256, p1 in 0u64..256, cond in proptest::bool::ANY,
+    ) {
+        let mut program = Program::new();
+        program.add_function(build_scripted_function(&script));
+        let env = Env::new()
+            .with_scalar("p0", p0)
+            .with_scalar("p1", p1)
+            .with_scalar("cond", cond as u64);
+        let want = Interpreter::new(&program).run("gen", &env).unwrap();
+        let flow = FlowOptions::microprocessor_block(100.0);
+        let transformed = transform_program(&program, "gen", &flow).unwrap();
+        for clock in [7.0, 20.0, 100.0] {
+            for options in [
+                FlowOptions::microprocessor_block(clock),
+                FlowOptions::asic_baseline(clock),
+            ] {
+                let result = synthesize_transformed(&transformed, &options).unwrap();
+                let got = result.simulate(&env).unwrap();
+                for port in ["out0", "out1"] {
+                    prop_assert_eq!(
+                        want.scalar(port),
+                        got.scalar(port),
+                        "{} in {:?} at {} ns", port, options.mode, clock
                     );
                 }
             }

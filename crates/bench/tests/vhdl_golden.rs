@@ -27,6 +27,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("row_minmax", 0x78035182f9957a84),
     ("running_max", 0x709bbae6dde526d0),
     ("sad4", 0xf0901b20c229dfe4),
+    ("self_guard", 0xc51f6f6bfa04ae15),
     ("while_accumulator", 0xdbe26fb9b58ed28a),
     ("width_const", 0x968e0ff91a24598d),
     ("width_copy", 0xfcd9ca3e51f40d8e),

@@ -497,6 +497,10 @@ impl<'a> PassManager<'a> {
         self.fine(FinePass::CopyProp)?;
         self.fine(FinePass::Dce)?;
 
+        // The backend tests each operation's guard where the operation
+        // runs, so no branch may write the condition of its own `if`.
+        self.coarse(|p, top| xf::isolate_conditions(p.function_mut(top).expect("top exists")))?;
+
         // Hand the backend only the live IR: every design point copies the
         // top function, sizes its per-op tables by its arenas, and binds,
         // simulates and declares its variables. The last snapshot counts

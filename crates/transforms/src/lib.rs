@@ -11,6 +11,9 @@
 //! * **Fine grain:** [`constant_propagation`] (with folding — Figures 3/14),
 //!   [`copy_propagation`], [`common_subexpression_elimination`] and
 //!   [`dead_code_elimination`].
+//! * **Backend preparation:** [`isolate_conditions`] (an `if` whose branch
+//!   writes its own condition tests a copy, since the scheduled design tests
+//!   each operation's guard where the operation runs).
 //!
 //! Every pass takes a mutable [`Function`](spark_ir::Function) (or
 //! [`Program`](spark_ir::Program) for inlining), preserves the observable
@@ -59,6 +62,7 @@ mod cse;
 mod dce;
 mod fine;
 mod inline;
+mod isolate;
 mod position;
 mod report;
 mod speculation;
@@ -71,6 +75,7 @@ pub use cse::{common_subexpression_elimination, common_subexpression_elimination
 pub use dce::{dead_code_elimination, dead_code_elimination_seeded};
 pub use fine::FineState;
 pub use inline::inline_calls;
+pub use isolate::isolate_conditions;
 pub use position::Positions;
 pub use report::Report;
 pub use speculation::{speculate, speculative_op_count};
