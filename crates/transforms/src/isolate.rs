@@ -8,7 +8,7 @@
 //! then-branch write could run as well. So each such `if` tests a copy of
 //! its condition taken just before it, which no branch writes.
 
-use spark_ir::{Function, HtgNode, OpKind, RegionId, Value};
+use spark_ir::{Function, HtgNode, OpKind, RegionId, Value, VarId};
 
 use crate::report::Report;
 
@@ -40,10 +40,7 @@ fn isolate_region(function: &mut Function, region: RegionId, report: &mut Report
             isolate_region(function, then_region, report);
             isolate_region(function, else_region, report);
             let written = cond.as_var().filter(|&var| {
-                [then_region, else_region].into_iter().any(|branch| {
-                    let ops = function.ops_in_region(branch);
-                    ops.iter().any(|&op| function.ops[op].def() == Some(var))
-                })
+                defines(function, then_region, var) || defines(function, else_region, var)
             });
             if let Some(var) = written {
                 let copy = function.fresh_temp_from("cond", var, function.vars[var].ty);
@@ -73,6 +70,23 @@ fn isolate_region(function: &mut Function, region: RegionId, report: &mut Report
         }
         index += 1;
     }
+}
+
+/// Whether a live operation in `region`, at any depth, defines `var`.
+fn defines(function: &Function, region: RegionId, var: VarId) -> bool {
+    function.regions[region]
+        .nodes
+        .iter()
+        .any(|&node| match &function.nodes[node] {
+            HtgNode::Block(block) => function.blocks[*block].ops.iter().any(|&op| {
+                let op = &function.ops[op];
+                !op.dead && op.def() == Some(var)
+            }),
+            HtgNode::If(i) => {
+                defines(function, i.then_region, var) || defines(function, i.else_region, var)
+            }
+            HtgNode::Loop(l) => defines(function, l.body, var),
+        })
 }
 
 #[cfg(test)]
