@@ -6,9 +6,11 @@
 //! [`synthesize`] function coordinates the whole tool-box in the order the
 //! paper walks through for the ILD (Section 6): source-level rewriting,
 //! inlining, speculation, full loop unrolling, constant and copy propagation,
-//! CSE, dead-code elimination, chaining-aware scheduling, wire-variable
-//! insertion, binding and RTL generation — recording the effect of every
-//! stage so the figure-by-figure evolution of the design can be reproduced.
+//! CSE, dead-code elimination, condition isolation (an `if` whose branch
+//! writes its own condition tests a copy), chaining-aware scheduling,
+//! wire-variable insertion, binding and RTL generation — recording the
+//! effect of every stage so the figure-by-figure evolution of the design
+//! can be reproduced.
 //! The unrolled code is cleaned up once before it is speculated again, so
 //! the operations of branches that constant propagation resolves are never
 //! speculated.
