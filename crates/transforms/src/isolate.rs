@@ -157,20 +157,23 @@ mod tests {
     #[test]
     fn an_if_that_starts_its_region_gets_a_block_of_its_own() {
         let mut b = FunctionBuilder::new("g");
-        let f = b.param("f", Type::Bool);
+        let flag = b.param("flag", Type::Bool);
         let x = b.output("x", Type::Bits(8));
-        b.if_begin(Value::Var(f));
-        b.copy(f, Value::bool(false));
+        b.if_begin(Value::Var(flag));
+        b.copy(flag, Value::bool(false));
         b.copy(x, Value::word(1));
         b.if_end();
-        let mut f_fn = b.finish();
-        let nodes_before = f_fn.regions[f_fn.body].nodes.len();
-        assert_eq!(isolate_conditions(&mut f_fn).changes, 1);
-        let body = &f_fn.regions[f_fn.body].nodes;
-        assert_eq!(body.len(), nodes_before + 1);
-        assert!(matches!(f_fn.nodes[body[0]], HtgNode::Block(_)));
-        assert!(verify(&f_fn).is_ok());
-        let _ = f;
+        let mut f = b.finish();
+        assert_eq!(f.regions[f.body].nodes.len(), 1);
+        assert_eq!(isolate_conditions(&mut f).changes, 1);
+        let body = &f.regions[f.body].nodes;
+        assert_eq!(body.len(), 2);
+        let HtgNode::Block(block) = f.nodes[body[0]] else {
+            panic!("the copy's block comes first");
+        };
+        let copy = f.blocks[block].ops[0];
+        assert_eq!(f.ops[copy].args, vec![Value::Var(flag)]);
+        assert!(verify(&f).is_ok());
     }
 
     #[test]
