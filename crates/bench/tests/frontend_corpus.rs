@@ -235,3 +235,60 @@ fn no_guard_reads_a_register_written_earlier_in_its_state() {
         }
     }
 }
+
+/// The `DatapathReport` of every corpus design in both flows at 8, 40 and
+/// 2000 ns, one line each: `program flow clock:` and then the report's
+/// fields, `name value` joined by `; `.
+fn current_reports() -> String {
+    let mut table = String::new();
+    for path in corpus_paths() {
+        let stem = path.file_stem().unwrap().to_string_lossy().to_string();
+        let source = std::fs::read_to_string(&path).unwrap();
+        let compiled = spark_front::compile(&source).unwrap();
+        for (flow, options) in [
+            (
+                "spark",
+                FlowOptions::microprocessor_block as fn(f64) -> FlowOptions,
+            ),
+            ("asic", FlowOptions::asic_baseline),
+        ] {
+            for clock in [8, 40, 2000] {
+                let result = synthesize(&compiled.program, &compiled.top, &options(clock as f64))
+                    .unwrap_or_else(|e| panic!("`{stem}` {flow} at {clock} ns: {e}"));
+                let text = result.report.to_string();
+                let fields: Vec<String> = text
+                    .lines()
+                    .skip(1)
+                    .map(|line| {
+                        let (name, value) = line
+                            .split_once(':')
+                            .expect("report lines are `name: value`");
+                        format!("{} {}", name.trim(), value.trim())
+                    })
+                    .collect();
+                table.push_str(&format!("{stem} {flow} {clock}: {}\n", fields.join("; ")));
+            }
+        }
+    }
+    table
+}
+
+/// Pins the quality of every corpus design, not just its hash: states,
+/// critical path, FUs, registers, steering muxes and area. If a change to
+/// the design is intentional, replace `programs/reports.txt` with the table
+/// in the failure message.
+#[test]
+fn every_corpus_report_matches_the_committed_table() {
+    let got = current_reports();
+    let want = std::fs::read_to_string(programs_dir().join("reports.txt"))
+        .expect("programs/reports.txt is committed");
+    if got != want {
+        let want_lines: Vec<&str> = want.lines().collect();
+        let drifted: Vec<&str> = got
+            .lines()
+            .filter(|line| !want_lines.contains(line))
+            .map(|line| line.split_once(':').map_or(line, |(key, _)| key))
+            .collect();
+        panic!("corpus reports drifted ({drifted:?}); the whole current table:\n{got}");
+    }
+}
