@@ -165,8 +165,9 @@ fn fnv64(bytes: impl Iterator<Item = u8>) -> u64 {
 ///
 /// Operations are keyed by their position in program order
 /// ([`Function::live_ops`]), not by arena id: how the arena numbers its
-/// slots (dead ones included) is not part of the design. Registers stay
-/// keyed by variable id.
+/// slots (dead ones included) is not part of the design. Registers are
+/// keyed the same way, by the positions of the ops that write them, so
+/// renumbering variables does not move the fingerprint.
 ///
 /// Shared by the seed-equivalence test in `tests/ild_end_to_end.rs`, the
 /// corpus drift gate in `tests/frontend_corpus.rs` and
@@ -197,9 +198,10 @@ pub fn synthesis_fingerprint(result: &SynthesisResult) -> u64 {
             "op{index}:{state}:{start:.3}:{finish:.3}:{instance}\n"
         ));
     }
-    for (var_id, _) in result.function.vars.iter() {
-        if let Some(&reg) = result.binding.register_of.get(&var_id) {
-            text.push_str(&format!("reg v{}:{reg}\n", var_id.raw()));
+    for (index, &op) in order.iter().enumerate() {
+        let written = result.function.ops[op].def();
+        if let Some(&reg) = written.and_then(|var| result.binding.register_of.get(&var)) {
+            text.push_str(&format!("reg op{index}:{reg}\n"));
         }
     }
     for class in FuClass::ALL {

@@ -159,17 +159,17 @@ use spark_bench::corpus::synthesis_fingerprint;
 /// matched the seed's. The coordinated-flow constants were re-captured once
 /// more when guard conditions started reading through wire-variables: the
 /// commit copies that adds move the op list, not the schedule, binding or
-/// report. The baseline constants were re-captured when the transformed
-/// program stopped keeping unused variables: registers are keyed by
-/// variable id, and the ids of the kept variables move down. Any
+/// report. The baseline constants were re-captured when registers came to
+/// be keyed by the positions of the ops that write them instead of by
+/// variable id, and equal lifetimes came to be bound in program order. Any
 /// behavioural drift in scheduling, binding or reporting shows up as a
 /// fingerprint mismatch.
 #[test]
 fn dense_map_scheduler_is_byte_identical_to_seed_behavior() {
     let golden: [(u32, u64, u64); 3] = [
-        (4, 0x566e1bae27c3e809, 0xc538c3882bc4a4b6),
-        (8, 0xc94a0e680c721c59, 0xa3e121c453f3bbf6),
-        (16, 0x31dd4051521283da, 0x4136d0be916f0443),
+        (4, 0x566e1bae27c3e809, 0x8f57af8843d574b7),
+        (8, 0xc94a0e680c721c59, 0x91ecdac563718b61),
+        (16, 0x31dd4051521283da, 0x0afeb3c8c1cb8c79),
     ];
     for (n, spark_expected, baseline_expected) in golden {
         let program = build_ild_program(n);

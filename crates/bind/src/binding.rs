@@ -56,10 +56,20 @@ impl Binding {
     ) -> Self {
         let mut binding = Binding::default();
 
-        // ---- Register binding: left-edge over lifetimes.
+        // ---- Register binding: left-edge over lifetimes. Equal lifetimes
+        // are taken in the program order of their first definitions, so
+        // how the variables happen to be numbered decides no sharing.
+        let order = function.live_ops();
+        let mut first_def_at: SecondaryMap<VarId, usize> =
+            SecondaryMap::with_capacity(function.vars.len());
+        for (position, &op) in order.iter().enumerate() {
+            if let Some(defined) = function.ops[op].def() {
+                first_def_at.get_or_insert_with(defined, || position);
+            }
+        }
         let mut intervals: Vec<(VarId, crate::lifetime::Lifetime)> =
             lifetimes.registered.iter().map(|(v, &l)| (v, l)).collect();
-        intervals.sort_by_key(|(v, l)| (l.first_def, l.last_use, *v));
+        intervals.sort_by_key(|(v, l)| (l.first_def, l.last_use, first_def_at.get(v).copied(), *v));
         // Primary outputs keep dedicated registers (they are architectural
         // state visible at the ports); everything else may share.
         for (var, lifetime) in intervals {
@@ -89,7 +99,7 @@ impl Binding {
         }
 
         // ---- Functional-unit binding: reuse the scheduler's instance packing.
-        for op_id in function.live_ops() {
+        for op_id in order {
             let Some(&instance) = schedule.op_instance.get(&op_id) else {
                 continue;
             };
@@ -224,6 +234,54 @@ mod tests {
         let rx = binding.register_of[&x];
         let ry = binding.register_of[&y];
         assert_ne!(rx, ry);
+    }
+
+    /// `a` dies in state 1; `x` and `y` are born together in state 2 and
+    /// both read in state 3, so whichever is bound first takes `a`'s
+    /// register. `declare_y_first` changes only the variables' numbering.
+    fn tied_lifetimes(declare_y_first: bool) -> Function {
+        let mut b = FunctionBuilder::new("tied");
+        let p = b.param("p", Type::Bits(8));
+        let q = b.param("q", Type::Bits(8));
+        let a = b.var("a", Type::Bits(8));
+        let t = b.var("t", Type::Bits(8));
+        let (x, y) = if declare_y_first {
+            let y = b.var("y", Type::Bits(4));
+            (b.var("x", Type::Bits(16)), y)
+        } else {
+            let x = b.var("x", Type::Bits(16));
+            (x, b.var("y", Type::Bits(4)))
+        };
+        let out = b.output("out", Type::Bits(16));
+        b.assign(OpKind::Add, a, vec![Value::Var(p), Value::Var(q)]);
+        b.assign(OpKind::Add, t, vec![Value::Var(a), Value::word(1)]);
+        b.assign(OpKind::Add, x, vec![Value::Var(t), Value::Var(p)]);
+        b.assign(OpKind::Sub, y, vec![Value::Var(t), Value::word(1)]);
+        b.assign(OpKind::Add, out, vec![Value::Var(x), Value::Var(y)]);
+        b.finish()
+    }
+
+    #[test]
+    fn variable_numbering_does_not_move_registers_or_area() {
+        let constraints = Constraints::microprocessor_block(10.0)
+            .without_chaining()
+            .with_allocation(Allocation::constrained().with_limit(FuClass::Adder, 1));
+        let registers = |f: &Function| {
+            let (sched, binding) = bind(f, &constraints);
+            assert_eq!(sched.num_states, 4);
+            let by_name: Vec<(String, usize)> = ["a", "t", "x", "y", "out"]
+                .iter()
+                .map(|&name| {
+                    let var = f.var_by_name(name).unwrap();
+                    (name.to_string(), binding.register_of[&var])
+                })
+                .collect();
+            (by_name, binding.area_estimate)
+        };
+        let (x_first, x_first_area) = registers(&tied_lifetimes(false));
+        let (y_first, y_first_area) = registers(&tied_lifetimes(true));
+        assert_eq!(x_first, y_first);
+        assert_eq!(x_first_area, y_first_area);
     }
 
     #[test]
