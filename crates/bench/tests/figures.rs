@@ -3,7 +3,7 @@
 //! The quantitative series behind these tests are printed by the
 //! `spark-bench` reproduce binary and recorded in `EXPERIMENTS.md`.
 
-use spark_core::{ablation_study, synthesize, FlowOptions};
+use spark_core::{ablation_study, synthesize, transform_program, FlowOptions};
 use spark_ild::{build_ild_program, ILD_FUNCTION};
 use spark_ir::{FunctionBuilder, FunctionStats, OpKind, Type, Value};
 use spark_sched::{schedule, Constraints, DependenceGraph, FuClass, ResourceLibrary};
@@ -161,6 +161,27 @@ fn figures_10_to_15_stage_progression() {
         result.chaining.cross_block_pairs > 0,
         "chaining across conditional boundaries happened"
     );
+}
+
+/// Figure 11: speculating the loop body before unrolling leaves one commit
+/// copy per hoisted op, however deep in `CalculateLength` it sat, so the
+/// body handed to unrolling has the same 55 ops at every buffer size.
+#[test]
+fn figure11_speculation_stage_is_the_same_at_every_size() {
+    for n in [4u32, 8, 16] {
+        let transformed = transform_program(
+            &build_ild_program(n),
+            ILD_FUNCTION,
+            &FlowOptions::microprocessor_block(500.0),
+        )
+        .unwrap();
+        let speculation = transformed
+            .stages
+            .iter()
+            .find(|s| s.stage == "speculation")
+            .expect("stage `speculation` recorded");
+        assert_eq!(speculation.stats.operations, 55, "n={n}");
+    }
 }
 
 /// Figure 1 / Section 6: the ablation — removing any single coordinated

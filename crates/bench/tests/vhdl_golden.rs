@@ -16,26 +16,26 @@ use spark_ild::{build_ild_program, ILD_FUNCTION};
 /// `(design, FNV-1a 64 of its VHDL)`.
 const GOLDEN: &[(&str, u64)] = &[
     ("abs_diff", 0x94e0a9806d840d24),
-    ("cross_branch_guard", 0x5fcae54a717876cd),
+    ("cross_branch_guard", 0xa5585de18304e0fb),
     ("dot4", 0x057764333ba30e2b),
     ("guard_anti", 0x1b535588fa21c10f),
-    ("ild_n8", 0x167e951ce7e4b516),
-    ("ild_natural_n8", 0x6ab784392361f262),
+    ("ild_n8", 0x5d600d68c7e8b9ea),
+    ("ild_natural_n8", 0xa629cb95c85a1a0c),
     ("matmul2", 0xd613229145a78694),
     ("parity8", 0x984f09a5e70b1b8f),
-    ("quantize", 0xff8bf5f5bc5ddd52),
+    ("quantize", 0x2218b444a55d08b4),
     ("row_minmax", 0x78035182f9957a84),
     ("running_max", 0x709bbae6dde526d0),
     ("sad4", 0xf0901b20c229dfe4),
     ("self_guard", 0xc51f6f6bfa04ae15),
-    ("while_accumulator", 0xdbe26fb9b58ed28a),
+    ("while_accumulator", 0x835d148f7b22f240),
     ("width_const", 0x968e0ff91a24598d),
     ("width_copy", 0xfcd9ca3e51f40d8e),
     ("width_cse", 0x84da02ff1e06f40c),
     ("window_mark", 0x512d97c9bf417fdb),
-    ("ild8", 0x316d2fab49a3b002),
+    ("ild8", 0xee04df3e54ddb8e6),
     ("ild8_baseline", 0x856200b1a18d6f57),
-    ("ild16", 0x0d0064c9c8c5b2c5),
+    ("ild16", 0xa0514bce59862387),
     ("ild16_baseline", 0xc5b75aa99e47599b),
 ];
 

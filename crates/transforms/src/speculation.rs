@@ -15,10 +15,17 @@
 //! only on the paths where the original operation executed. Copy propagation
 //! and dead code elimination then clean up the copies that turn out to be
 //! unnecessary.
+//!
+//! Nested conditionals are flattened innermost first, so an operation `k`
+//! levels deep is hoisted `k` times. Only the first hoist renames: the fresh
+//! variable has one definition, read only by its commit copy and by later
+//! hoisted operations of the same branch, so each enclosing level moves that
+//! definition up unchanged. Every hoisted operation leaves exactly one copy,
+//! whatever its depth.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use spark_ir::{Function, HtgNode, OpKind, RegionId, Value, VarId};
+use spark_ir::{Function, HtgNode, OpId, OpKind, RegionId, Value, VarId};
 
 use crate::report::Report;
 
@@ -28,7 +35,7 @@ use crate::report::Report;
 pub fn speculate(function: &mut Function) -> Report {
     let mut report = Report::new("speculation", &function.name);
     let body = function.body;
-    let hoisted = speculate_region(function, body);
+    let hoisted = speculate_region(function, body, &mut BTreeSet::new());
     report.add(hoisted);
     if hoisted > 0 {
         report.note(format!("hoisted {hoisted} operation(s) above conditionals"));
@@ -37,7 +44,12 @@ pub fn speculate(function: &mut Function) -> Report {
 }
 
 /// Recursively speculates inside `region`; returns the number of hoists.
-fn speculate_region(function: &mut Function, region: RegionId) -> usize {
+/// `fresh` holds the temporaries this speculation has created so far.
+fn speculate_region(
+    function: &mut Function,
+    region: RegionId,
+    fresh: &mut BTreeSet<VarId>,
+) -> usize {
     let mut hoists = 0;
     // Work on one snapshot of the node ids: hoisting only inserts block
     // nodes (which need no visit), and the insertion point is re-resolved by
@@ -49,24 +61,21 @@ fn speculate_region(function: &mut Function, region: RegionId) -> usize {
         match function.nodes[node].clone() {
             HtgNode::Block(_) => {}
             HtgNode::Loop(l) => {
-                hoists += speculate_region(function, l.body);
+                hoists += speculate_region(function, l.body, fresh);
             }
             HtgNode::If(if_node) => {
                 // Innermost first: flatten the branches.
-                hoists += speculate_region(function, if_node.then_region);
-                hoists += speculate_region(function, if_node.else_region);
+                hoists += speculate_region(function, if_node.then_region, fresh);
+                hoists += speculate_region(function, if_node.else_region, fresh);
                 // Then hoist from both branches to just before this if.
-                let mut spec_ops: Vec<(OpKind, VarId, Vec<Value>, VarId)> = Vec::new();
+                let mut spec_ops = Vec::new();
                 for branch in [if_node.then_region, if_node.else_region] {
-                    hoists += hoist_branch(function, branch, &mut spec_ops);
+                    hoists += hoist_branch(function, branch, fresh, &mut spec_ops);
                 }
                 if !spec_ops.is_empty() {
                     let spec_block =
                         function.add_block(format!("spec_{}", snapshot_index + inserted));
-                    for (kind, new_dest, args, _orig) in spec_ops.drain(..) {
-                        let op = function.push_op(spec_block, kind, Some(new_dest), args);
-                        function.ops[op].speculative = true;
-                    }
+                    function.blocks[spec_block].ops = spec_ops;
                     let spec_node = function.add_block_node(spec_block);
                     // Insert before the if node; its position is re-resolved
                     // by id because earlier insertions shifted it.
@@ -84,14 +93,15 @@ fn speculate_region(function: &mut Function, region: RegionId) -> usize {
     hoists
 }
 
-/// Hoists pure operations out of one branch region. The hoisted operation
-/// descriptors are appended to `spec_ops` (kind, fresh destination, rewritten
-/// operands, original destination); the original operations are rewritten
-/// into copies from the fresh destinations.
+/// Hoists pure operations out of one branch region, appending them to
+/// `spec_ops` in program order. An operation that defines a temporary in
+/// `fresh` is moved there whole. Any other gets a fresh destination, added to
+/// `fresh`, and the original becomes a copy from it.
 fn hoist_branch(
     function: &mut Function,
     branch: RegionId,
-    spec_ops: &mut Vec<(OpKind, VarId, Vec<Value>, VarId)>,
+    fresh: &mut BTreeSet<VarId>,
+    spec_ops: &mut Vec<OpId>,
 ) -> usize {
     let mut hoists = 0;
     // Variables whose latest definition in this branch was hoisted, mapped to
@@ -105,14 +115,12 @@ fn hoist_branch(
     for node in nodes {
         match function.nodes[node].clone() {
             HtgNode::Block(block) => {
-                // Index-based iteration: rewriting an op in place never
-                // changes the block's op list, so no snapshot (and no
-                // per-operation clone) is needed.
-                for position in 0..function.blocks[block].ops.len() {
-                    let op_id = function.blocks[block].ops[position];
+                // The block keeps, in order, every op that is not moved out.
+                let mut ops = std::mem::take(&mut function.blocks[block].ops);
+                ops.retain(|&op_id| {
                     let op = &function.ops[op_id];
                     if op.dead {
-                        continue;
+                        return true;
                     }
                     let hoistable = !op.kind.has_side_effects()
                         && op.dest.is_some()
@@ -128,34 +136,46 @@ fn hoist_branch(
                             OpKind::ArrayRead { array } => !pinned.contains(array),
                             _ => true,
                         };
-                    if hoistable {
-                        let dest = op.dest.expect("hoistable op has a destination");
-                        let kind = op.kind.clone();
-                        // Rewrite operands through the rename map so hoisted
-                        // ops read the speculative values of earlier hoisted
-                        // definitions in the same branch.
-                        let args: Vec<Value> = op
-                            .args
-                            .iter()
-                            .map(|&a| match a {
-                                Value::Var(v) => Value::Var(*renamed.get(&v).unwrap_or(&v)),
-                                c => c,
-                            })
-                            .collect();
-                        let ty = function.vars[dest].ty;
-                        let fresh = function.fresh_temp_from("spec", dest, ty);
-                        spec_ops.push((kind, fresh, args, dest));
-                        // The original op becomes a commit copy.
-                        let op_mut = &mut function.ops[op_id];
-                        op_mut.kind = OpKind::Copy;
-                        op_mut.args = vec![Value::Var(fresh)];
-                        renamed.insert(dest, fresh);
-                        hoists += 1;
-                    } else if let Some(defined) = op.def() {
-                        pinned.insert(defined);
-                        renamed.remove(&defined);
+                    if !hoistable {
+                        if let Some(defined) = op.def() {
+                            pinned.insert(defined);
+                            renamed.remove(&defined);
+                        }
+                        return true;
                     }
-                }
+                    hoists += 1;
+                    let dest = op.dest.expect("hoistable op has a destination");
+                    // Rewrite operands through the rename map so hoisted ops
+                    // read the speculative values of earlier hoisted
+                    // definitions in the same branch.
+                    let args: Vec<Value> = op
+                        .args
+                        .iter()
+                        .map(|&a| match a {
+                            Value::Var(v) => Value::Var(*renamed.get(&v).unwrap_or(&v)),
+                            c => c,
+                        })
+                        .collect();
+                    if fresh.contains(&dest) {
+                        function.ops[op_id].args = args;
+                        spec_ops.push(op_id);
+                        return false;
+                    }
+                    let kind = op.kind.clone();
+                    let ty = function.vars[dest].ty;
+                    let temp = function.fresh_temp_from("spec", dest, ty);
+                    fresh.insert(temp);
+                    let spec_op = function.add_op(kind, Some(temp), args);
+                    function.ops[spec_op].speculative = true;
+                    spec_ops.push(spec_op);
+                    // The original op becomes a commit copy.
+                    let op_mut = &mut function.ops[op_id];
+                    op_mut.kind = OpKind::Copy;
+                    op_mut.args = vec![Value::Var(temp)];
+                    renamed.insert(dest, temp);
+                    true
+                });
+                function.blocks[block].ops = ops;
             }
             HtgNode::If(inner) => {
                 // Anything defined inside a nested conditional is only
@@ -235,7 +255,28 @@ mod tests {
                     Type::Bits(8),
                     vec![Value::Var(lc1), Value::Var(lc2)],
                 );
+                let need4 = b.compute(
+                    OpKind::Gt,
+                    Type::Bool,
+                    vec![Value::Var(b3), Value::word(127)],
+                );
+                b.if_begin(Value::Var(need4));
+                {
+                    let lc4 = b.compute(
+                        OpKind::And,
+                        Type::Bits(8),
+                        vec![Value::Var(b3), Value::word(12)],
+                    );
+                    let u = b.compute(
+                        OpKind::Add,
+                        Type::Bits(8),
+                        vec![Value::Var(t), Value::Var(lc3)],
+                    );
+                    b.assign(OpKind::Add, length, vec![Value::Var(u), Value::Var(lc4)]);
+                }
+                b.else_begin();
                 b.assign(OpKind::Add, length, vec![Value::Var(t), Value::Var(lc3)]);
+                b.if_end();
             }
             b.else_begin();
             {
@@ -275,7 +316,7 @@ mod tests {
         p1.add_function(transformed);
         for b1 in [0u64, 130, 255] {
             for b2 in [0u64, 200] {
-                for b3 in [1u64, 7] {
+                for b3 in [1u64, 7, 200] {
                     assert_eq!(
                         run(&p0, b1, b2, b3),
                         run(&p1, b1, b2, b3),
@@ -307,6 +348,50 @@ mod tests {
             }
         }
         assert!(speculative_op_count(&f) > 0);
+    }
+
+    #[test]
+    fn nested_hoists_leave_one_copy_per_hoisted_op() {
+        let original = nested_length_function();
+        assert!(original.nesting_depth() >= 3);
+        let mut f = original.clone();
+        speculate(&mut f);
+        verify(&f).expect("well formed after speculation");
+        // A definition hoisted through several levels moves whole: no
+        // speculative op copies the result of another.
+        let live = f.live_ops();
+        let spec_dests: BTreeSet<VarId> = live
+            .iter()
+            .filter(|&&op| f.ops[op].speculative)
+            .filter_map(|&op| f.ops[op].def())
+            .collect();
+        for &op in &live {
+            let op = &f.ops[op];
+            if op.speculative && op.kind == OpKind::Copy {
+                let source = op.args[0].as_var();
+                assert!(
+                    source.is_none_or(|v| !spec_dests.contains(&v)),
+                    "speculative copy chain through `{}`",
+                    f.vars[source.unwrap()].name
+                );
+            }
+        }
+        // Each hoisted op adds its speculative twin and nothing else.
+        assert_eq!(
+            f.live_op_count(),
+            original.live_op_count() + speculative_op_count(&f)
+        );
+        let mut p0 = Program::new();
+        p0.add_function(original);
+        let mut p1 = Program::new();
+        p1.add_function(f);
+        for b1 in [0u64, 130, 255] {
+            for b2 in [0u64, 200] {
+                for b3 in [1u64, 7, 200] {
+                    assert_eq!(run(&p0, b1, b2, b3), run(&p1, b1, b2, b3));
+                }
+            }
+        }
     }
 
     #[test]
