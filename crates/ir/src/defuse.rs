@@ -466,7 +466,9 @@ mod tests {
         let graph = DefUseGraph::compute(&f);
         // Edit behind the graph's back: kill the def of x.
         let def_x = graph.defs_of(x)[0];
-        f.kill_op(def_x);
+        f.ops[def_x].kill();
+        let block = graph.block_of(def_x).expect("def of x sits in a block");
+        f.blocks[block].remove(def_x);
         assert!(!graph.consistency_errors(&f).is_empty());
     }
 }

@@ -290,18 +290,6 @@ impl Function {
         count
     }
 
-    /// Looks up the block that contains `op`, if any (searching live blocks).
-    ///
-    /// This scans every block. The transformation passes keep the owning
-    /// block of every operation in their [`DefUseGraph`](crate::DefUseGraph),
-    /// and the scheduler's dependence graph records it during its HTG walk.
-    pub fn block_of(&self, op: OpId) -> Option<BlockId> {
-        self.blocks
-            .iter()
-            .find(|(_, bb)| bb.ops.contains(&op))
-            .map(|(id, _)| id)
-    }
-
     /// Finds a variable by name (first match, a linear scan).
     ///
     /// The function keeps no name index: clones of it are made per design
@@ -335,15 +323,6 @@ impl Function {
     // ------------------------------------------------------------------
     // Mutation helpers used by transformations
     // ------------------------------------------------------------------
-
-    /// Marks an operation dead, drops its operands ([`Operation::kill`]) and
-    /// detaches it from its block.
-    pub fn kill_op(&mut self, op: OpId) {
-        self.ops[op].kill();
-        if let Some(block) = self.block_of(op) {
-            self.blocks[block].remove(op);
-        }
-    }
 
     /// Deep-clones `region` (its nodes, blocks and operations) applying the
     /// variable substitution `var_map` to every operand, destination and loop
@@ -654,29 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn kill_op_detaches_and_marks_dead() {
-        let (mut f, ..) = sample_function();
-        let op = f.live_ops()[0];
-        f.kill_op(op);
-        assert_eq!(f.live_op_count(), 1);
-        assert!(f.ops[op].dead);
-        assert!(f.block_of(op).is_none());
-    }
-
-    #[test]
-    fn kill_op_drops_operands_and_keeps_the_function_valid() {
-        let (mut f, ..) = sample_function();
-        let op = f.live_ops()[0];
-        assert!(!f.ops[op].args.is_empty());
-        f.kill_op(op);
-        assert!(f.ops[op].args.is_empty());
-        let verdict = crate::verify(&f);
-        assert!(verdict.is_ok(), "{verdict:?}");
-        // A clone carries the dead op without operands.
-        assert!(f.clone().ops[op].args.is_empty());
-    }
-
-    #[test]
     fn clone_region_with_substitution() {
         let (mut f, a, _, x) = sample_function();
         let x2 = f.add_var(Var::register("x2", Type::Bits(8)));
@@ -903,8 +859,10 @@ mod tests {
         b.loop_end();
         b.if_end();
         let mut f = b.finish();
-        let first = f.live_ops()[0];
-        f.kill_op(first);
+        let first_block = f.blocks_in_region(f.body)[0];
+        let first = f.blocks[first_block].ops[0];
+        f.ops[first].kill();
+        f.blocks[first_block].remove(first);
         let before = f.to_string();
         f.compact();
         let names: Vec<&str> = f.vars.iter().map(|(_, v)| &*v.name).collect();
