@@ -157,6 +157,8 @@ fn hoist_branch(
                         })
                         .collect();
                     if fresh.contains(&dest) {
+                        // Its only definition, read only after it in this
+                        // branch: moving it above the `if` changes no read.
                         function.ops[op_id].args = args;
                         spec_ops.push(op_id);
                         return false;
