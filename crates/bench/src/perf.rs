@@ -87,13 +87,15 @@ fn mean_trace(traces: Vec<Trace>) -> Trace {
 }
 
 /// Renders measurement records as the `BENCH_synthesize.json` document: one
-/// `"<name>_ms"` field per distinct span name of each record's trace, and
-/// the host's available parallelism as `"host_cpus"`.
+/// `"<name>_ms"` field per distinct span name of each record's trace, the
+/// host's available parallelism as `"host_cpus"` and the measured commit
+/// as `"commit"`.
 pub fn bench_json(records: &[BenchRecord]) -> String {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = commit();
     let mut out = format!(
         "{{\n  \"benchmark\": \"synthesize\",\n  \"unit\": \"ms\",\n  \
-         \"host_cpus\": {host_cpus},\n  \"results\": [\n"
+         \"host_cpus\": {host_cpus},\n  \"commit\": \"{commit}\",\n  \"results\": [\n"
     );
     for (index, record) in records.iter().enumerate() {
         let comma = if index + 1 < records.len() { "," } else { "" };
@@ -108,6 +110,20 @@ pub fn bench_json(records: &[BenchRecord]) -> String {
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// The short hash of the checked-out commit (`git rev-parse --short
+/// HEAD`), or `unknown` when git cannot tell.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|output| output.status.success())
+        .and_then(|output| String::from_utf8(output.stdout).ok())
+        .map(|hash| hash.trim().to_string())
+        .filter(|hash| !hash.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 #[cfg(test)]
@@ -185,6 +201,7 @@ mod tests {
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"benchmark\": \"synthesize\""));
         assert!(json.contains("\"host_cpus\": "));
+        assert!(json.contains("\"commit\": \""));
         assert!(json.contains("\"mode\": \"coordinated\", \"n\": 8, \"mean_ms\": 1.500"));
         assert!(json.contains("\"transform_ms\": 0.900"));
         assert!(json.contains("\"schedule_ms\": 0.400"));

@@ -19,9 +19,10 @@ use std::collections::BTreeMap;
 use spark_bench::corpus::{
     check_rtl_matches_interp, corpus_paths, programs_dir, synthesis_fingerprint,
 };
-use spark_core::{synthesize, FlowOptions};
+use spark_core::{synthesize, transform_program, FlowOptions};
 use spark_ild::{build_ild_program, ILD_FUNCTION};
-use spark_ir::verify;
+use spark_ir::{verify, Program};
+use spark_transforms as xf;
 
 /// The flow every corpus program is synthesized under (generous single-cycle
 /// clock, the paper's microprocessor-block recipe).
@@ -291,4 +292,90 @@ fn every_corpus_report_matches_the_committed_table() {
             .collect();
         panic!("corpus reports drifted ({drifted:?}); the whole current table:\n{got}");
     }
+}
+
+/// The transformed top of the ILD at n=8 and n=16 and of every corpus
+/// program, in both flows, is a fixed point of the clean-up: no stand-alone
+/// full-rescan fine pass finds anything left to do (CSE runs only in the
+/// coordinated flow, the one flow that runs it). So the pipeline's single
+/// clean-up round, whose passes start from the function itself, reaches
+/// what any further round would. The pass sequence of both flows on the
+/// ILD pins that recipe.
+#[test]
+fn transformed_tops_are_fixed_points_of_the_clean_up() {
+    let mut designs: Vec<(String, Program, String)> = [8, 16]
+        .into_iter()
+        .map(|n| {
+            (
+                format!("ild n={n}"),
+                build_ild_program(n),
+                ILD_FUNCTION.to_string(),
+            )
+        })
+        .collect();
+    for path in corpus_paths() {
+        let source = std::fs::read_to_string(&path).unwrap();
+        let compiled = spark_front::compile(&source).unwrap();
+        let stem = path.file_stem().unwrap().to_string_lossy().to_string();
+        designs.push((stem, compiled.program, compiled.top));
+    }
+    for (name, program, top) in &designs {
+        for options in [
+            FlowOptions::microprocessor_block(2000.0),
+            FlowOptions::asic_baseline(2000.0),
+        ] {
+            let transformed = transform_program(program, top, &options).unwrap();
+            let mut function = transformed.program.function(top).unwrap().clone();
+            let mut passes = vec![
+                xf::constant_propagation(&mut function),
+                xf::copy_propagation(&mut function),
+            ];
+            if options.cse {
+                passes.push(xf::common_subexpression_elimination(&mut function));
+            }
+            passes.push(xf::dead_code_elimination(&mut function));
+            for report in passes {
+                assert!(
+                    report.is_noop(),
+                    "`{name}` (cse {}): {} still changes {} op(s)",
+                    options.cse,
+                    report.pass,
+                    report.changes
+                );
+            }
+        }
+    }
+
+    let sequence = |options: &FlowOptions| -> Vec<String> {
+        transform_program(&build_ild_program(8), ILD_FUNCTION, options)
+            .unwrap()
+            .pass_log
+            .iter()
+            .map(|report| report.pass.clone())
+            .collect()
+    };
+    let clean_up = [
+        "constant-propagation",
+        "copy-propagation",
+        "dead-code-elimination",
+    ];
+    let mut coordinated = vec!["while-to-for", "inline", "speculation", "loop-unroll-all"];
+    coordinated.extend(clean_up);
+    coordinated.extend([
+        "speculation",
+        "constant-propagation",
+        "copy-propagation",
+        "cse",
+        "copy-propagation",
+        "dead-code-elimination",
+        "condition-isolation",
+    ]);
+    assert_eq!(
+        sequence(&FlowOptions::microprocessor_block(2000.0)),
+        coordinated
+    );
+    let mut baseline = vec!["while-to-for", "inline", "loop-unroll-all"];
+    baseline.extend(clean_up);
+    baseline.push("condition-isolation");
+    assert_eq!(sequence(&FlowOptions::asic_baseline(2000.0)), baseline);
 }

@@ -186,10 +186,10 @@ fn build_function(script: &[u8], extended: bool) -> Function {
     b.finish()
 }
 
-/// The fine-grain clean-up sequence of `transform_program`, expressed with
-/// the stand-alone full-rescan entry points (each pass builds fresh analyses
-/// and examines everything) — the reference the worklist pipeline must
-/// match.
+/// The fine-grain clean-up as two rounds of the stand-alone full-rescan
+/// entry points (each pass builds fresh analyses and examines everything):
+/// the reference the pipeline's one clean-up round must match, since a
+/// second round finds nothing left to do.
 fn reference_cleanup(f: &mut Function) {
     xf::constant_propagation(f);
     xf::copy_propagation(f);
@@ -472,13 +472,13 @@ proptest! {
         let mut f = build_scripted_function(&script);
         xf::unroll_all_loops(&mut f);
         let mut state = xf::FineState::new(&f);
-        xf::constant_propagation_seeded(&mut f, &mut state, None);
+        xf::constant_propagation_with(&mut f, &mut state);
         prop_assert!(state.graph.consistency_errors(&f).is_empty());
-        xf::copy_propagation_seeded(&mut f, &mut state, None);
+        xf::copy_propagation_with(&mut f, &mut state);
         prop_assert!(state.graph.consistency_errors(&f).is_empty());
-        xf::common_subexpression_elimination_seeded(&mut f, &mut state, None);
+        xf::common_subexpression_elimination_with(&mut f, &mut state);
         prop_assert!(state.graph.consistency_errors(&f).is_empty());
-        xf::dead_code_elimination_seeded(&mut f, &mut state, None);
+        xf::dead_code_elimination_with(&mut f, &mut state);
         prop_assert!(state.graph.consistency_errors(&f).is_empty());
         prop_assert!(verify(&f).is_ok());
         // And the maintained graph answers queries identically to a fresh one.
@@ -488,10 +488,10 @@ proptest! {
         }
     }
 
-    /// The worklist-driven pipeline (shared analyses, touched-op seeding, as
-    /// driven by the `spark-core` pass manager) produces the same final IR as
-    /// the full-rescan reference sequence, and preserves interpreter
-    /// semantics, on arbitrary generated programs.
+    /// The worklist-driven pipeline (one clean-up round over shared
+    /// analyses, as driven by the `spark-core` pass manager) produces the
+    /// same final IR as the full-rescan reference sequence, and preserves
+    /// interpreter semantics, on arbitrary generated programs.
     #[test]
     fn worklist_pipeline_matches_full_rescan_reference(
         script in proptest::collection::vec(any::<u8>(), 96),
@@ -505,7 +505,7 @@ proptest! {
         reference_cleanup(&mut reference);
         xf::isolate_conditions(&mut reference);
 
-        // Worklist pipeline: the pass manager's seeded fine-grain phase.
+        // Worklist pipeline: the pass manager's fine-grain phase.
         let mut program = Program::new();
         program.add_function(original.clone());
         let mut options = fine_only_options();

@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use spark_bind::{Binding, LifetimeAnalysis};
-use spark_ir::{EditLog, Env, Function, FunctionStats, OpId, Program};
+use spark_ir::{Env, Function, FunctionStats, Program};
 use spark_rtl::{DatapathReport, RtlOutcome, RtlSimError, RtlSimulator, VhdlEmitter};
 use spark_sched::{
     insert_wire_variables, schedule, validate_chaining, ChainingReport, Constraints, Controller,
@@ -235,7 +235,8 @@ pub struct TransformedProgram {
     pub pass_log: Vec<xf::Report>,
     /// Per-stage structural snapshots (Figures 10–15 evolution).
     pub stages: Vec<StageSnapshot>,
-    /// Wall-clock spans of the transformation: one per pass, then
+    /// Wall-clock spans of the transformation: one per pass and one
+    /// `fine-analyses` per build of the fine-grain analyses, then
     /// `transform` around them all.
     pub trace: Trace,
     /// Lazily built dependence graph of the top function, shared by every
@@ -265,42 +266,16 @@ impl TransformedProgram {
     }
 }
 
-/// The fine-grain worklist passes the pass manager schedules.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FinePass {
-    ConstProp = 0,
-    CopyProp = 1,
-    Cse = 2,
-    Dce = 3,
-}
-
-const FINE_PASS_COUNT: usize = 4;
-
-/// The common signature of the `_seeded` fine-grain passes.
-type FinePassFn = fn(&mut Function, &mut xf::FineState, Option<&[OpId]>) -> (xf::Report, EditLog);
-
-/// Pending worklist seed for one fine-grain pass.
-#[derive(Clone, Debug)]
-enum Seed {
-    /// The pass has not run since the analyses were (re)built: examine every
-    /// live operation / block.
-    Everything,
-    /// Operations touched by other passes since this pass last ran.
-    Ops(Vec<OpId>),
-}
-
 /// Drives the transformation half of the coordinated flow: the coarse-grain
 /// passes in the paper's order, with one fine-grain round before the second
-/// speculation, then the fine-grain clean-up as a sequence of worklist
-/// passes over shared, incrementally-maintained analyses.
+/// speculation, then one fine-grain clean-up round of worklist passes over
+/// shared, incrementally-maintained analyses.
 ///
 /// The manager owns the cached [`xf::FineState`] (def–use graph and
-/// structural positions) and seeds every fine-grain pass with the operations
-/// the previous fine passes touched — so the second constant-propagation /
-/// copy-propagation / DCE round of the clean-up examines only what actually
-/// changed instead of rescanning the whole function. A coarse pass
-/// restructures the function, so it drops the cache and resets every seed
-/// to [`Seed::Everything`].
+/// structural positions), built once per fine-grain phase and threaded
+/// through every fine pass of it; each pass starts its worklist from the
+/// function itself. A coarse pass restructures the function, so it drops
+/// the cache.
 pub(crate) struct PassManager<'a> {
     options: &'a FlowOptions,
     top: String,
@@ -312,8 +287,6 @@ pub(crate) struct PassManager<'a> {
     /// Cached fine-grain analyses; `None` until built or after a coarse
     /// pass.
     analyses: Option<xf::FineState>,
-    /// Per fine pass: what to examine on its next run.
-    seeds: [Seed; FINE_PASS_COUNT],
 }
 
 impl<'a> PassManager<'a> {
@@ -348,7 +321,6 @@ impl<'a> PassManager<'a> {
             stages: Vec::new(),
             trace: Trace::default(),
             analyses: None,
-            seeds: std::array::from_fn(|_| Seed::Everything),
         };
         manager.snapshot("input");
         Ok(manager)
@@ -387,8 +359,8 @@ impl<'a> PassManager<'a> {
     }
 
     /// Runs one coarse-grain pass over the working program. The pass may
-    /// restructure the function anywhere, so the cached analyses are dropped
-    /// and every fine pass next examines the whole function.
+    /// restructure the function anywhere, so the cached analyses are
+    /// dropped.
     fn coarse(
         &mut self,
         run: impl FnOnce(&mut Program, &str) -> xf::Report,
@@ -396,50 +368,23 @@ impl<'a> PassManager<'a> {
         let started = Instant::now();
         let report = run(&mut self.working, &self.top);
         self.analyses = None;
-        self.seeds = std::array::from_fn(|_| Seed::Everything);
         self.record(report, started)
     }
 
-    /// Runs one fine-grain worklist pass, seeded by whatever the previous
-    /// passes touched, and distributes what it touched to the other passes'
-    /// seeds.
-    fn fine(&mut self, which: FinePass) -> Result<(), SynthesisError> {
-        let started = Instant::now();
+    /// Runs one fine-grain worklist pass over the shared analyses. When a
+    /// coarse pass dropped them, they are built first, in a `fine-analyses`
+    /// span of their own, so the pass's span times the pass alone.
+    fn fine(
+        &mut self,
+        pass: fn(&mut Function, &mut xf::FineState) -> xf::Report,
+    ) -> Result<(), SynthesisError> {
         let function = self.working.function_mut(&self.top).expect("top exists");
-        let state = self
-            .analyses
-            .get_or_insert_with(|| xf::FineState::new(function));
-        let index = which as usize;
-        let seed = std::mem::replace(&mut self.seeds[index], Seed::Ops(Vec::new()));
-        let seed = match &seed {
-            Seed::Everything => None,
-            Seed::Ops(ops) => Some(ops.as_slice()),
-        };
-        let pass: FinePassFn = match which {
-            FinePass::ConstProp => xf::constant_propagation_seeded,
-            FinePass::CopyProp => xf::copy_propagation_seeded,
-            FinePass::Cse => xf::common_subexpression_elimination_seeded,
-            FinePass::Dce => xf::dead_code_elimination_seeded,
-        };
-        let (report, effects) = pass(function, state, seed);
-
-        // Every op this pass touched may hold new work for the others; DCE
-        // additionally re-examines the definitions of variables that lost a
-        // reader.
-        let state = self.analyses.as_ref().expect("analyses alive");
-        for (other, seed) in self.seeds.iter_mut().enumerate() {
-            if other == index {
-                continue;
-            }
-            if let Seed::Ops(ops) = seed {
-                ops.extend(effects.touched.iter().copied());
-                if other == FinePass::Dce as usize {
-                    for &var in &effects.released {
-                        ops.extend(state.graph.defs_of(var));
-                    }
-                }
-            }
-        }
+        let state = self.analyses.get_or_insert_with(|| {
+            self.trace
+                .time("fine-analyses", 1, || xf::FineState::new(function))
+        });
+        let started = Instant::now();
+        let report = pass(function, state);
         self.record(report, started)
     }
 
@@ -467,37 +412,29 @@ impl<'a> PassManager<'a> {
         // the per-byte conditionals; run it again in the aggressive flow.
         // Clean up first: until the unrolled loop index is propagated, every
         // per-iteration branch would be hoisted into temporaries that the
-        // clean-up below deletes again. This round starts from the whole
-        // function, and the speculation after it drops its analyses.
+        // clean-up below deletes again.
         if options.speculate {
             if options.constant_propagation {
-                self.fine(FinePass::ConstProp)?;
+                self.fine(xf::constant_propagation_with)?;
             }
-            self.fine(FinePass::CopyProp)?;
-            self.fine(FinePass::Dce)?;
+            self.fine(xf::copy_propagation_with)?;
+            self.fine(xf::dead_code_elimination_with)?;
             self.coarse(|p, top| xf::speculate(p.function_mut(top).expect("top exists")))?;
         }
 
-        // ---- Fine-grain clean-up: worklist passes over shared analyses ----
-        // The first round rescans the whole function: a coarse pass ran last.
+        // ---- Fine-grain clean-up: one round over shared analyses ----------
         if options.constant_propagation {
-            self.fine(FinePass::ConstProp)?;
+            self.fine(xf::constant_propagation_with)?;
             self.snapshot("constant-propagation");
         }
-        self.fine(FinePass::CopyProp)?;
+        self.fine(xf::copy_propagation_with)?;
         if options.cse {
-            self.fine(FinePass::Cse)?;
+            // CSE leaves each repeated expression as a copy of its first
+            // result; forward those copies so DCE can delete them.
+            self.fine(xf::common_subexpression_elimination_with)?;
+            self.fine(xf::copy_propagation_with)?;
         }
-        self.fine(FinePass::Dce)?;
-        // A second round of constant propagation picks up constants exposed
-        // by copy propagation; DCE then removes the dead copies. These runs
-        // are seeded by the ops the passes above touched — on the ILD this
-        // is a few hundred ops instead of the whole function.
-        if options.constant_propagation {
-            self.fine(FinePass::ConstProp)?;
-        }
-        self.fine(FinePass::CopyProp)?;
-        self.fine(FinePass::Dce)?;
+        self.fine(xf::dead_code_elimination_with)?;
 
         // The backend tests each operation's guard where the operation
         // runs, so no branch may write the condition of its own `if`.
@@ -530,8 +467,8 @@ impl<'a> PassManager<'a> {
 /// under the transformation switches of `options`. The clock period in
 /// `options` is not consulted — transformations are clock-agnostic, which is
 /// what makes the result reusable across a clock sweep. The result's
-/// [`trace`](TransformedProgram::trace) times every pass and the whole
-/// transformation.
+/// [`trace`](TransformedProgram::trace) times every pass, every build of
+/// the fine-grain analyses and the whole transformation.
 ///
 /// # Errors
 /// Returns [`SynthesisError::UnknownFunction`] when `top` does not exist,
@@ -787,11 +724,10 @@ mod tests {
 
     #[test]
     fn coarse_pass_after_fine_passes_rebuilds_the_analyses() {
-        // Drive the manager out of recipe order: run a fine pass (consuming
-        // its full-function seed), then a coarse unroll, then the fine
-        // clean-up again. The unroll must drop the cached analyses and
-        // reseed every fine pass from the whole function, so the result
-        // equals the full-rescan reference sequence.
+        // Drive the manager out of recipe order: run a fine pass, then a
+        // coarse unroll, then the fine clean-up again. The unroll must drop
+        // the cached analyses, so the result equals the full-rescan
+        // reference sequence.
         use spark_ir::{FunctionBuilder, OpKind, Type, Value};
         let build = || {
             let mut b = FunctionBuilder::new("f");
@@ -813,20 +749,16 @@ mod tests {
         program.add_function(build());
         let options = FlowOptions::microprocessor_block(100.0);
         let mut manager = PassManager::new(&program, "f", &options).unwrap();
-        manager.fine(FinePass::ConstProp).unwrap();
+        manager.fine(xf::constant_propagation_with).unwrap();
         assert!(manager.analyses.is_some());
         let unrolled_before_fine = manager.working.function("f").unwrap().live_op_count();
         manager
             .coarse(|p, top| xf::unroll_all_loops(p.function_mut(top).expect("top exists")))
             .unwrap();
         assert!(manager.analyses.is_none(), "the analyses were dropped");
-        assert!(manager
-            .seeds
-            .iter()
-            .all(|seed| matches!(seed, Seed::Everything)));
-        manager.fine(FinePass::ConstProp).unwrap();
-        manager.fine(FinePass::CopyProp).unwrap();
-        manager.fine(FinePass::Dce).unwrap();
+        manager.fine(xf::constant_propagation_with).unwrap();
+        manager.fine(xf::copy_propagation_with).unwrap();
+        manager.fine(xf::dead_code_elimination_with).unwrap();
         let managed = manager.working.function("f").unwrap().clone();
 
         // Reference: the same sequence with stand-alone full-rescan passes.
@@ -958,10 +890,33 @@ mod tests {
             trace.spans.iter().map(|span| span.name.clone()).collect()
         };
 
-        // The passes in the order they ran, then `transform`, then the back
-        // end.
+        // The passes in the order they ran — a `fine-analyses` build before
+        // the first fine pass after a coarse one — then `transform`, then
+        // the back end.
         let full = synthesize(&program, ILD_FUNCTION, &options).unwrap();
-        let mut expected: Vec<String> = full.pass_log.iter().map(|r| r.pass.clone()).collect();
+        let fine = [
+            "constant-propagation",
+            "copy-propagation",
+            "cse",
+            "dead-code-elimination",
+        ];
+        let mut expected = Vec::new();
+        let mut analyses = false;
+        for report in &full.pass_log {
+            let is_fine = fine.contains(&report.pass.as_str());
+            if is_fine && !analyses {
+                expected.push("fine-analyses".to_string());
+            }
+            analyses = is_fine;
+            expected.push(report.pass.clone());
+        }
+        let builds = full
+            .trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "fine-analyses");
+        assert!(builds.clone().all(|span| span.depth == 1));
+        assert_eq!(builds.count(), 2, "one build per fine-grain phase");
         expected.push("transform".to_string());
         expected.extend(back_end.iter().map(|name| name.to_string()));
         assert_eq!(names(&full.trace), expected);

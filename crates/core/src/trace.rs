@@ -1,7 +1,8 @@
 //! Wall-clock spans of one synthesis run.
 //!
 //! [`transform_program`](crate::transform_program) records one span per
-//! transformation pass under a `transform` span;
+//! transformation pass, and one `fine-analyses` span per build of the
+//! fine-grain analyses, under a `transform` span;
 //! [`synthesize_transformed`](crate::synthesize_transformed) records the five
 //! `sched_*` sub-stages under `schedule`, then `bind` and `rtl`. The
 //! benchmark harness writes the per-name totals into
@@ -13,8 +14,8 @@ use std::time::Instant;
 #[derive(Clone, Debug, PartialEq)]
 pub struct Span {
     /// Stage name: a pass's
-    /// [`Report::pass`](spark_transforms::Report::pass), `transform`,
-    /// `schedule`, a `sched_*` sub-stage, `bind` or `rtl`.
+    /// [`Report::pass`](spark_transforms::Report::pass), `fine-analyses`,
+    /// `transform`, `schedule`, a `sched_*` sub-stage, `bind` or `rtl`.
     pub name: String,
     /// Nesting depth: 0 for a top-level stage, 1 for a stage inside one.
     pub depth: usize,

@@ -10,11 +10,11 @@
 //! O(degree) time.
 //!
 //! The worklist-driven passes in `spark-transforms` are built on this pair:
-//! they query the graph instead of rescanning the function, and they learn
-//! which operations a previous pass touched from the rewriter's
-//! [`EditLog`]. In debug builds the passes cross-check the incrementally
-//! maintained graph against a from-scratch [`DefUseGraph::compute`] rebuild
-//! after every run (see [`DefUseGraph::consistency_errors`]).
+//! they query the graph instead of rescanning the function, and one graph
+//! serves every pass of a fine-grain phase. In debug builds the passes
+//! cross-check the incrementally maintained graph against a from-scratch
+//! [`DefUseGraph::compute`] rebuild after every run (see
+//! [`DefUseGraph::consistency_errors`]).
 
 use crate::block::BlockId;
 use crate::dense::SecondaryMap;
@@ -240,20 +240,8 @@ impl DefUseGraph {
     }
 }
 
-/// What a sequence of [`Rewriter`] edits changed, for worklist seeding.
-#[derive(Clone, Debug, Default)]
-pub struct EditLog {
-    /// Operations whose kind, operands or liveness changed (erased and
-    /// inserted operations included). May contain duplicates.
-    pub touched: Vec<OpId>,
-    /// Variables that lost at least one reading operand occurrence — the
-    /// candidates whose definitions dead-code elimination should re-examine.
-    /// May contain duplicates.
-    pub released: Vec<VarId>,
-}
-
 /// A mutation handle over a function that keeps a [`DefUseGraph`] exactly
-/// consistent through every edit and records what changed.
+/// consistent through every edit.
 ///
 /// All fine-grain passes go through this API; editing the function behind
 /// the graph's back is what the debug-mode consistency check exists to
@@ -261,17 +249,12 @@ pub struct EditLog {
 pub struct Rewriter<'a> {
     function: &'a mut Function,
     graph: &'a mut DefUseGraph,
-    log: EditLog,
 }
 
 impl<'a> Rewriter<'a> {
     /// Wraps a function and its (consistent) graph.
     pub fn new(function: &'a mut Function, graph: &'a mut DefUseGraph) -> Self {
-        Rewriter {
-            function,
-            graph,
-            log: EditLog::default(),
-        }
+        Rewriter { function, graph }
     }
 
     /// Read access to the function being edited.
@@ -293,13 +276,11 @@ impl<'a> Rewriter<'a> {
         }
         if let Value::Var(v) = old {
             self.graph.unlink_use(v, op);
-            self.log.released.push(v);
         }
         if let Value::Var(v) = value {
             self.graph.link_use(v, op);
         }
         self.function.ops[op].args[index] = value;
-        self.log.touched.push(op);
         true
     }
 
@@ -311,7 +292,6 @@ impl<'a> Rewriter<'a> {
         let old_def = self.function.ops[op].def();
         for v in old_uses {
             self.graph.unlink_use(v, op);
-            self.log.released.push(v);
         }
         {
             let data = &mut self.function.ops[op];
@@ -331,26 +311,16 @@ impl<'a> Rewriter<'a> {
                 self.graph.link_def(d, op);
             }
         }
-        self.log.touched.push(op);
     }
 
     /// Erases `op`: marks it dead, drops its operands, detaches it from its
     /// block and unlinks all of its chains. O(degree) — no block scan.
     pub fn erase_op(&mut self, op: OpId) {
-        for v in self.function.ops[op].uses() {
-            self.log.released.push(v);
-        }
         self.graph.unlink_op(self.function, op);
         self.function.ops[op].kill();
         if let Some(block) = self.graph.op_block.remove(&op) {
             self.function.blocks[block].remove(op);
         }
-        self.log.touched.push(op);
-    }
-
-    /// Finishes editing, returning the log of what changed.
-    pub fn finish(self) -> EditLog {
-        self.log
     }
 }
 
@@ -399,9 +369,6 @@ mod tests {
         let mut rw = Rewriter::new(&mut f, &mut graph);
         assert!(rw.replace_operand(reader, 0, Value::word(7)));
         assert!(!rw.replace_operand(reader, 0, Value::word(7)), "idempotent");
-        let log = rw.finish();
-        assert_eq!(log.touched, vec![reader]);
-        assert_eq!(log.released, vec![x]);
         assert_eq!(graph.uses_of(x).len(), 1);
         let _ = use_op;
         graph.assert_consistent(&f);
@@ -415,7 +382,6 @@ mod tests {
         let mut rw = Rewriter::new(&mut f, &mut graph);
         // y = x + x  becomes  y = copy a
         rw.rewrite_op(def_y, OpKind::Copy, vec![Value::Var(a)]);
-        rw.finish();
         assert!(graph.uses_of(x).is_empty());
         assert_eq!(graph.uses_of(a).len(), 2);
         graph.assert_consistent(&f);
@@ -423,8 +389,7 @@ mod tests {
         let def_x = graph.defs_of(x)[0];
         let mut rw = Rewriter::new(&mut f, &mut graph);
         rw.erase_op(def_x);
-        let log = rw.finish();
-        assert!(log.released.contains(&a));
+        assert_eq!(graph.uses_of(a).len(), 1, "the erased op released `a`");
         assert!(f.ops[def_x].dead);
         assert!(graph.block_of(def_x).is_none());
         assert!(graph.defs_of(x).is_empty());
@@ -439,7 +404,6 @@ mod tests {
         assert!(!f.ops[def_x].args.is_empty());
         let mut rw = Rewriter::new(&mut f, &mut graph);
         rw.erase_op(def_x);
-        rw.finish();
         assert!(f.ops[def_x].args.is_empty());
         let verdict = crate::verify(&f);
         assert!(verdict.is_ok(), "{verdict:?}");

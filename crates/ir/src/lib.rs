@@ -66,7 +66,7 @@ pub use analysis::FunctionStats;
 pub use arena::{Arena, Id};
 pub use block::{BasicBlock, BlockId};
 pub use builder::FunctionBuilder;
-pub use defuse::{DefUseGraph, EditLog, Rewriter};
+pub use defuse::{DefUseGraph, Rewriter};
 pub use dense::{DenseKey, SecondaryMap};
 pub use function::Function;
 pub use htg::{HtgNode, IfNode, LoopKind, LoopNode, NodeId, Region, RegionId};

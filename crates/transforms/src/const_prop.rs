@@ -7,7 +7,7 @@
 //! are all constants, simplifies algebraic identities, and forwards
 //! single-definition constants to every dominated use.
 
-use spark_ir::{Constant, EditLog, Function, OpId, OpKind, Rewriter, Type, Value};
+use spark_ir::{Constant, Function, OpId, OpKind, Rewriter, Type, Value};
 
 use crate::fine::{FineState, OpQueue};
 use crate::report::Report;
@@ -117,34 +117,28 @@ fn simplify_identity(kind: &OpKind, args: &[Value]) -> Option<Value> {
 
 /// Runs constant folding and propagation to a fixed point on `function`.
 ///
-/// Stand-alone entry point: builds fresh analyses and seeds the worklist
-/// with every live operation. Returns a [`Report`] with the number of folded
-/// operations and forwarded constants.
+/// Stand-alone entry point: builds fresh analyses and runs
+/// [`constant_propagation_with`]. Returns a [`Report`] with the number of
+/// folded operations and forwarded constants.
 pub fn constant_propagation(function: &mut Function) -> Report {
     let mut state = FineState::new(function);
-    let (report, _) = constant_propagation_seeded(function, &mut state, None);
-    report
+    constant_propagation_with(function, &mut state)
 }
 
 /// Worklist-driven constant folding and propagation over an incrementally
 /// maintained [`FineState`].
 ///
-/// The worklist is seeded with `seed` (every live operation when `None`)
-/// plus — for each seed operation with a destination — the current readers
-/// of that destination, so passing the operations a previous pass touched
-/// is sufficient to find every new opportunity: folding depends only on an
+/// The worklist starts from every live operation, each followed by the
+/// current readers of its destination. Folding depends only on an
 /// operation's own operands, and forwarding only on the definition of an
-/// operand having become a constant copy. Three confluent, monotone rewrites
-/// (operand → constant, operation → `Copy`) drive the queue, so the fixed
-/// point equals the full-rescan implementation's.
-pub fn constant_propagation_seeded(
-    function: &mut Function,
-    state: &mut FineState,
-    seed: Option<&[OpId]>,
-) -> (Report, EditLog) {
+/// operand having become a constant copy, so every rewrite requeues the
+/// readers it changed. The rewrites (operand → constant, operation →
+/// `Copy`) are confluent and monotone, so the fixed point equals the
+/// full-rescan implementation's.
+pub fn constant_propagation_with(function: &mut Function, state: &mut FineState) -> Report {
     let mut report = Report::new("constant-propagation", &function.name);
     let FineState { graph, positions } = state;
-    let mut queue = OpQueue::with_readers(function, graph, seed);
+    let mut queue = OpQueue::with_readers(function, graph);
     let mut rw = Rewriter::new(function, graph);
 
     let mut changed = 0usize;
@@ -242,9 +236,8 @@ pub fn constant_propagation_seeded(
     }
 
     report.add(changed);
-    let effects = rw.finish();
     state.debug_check(function);
-    (report, effects)
+    report
 }
 
 #[cfg(test)]
@@ -327,26 +320,31 @@ mod tests {
 
     #[test]
     fn forwarded_constants_take_the_copied_variables_width() {
-        // t is 1 bit wide, so `t = 200` stores 0 and `s = t + 0` reads 0.
-        // Both forwarding sites must narrow the constant: the def side when
-        // the copy is examined first, the use side when only the reader is.
-        let build = || {
+        // t is 1 bit wide, so `t = 200` stores 0 and `s = t + w` reads 0 + 5.
+        // Both forwarding sites must narrow the constant. With `w` defined
+        // first, `s` is queued as a reader of `w` ahead of `t`'s copy, so
+        // the use side forwards `t`; with `t` first, its copy is examined
+        // first and the def side forwards it.
+        let build = |w_first: bool| {
             let mut b = FunctionBuilder::new("f");
+            let w = b.var("w", Type::Bits(8));
             let t = b.var("t", Type::Bits(1));
             let s = b.output("s", Type::Bits(8));
-            let copy = b.copy(t, Value::word(200));
-            let add = b.assign(OpKind::Add, s, vec![Value::Var(t), Value::word(0)]);
-            (b.finish(), copy, add)
+            if w_first {
+                b.copy(w, Value::word(5));
+            }
+            b.copy(t, Value::word(200));
+            if !w_first {
+                b.copy(w, Value::word(5));
+            }
+            let add = b.assign(OpKind::Add, s, vec![Value::Var(t), Value::Var(w)]);
+            (b.finish(), add)
         };
-        let (mut def_side, copy, add) = build();
-        let mut state = FineState::new(&def_side);
-        constant_propagation_seeded(&mut def_side, &mut state, Some(&[copy]));
-        let (mut use_side, _, _) = build();
-        let mut state = FineState::new(&use_side);
-        constant_propagation_seeded(&mut use_side, &mut state, Some(&[add]));
-        for f in [def_side, use_side] {
+        for w_first in [true, false] {
+            let (mut f, add) = build(w_first);
+            constant_propagation(&mut f);
             assert_eq!(f.ops[add].kind, OpKind::Copy, "{f}");
-            assert_eq!(f.ops[add].args[0].as_const().unwrap().value(), 0, "{f}");
+            assert_eq!(f.ops[add].args[0].as_const().unwrap().value(), 5, "{f}");
         }
     }
 

@@ -7,15 +7,15 @@
 //! lists it among the "standard compiler transformations" that support the
 //! coarse-grain ones (Section 3).
 
-use spark_ir::{EditLog, Function, OpId, OpKind, Rewriter, Value, VarId};
+use spark_ir::{Function, OpId, OpKind, Rewriter, Value, VarId};
 
 use crate::fine::{FineState, OpQueue};
 use crate::report::Report;
 
 /// Runs copy propagation to a fixed point on `function`.
 ///
-/// Stand-alone entry point: builds fresh analyses and seeds the worklist
-/// with every live operation.
+/// Stand-alone entry point: builds fresh analyses and runs
+/// [`copy_propagation_with`].
 ///
 /// A copy `x = y` is forwarded to a use of `x` when:
 /// * `x` has exactly one live definition (the copy itself),
@@ -30,32 +30,29 @@ use crate::report::Report;
 ///   sets the shift of the high operand.
 pub fn copy_propagation(function: &mut Function) -> Report {
     let mut state = FineState::new(function);
-    let (report, _) = copy_propagation_seeded(function, &mut state, None);
-    report
+    copy_propagation_with(function, &mut state)
 }
 
 /// Worklist-driven copy propagation over an incrementally maintained
 /// [`FineState`].
 ///
-/// Seeding mirrors [`constant_propagation_seeded`](crate::constant_propagation_seeded):
-/// the worklist starts from `seed` (every live operation when `None`) plus
-/// the readers of each seed operation's destination. Forwardability of a
-/// copy is otherwise static across the fine-grain phase (definition counts
-/// of live, still-used variables never change, and dominance is
-/// structural), so the operations another pass rewrote — e.g. a CSE result
-/// turned into a fresh variable copy — are exactly the new opportunities.
-/// Copy chains resolve transitively by requeueing every rewritten use; each
-/// replacement substitutes the source of a strictly earlier dominating copy,
-/// so the process terminates at the same fixed point as the full-rescan
-/// implementation.
-pub fn copy_propagation_seeded(
-    function: &mut Function,
-    state: &mut FineState,
-    seed: Option<&[OpId]>,
-) -> (Report, EditLog) {
+/// The worklist starts from the live `Copy` operations: a copy is the only
+/// place a forwarding can start. Examining a copy pushes its source into
+/// every dominated reader (the def side), so a reader needs no visit of its
+/// own until it is rewritten. Copy chains then resolve transitively by
+/// requeueing every rewritten reader: a reader that is itself a copy
+/// forwards its new source, and any other reader pulls in the source of a
+/// copy its new operand names (the use side). Each replacement substitutes
+/// the source of a strictly earlier dominating copy, so the process
+/// terminates at the same fixed point as a full rescan.
+pub fn copy_propagation_with(function: &mut Function, state: &mut FineState) -> Report {
     let mut report = Report::new("copy-propagation", &function.name);
     let FineState { graph, positions } = state;
-    let mut queue = OpQueue::with_readers(function, graph, seed);
+    let copies = function
+        .live_ops()
+        .into_iter()
+        .filter(|&op| function.ops[op].kind == OpKind::Copy);
+    let mut queue = OpQueue::of(copies);
     let mut rw = Rewriter::new(function, graph);
 
     // Source stability: a constant, or a variable with a single dominating
@@ -144,9 +141,8 @@ pub fn copy_propagation_seeded(
     }
 
     report.add(changed);
-    let effects = rw.finish();
     state.debug_check(function);
-    (report, effects)
+    report
 }
 
 /// Returns `true` if operand `index` of `reader`, which reads the copy
@@ -290,29 +286,32 @@ mod tests {
     }
 
     #[test]
-    fn seeded_run_from_touched_ops_matches_full_rescan() {
-        // Build a copy chain, resolve it fully, then rewrite one op into a
-        // fresh copy (as CSE would) and check the seeded pass catches the
-        // new opportunity from the touched op alone.
+    fn copy_propagation_after_cse_forwards_its_copy() {
+        // CSE turns the repeated `t2 = a + c` into `t2 = t1`; copy
+        // propagation run after it forwards `t1` into `out = t2 + 1`, and
+        // DCE then deletes the copy.
         let mut b = FunctionBuilder::new("f");
         let a = b.param("a", Type::Bits(8));
+        let c = b.param("c", Type::Bits(8));
         let t1 = b.var("t1", Type::Bits(8));
         let t2 = b.var("t2", Type::Bits(8));
         let out = b.output("out", Type::Bits(8));
-        b.copy(t1, Value::Var(a));
-        let mid = b.assign(OpKind::Add, t2, vec![Value::Var(t1), Value::word(0)]);
+        let o1 = b.output("o1", Type::Bits(8));
+        b.assign(OpKind::Add, t1, vec![Value::Var(a), Value::Var(c)]);
+        b.copy(o1, Value::Var(t1));
+        let repeat = b.assign(OpKind::Add, t2, vec![Value::Var(a), Value::Var(c)]);
         let last = b.assign(OpKind::Add, out, vec![Value::Var(t2), Value::word(1)]);
         let mut f = b.finish();
 
         let mut state = FineState::new(&f);
-        copy_propagation_seeded(&mut f, &mut state, None);
-        // `mid` still computes t2 = a + 0; turn it into a plain copy as a
-        // later pass would, through the rewriter so the state stays live.
-        let mut rw = Rewriter::new(&mut f, &mut state.graph);
-        rw.rewrite_op(mid, OpKind::Copy, vec![Value::Var(a)]);
-        let log = rw.finish();
-        let (report, _) = copy_propagation_seeded(&mut f, &mut state, Some(&log.touched));
+        assert!(copy_propagation_with(&mut f, &mut state).is_noop());
+        let cse = crate::common_subexpression_elimination_with(&mut f, &mut state);
+        assert_eq!(cse.changes, 1);
+        assert_eq!(f.ops[repeat].kind, OpKind::Copy);
+        let report = copy_propagation_with(&mut f, &mut state);
         assert_eq!(report.changes, 1);
-        assert_eq!(f.ops[last].args[0], Value::Var(a));
+        assert_eq!(f.ops[last].args[0], Value::Var(t1));
+        crate::dead_code_elimination_with(&mut f, &mut state);
+        assert!(f.ops[repeat].dead);
     }
 }

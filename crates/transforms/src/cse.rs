@@ -9,14 +9,15 @@
 
 use std::collections::HashMap;
 
-use spark_ir::{EditLog, Function, OpId, OpKind, Rewriter, Type, Value, VarId};
+use spark_ir::{Function, OpKind, Rewriter, Type, Value, VarId};
 
 use crate::fine::FineState;
 use crate::report::Report;
 
 /// Eliminates repeated pure computations within each basic block.
 ///
-/// Stand-alone entry point: builds fresh analyses and scans every block.
+/// Stand-alone entry point: builds fresh analyses and runs
+/// [`common_subexpression_elimination_with`].
 ///
 /// Two operations are merged when they have the same kind and operands, the
 /// earlier one's destination has not been overwritten in between, and none of
@@ -25,42 +26,23 @@ use crate::report::Report;
 /// elimination / copy propagation to clean up).
 pub fn common_subexpression_elimination(function: &mut Function) -> Report {
     let mut state = FineState::new(function);
-    let (report, _) = common_subexpression_elimination_seeded(function, &mut state, None);
-    report
+    common_subexpression_elimination_with(function, &mut state)
 }
 
 /// Block-local CSE over an incrementally maintained [`FineState`].
 ///
-/// CSE is a per-block linear scan, so the worklist unit is the *block*:
-/// with `seed = Some(ops)` only the blocks owning those operations are
-/// rescanned (a block no pass touched cannot have grown a new repeated
-/// expression), with `None` every block is scanned. Rewrites go through the
-/// [`Rewriter`] so the shared def–use graph stays consistent.
-pub fn common_subexpression_elimination_seeded(
+/// CSE is a per-block linear scan over every block of the body, in body
+/// traversal order. Rewrites go through the [`Rewriter`] so the shared
+/// def–use graph stays consistent.
+pub fn common_subexpression_elimination_with(
     function: &mut Function,
     state: &mut FineState,
-    seed: Option<&[OpId]>,
-) -> (Report, EditLog) {
+) -> Report {
     let mut report = Report::new("cse", &function.name);
     let FineState { graph, .. } = state;
     let mut rw = Rewriter::new(function, graph);
 
-    // Blocks to scan, in body traversal order.
-    let blocks = rw.function().blocks_in_region(rw.function().body);
-    let blocks: Vec<_> = match seed {
-        None => blocks,
-        Some(ops) => {
-            let mut dirty = vec![false; rw.function().blocks.len()];
-            for &op in ops {
-                if let Some(block) = rw.graph().block_of(op) {
-                    dirty[block.index()] = true;
-                }
-            }
-            blocks.into_iter().filter(|b| dirty[b.index()]).collect()
-        }
-    };
-
-    for block in blocks {
+    for block in rw.function().blocks_in_region(rw.function().body) {
         let ops: Vec<_> = rw.function().blocks[block].ops.clone();
         // Available expressions: key -> dest var of the defining op.
         let mut available: HashMap<ExprKey, VarId> = HashMap::new();
@@ -92,9 +74,8 @@ pub fn common_subexpression_elimination_seeded(
         }
     }
 
-    let effects = rw.finish();
     state.debug_check(function);
-    (report, effects)
+    report
 }
 
 /// One operand of an [`ExprKey`]. Constants are keyed by value alone, so

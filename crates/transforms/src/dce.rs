@@ -5,15 +5,15 @@
 //! wire-variable insertion of Section 3.1.2 ("a dead code elimination pass
 //! later removes any unnecessary variables and variable copies").
 
-use spark_ir::{EditLog, Function, OpId, PortDirection, Rewriter};
+use spark_ir::{Function, PortDirection, Rewriter};
 
 use crate::fine::{FineState, OpQueue};
 use crate::report::Report;
 
 /// Removes operations whose results are never observed.
 ///
-/// Stand-alone entry point: builds fresh analyses and examines every live
-/// operation.
+/// Stand-alone entry point: builds fresh analyses and runs
+/// [`dead_code_elimination_with`].
 ///
 /// An operation is dead when it has no side effects and either has no
 /// destination or its destination is an internal variable with no live
@@ -24,40 +24,18 @@ use crate::report::Report;
 /// point the round-based recompute implementation did.
 pub fn dead_code_elimination(function: &mut Function) -> Report {
     let mut state = FineState::new(function);
-    let (report, _) = dead_code_elimination_seeded(function, &mut state, None);
-    report
+    dead_code_elimination_with(function, &mut state)
 }
 
 /// Worklist-driven dead code elimination over an incrementally maintained
-/// [`FineState`].
-///
-/// With `seed = Some(ops)` only those candidate operations (typically the
-/// definitions of variables that lost uses in earlier passes, see
-/// [`EditLog::released`]) and their cascade are examined; with `None`
-/// every live operation is scanned once. Both modes cascade identically, so
-/// a seeded run after a full run equals the next full run.
-pub fn dead_code_elimination_seeded(
-    function: &mut Function,
-    state: &mut FineState,
-    seed: Option<&[OpId]>,
-) -> (Report, EditLog) {
+/// [`FineState`]: every live operation is examined once, in program order,
+/// and each erasure requeues the definitions of the operands that lost
+/// their last reader.
+pub fn dead_code_elimination_with(function: &mut Function, state: &mut FineState) -> Report {
     let mut report = Report::new("dead-code-elimination", &function.name);
     let FineState { graph, .. } = state;
+    let mut queue = OpQueue::of(function.live_ops());
     let mut rw = Rewriter::new(function, graph);
-
-    let mut queue = OpQueue::default();
-    match seed {
-        None => {
-            for op in rw.function().live_ops() {
-                queue.push(op);
-            }
-        }
-        Some(ops) => {
-            for &op in ops {
-                queue.push(op);
-            }
-        }
-    }
 
     while let Some(op_id) = queue.pop() {
         if rw.function().ops[op_id].dead {
@@ -92,7 +70,6 @@ pub fn dead_code_elimination_seeded(
         }
     }
 
-    let effects = rw.finish();
     state.debug_check(function);
     // Remove structure (blocks, ifs, loops) that became empty. Region-list
     // pruning does not change the region chain or relative order of any
@@ -101,7 +78,7 @@ pub fn dead_code_elimination_seeded(
     if pruned > 0 {
         report.note(format!("pruned {pruned} empty node(s)"));
     }
-    (report, effects)
+    report
 }
 
 #[cfg(test)]
@@ -120,6 +97,8 @@ mod tests {
         b.assign(OpKind::Add, y, vec![Value::Var(x), Value::word(1)]); // unused
         b.copy(out, Value::Var(a));
         let mut f = b.finish();
+        // x is examined first and survives while y reads it; erasing y
+        // cascades back to it.
         let report = dead_code_elimination(&mut f);
         assert_eq!(report.changes, 2, "both x and y definitions removed");
         assert_eq!(f.live_op_count(), 1);
@@ -175,39 +154,5 @@ mod tests {
         let mut f = b.finish();
         dead_code_elimination(&mut f);
         assert_eq!(f.live_op_count(), 2);
-    }
-
-    #[test]
-    fn seeded_run_cascades_from_released_definitions() {
-        // out = a; x = a + 1; y = x + 1 (y read by z, z read by out? no —
-        // build a chain that becomes dead only after its head's use is cut).
-        let mut b = FunctionBuilder::new("f");
-        let a = b.param("a", Type::Bits(8));
-        let x = b.var("x", Type::Bits(8));
-        let y = b.var("y", Type::Bits(8));
-        let out = b.output("out", Type::Bits(8));
-        let def_x = b.assign(OpKind::Add, x, vec![Value::Var(a), Value::word(1)]);
-        let def_y = b.assign(OpKind::Add, y, vec![Value::Var(x), Value::word(1)]);
-        let tail = b.copy(out, Value::Var(y));
-        let mut f = b.finish();
-
-        let mut state = FineState::new(&f);
-        let (report, _) = dead_code_elimination_seeded(&mut f, &mut state, None);
-        assert!(report.is_noop(), "everything feeds the output");
-
-        // Cut the chain: out now copies `a` directly (as copy propagation
-        // would), releasing y.
-        let mut rw = spark_ir::Rewriter::new(&mut f, &mut state.graph);
-        rw.replace_operand(tail, 0, Value::Var(a));
-        let log = rw.finish();
-        let candidates: Vec<OpId> = log
-            .released
-            .iter()
-            .flat_map(|&v| state.graph.defs_of(v).to_vec())
-            .collect();
-        let (report, _) = dead_code_elimination_seeded(&mut f, &mut state, Some(&candidates));
-        assert_eq!(report.changes, 2, "x and y cascade away");
-        assert!(f.ops[def_x].dead && f.ops[def_y].dead);
-        assert_eq!(f.live_op_count(), 1);
     }
 }

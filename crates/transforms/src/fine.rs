@@ -14,6 +14,10 @@
 //! any surviving operation. The graph survives because every mutation goes
 //! through the [`Rewriter`](spark_ir::Rewriter); in debug builds each pass
 //! re-checks the graph against a from-scratch rebuild before returning.
+//!
+//! The state carries analyses only, not work: every pass starts its
+//! worklist from the function itself (see each pass for where), so no pass
+//! depends on what an earlier one touched.
 
 use spark_ir::{DefUseGraph, Function, OpId};
 
@@ -48,7 +52,7 @@ impl FineState {
 
 /// A FIFO worklist of operations with O(1) membership dedup.
 ///
-/// Processing order is deterministic (seed order, then discovery order),
+/// Processing order is deterministic (start order, then discovery order),
 /// which keeps pass behaviour reproducible run over run.
 #[derive(Debug, Default)]
 pub(crate) struct OpQueue {
@@ -57,27 +61,20 @@ pub(crate) struct OpQueue {
 }
 
 impl OpQueue {
-    /// A queue of `seed` (every live operation when `None`) plus the
-    /// current readers of each live seed operation's destination: the
-    /// seeding of constant and copy propagation.
-    pub(crate) fn with_readers(
-        function: &Function,
-        graph: &DefUseGraph,
-        seed: Option<&[OpId]>,
-    ) -> Self {
-        let live;
-        let seed = match seed {
-            Some(ops) => ops,
-            None => {
-                live = function.live_ops();
-                &live
-            }
-        };
+    /// A queue of `ops`, in order.
+    pub(crate) fn of(ops: impl IntoIterator<Item = OpId>) -> Self {
         let mut queue = OpQueue::default();
-        for &op in seed {
-            if function.ops[op].dead {
-                continue;
-            }
+        for op in ops {
+            queue.push(op);
+        }
+        queue
+    }
+
+    /// A queue of every live operation, each followed by the current
+    /// readers of its destination: where constant propagation starts.
+    pub(crate) fn with_readers(function: &Function, graph: &DefUseGraph) -> Self {
+        let mut queue = OpQueue::default();
+        for op in function.live_ops() {
             queue.push(op);
             if let Some(dest) = function.ops[op].def() {
                 for &user in graph.uses_of(dest) {

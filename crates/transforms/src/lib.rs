@@ -21,15 +21,16 @@
 //! [`Report`] describing what changed, so that the `spark-core` pass manager
 //! can log the per-stage effect exactly as the paper's figures do.
 //!
-//! The fine-grain passes additionally come in `_seeded` form
-//! ([`constant_propagation_seeded`], [`copy_propagation_seeded`],
-//! [`common_subexpression_elimination_seeded`],
-//! [`dead_code_elimination_seeded`]): worklist-driven variants over a shared
+//! The fine-grain passes also come in `_with` form
+//! ([`constant_propagation_with`], [`copy_propagation_with`],
+//! [`common_subexpression_elimination_with`],
+//! [`dead_code_elimination_with`]): worklist-driven passes over a shared
 //! [`FineState`] (an incrementally maintained
-//! [`DefUseGraph`](spark_ir::DefUseGraph) plus [`Positions`]), seeded by the
-//! operations the previous pass touched instead of rescanning the whole
-//! function per fixed-point round. All four share one signature: a seed of
-//! `None` examines the whole function, `Some(ops)` starts from `ops`.
+//! [`DefUseGraph`](spark_ir::DefUseGraph) plus [`Positions`]), so a
+//! sequence of them builds the analyses once instead of once per pass. Each
+//! starts from the function itself — constant propagation from every live
+//! operation, copy propagation from every live copy, CSE from every block,
+//! DCE from every live operation — and runs to its own fixed point.
 //!
 //! # Examples
 //!
@@ -69,10 +70,10 @@ mod speculation;
 mod unroll;
 mod while_to_for;
 
-pub use const_prop::{constant_propagation, constant_propagation_seeded, fold_constants};
-pub use copy_prop::{copy_propagation, copy_propagation_seeded};
-pub use cse::{common_subexpression_elimination, common_subexpression_elimination_seeded};
-pub use dce::{dead_code_elimination, dead_code_elimination_seeded};
+pub use const_prop::{constant_propagation, constant_propagation_with, fold_constants};
+pub use copy_prop::{copy_propagation, copy_propagation_with};
+pub use cse::{common_subexpression_elimination, common_subexpression_elimination_with};
+pub use dce::{dead_code_elimination, dead_code_elimination_with};
 pub use fine::FineState;
 pub use inline::inline_calls;
 pub use isolate::isolate_conditions;

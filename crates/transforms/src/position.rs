@@ -15,8 +15,9 @@
 //! the relative order of the survivors, and pruning emptied structure does
 //! not change the region chain of any remaining operation. The pass manager
 //! in `spark-core` therefore computes positions once per fine-grain phase
-//! and shares them across every worklist pass, instead of recomputing them
-//! per fixed-point round as the full-rescan passes did.
+//! (the round before the second speculation, and the clean-up after it) and
+//! shares them across every worklist pass of that phase, instead of
+//! recomputing them per pass or per fixed-point round.
 
 use std::collections::HashMap;
 
