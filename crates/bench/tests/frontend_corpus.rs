@@ -296,8 +296,8 @@ fn every_corpus_report_matches_the_committed_table() {
 
 /// The transformed top of the ILD at n=8 and n=16 and of every corpus
 /// program, in both flows, is a fixed point of the clean-up: no stand-alone
-/// full-rescan fine pass finds anything left to do (CSE runs only in the
-/// coordinated flow, the one flow that runs it). So the pipeline's single
+/// full-rescan fine pass finds anything left to do (CSE is checked only in
+/// the coordinated flow, the one flow that runs it). So the pipeline's single
 /// clean-up round, whose passes start from the function itself, reaches
 /// what any further round would. The pass sequence of both flows on the
 /// ILD pins that recipe.
