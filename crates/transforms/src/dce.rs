@@ -155,4 +155,33 @@ mod tests {
         dead_code_elimination(&mut f);
         assert_eq!(f.live_op_count(), 2);
     }
+
+    #[test]
+    fn seeded_run_cascades_from_released_definitions() {
+        // out = y; y = x + 1; x = a + 1: the chain is live until an edit
+        // on the shared state cuts its tail.
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let x = b.var("x", Type::Bits(8));
+        let y = b.var("y", Type::Bits(8));
+        let out = b.output("out", Type::Bits(8));
+        let def_x = b.assign(OpKind::Add, x, vec![Value::Var(a), Value::word(1)]);
+        let def_y = b.assign(OpKind::Add, y, vec![Value::Var(x), Value::word(1)]);
+        let tail = b.copy(out, Value::Var(y));
+        let mut f = b.finish();
+
+        let mut state = FineState::new(&f);
+        let report = dead_code_elimination_with(&mut f, &mut state);
+        assert!(report.is_noop(), "everything feeds the output");
+
+        // Cut the chain: out now copies `a` directly (as copy propagation
+        // would), releasing y. DCE over the same state sees the edit and
+        // cascades from y's definition back to x's.
+        let mut rw = Rewriter::new(&mut f, &mut state.graph);
+        rw.replace_operand(tail, 0, Value::Var(a));
+        let report = dead_code_elimination_with(&mut f, &mut state);
+        assert_eq!(report.changes, 2, "x and y cascade away");
+        assert!(f.ops[def_x].dead && f.ops[def_y].dead);
+        assert_eq!(f.live_op_count(), 1);
+    }
 }
