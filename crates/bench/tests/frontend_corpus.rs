@@ -21,7 +21,7 @@ use spark_bench::corpus::{
 };
 use spark_core::{synthesize, transform_program, FlowOptions};
 use spark_ild::{build_ild_program, ILD_FUNCTION};
-use spark_ir::{verify, Program};
+use spark_ir::{verify, OpKind, Program};
 use spark_transforms as xf;
 
 /// The flow every corpus program is synthesized under (generous single-cycle
@@ -294,13 +294,53 @@ fn every_corpus_report_matches_the_committed_table() {
     }
 }
 
-/// The transformed top of the ILD at n=8 and n=16 and of every corpus
-/// program, in both flows, is a fixed point of the clean-up: no stand-alone
-/// full-rescan fine pass finds anything left to do (CSE is checked only in
-/// the coordinated flow, the one flow that runs it). So the pipeline's single
-/// clean-up round, whose passes start from the function itself, reaches
-/// what any further round would. The pass sequence of both flows on the
-/// ILD pins that recipe.
+/// Selects whose arms a clean-up pass after constant propagation makes
+/// equal: copy propagation in the first, CSE and then copy propagation in
+/// the second (coordinated flow only). Copy propagation reduces each to a
+/// copy of the arm, so no mux is left.
+const EQUAL_ARM_SELECTS: [(&str, &str); 2] = [
+    (
+        "equal_arms",
+        "void equal_arms(bool c, u8 a, out u8 x) { u8 t; t = a; x = c ? a : t; }",
+    ),
+    (
+        "cse_arms",
+        "void cse_arms(bool c, u8 a, u8 b, out u8 x) { u8 s; s = a + b; x = c ? a + b : s; }",
+    ),
+];
+
+#[test]
+fn selects_whose_arms_the_clean_up_makes_equal_leave_no_mux() {
+    for (name, source) in EQUAL_ARM_SELECTS {
+        let compiled = spark_front::compile(source).unwrap();
+        for options in [
+            FlowOptions::microprocessor_block(2000.0),
+            FlowOptions::asic_baseline(2000.0),
+        ] {
+            let transformed =
+                transform_program(&compiled.program, &compiled.top, &options).unwrap();
+            let top = transformed.program.function(&compiled.top).unwrap();
+            let selects = top
+                .live_ops()
+                .into_iter()
+                .filter(|&op| top.ops[op].kind == OpKind::Select)
+                .count();
+            // Without CSE the repeated sum in `cse_arms` keeps its arms apart.
+            let expected = usize::from(name == "cse_arms" && !options.cse);
+            assert_eq!(selects, expected, "`{name}` (cse {})", options.cse);
+            let result = synthesize(&compiled.program, &compiled.top, &options).unwrap();
+            check_rtl_matches_interp(&compiled, &compiled.top, &result, 0..8)
+                .unwrap_or_else(|e| panic!("`{name}` (cse {}): {e}", options.cse));
+        }
+    }
+}
+
+/// The transformed top of the ILD at n=8 and n=16, of every corpus program
+/// and of the [`EQUAL_ARM_SELECTS`], in both flows, is a fixed point of the
+/// clean-up: no stand-alone full-rescan fine pass finds anything left to do
+/// on these designs (CSE is checked only in the coordinated flow, the one
+/// flow that runs it). The pass sequence of both flows on the ILD pins the
+/// one-round recipe.
 #[test]
 fn transformed_tops_are_fixed_points_of_the_clean_up() {
     let mut designs: Vec<(String, Program, String)> = [8, 16]
@@ -318,6 +358,10 @@ fn transformed_tops_are_fixed_points_of_the_clean_up() {
         let compiled = spark_front::compile(&source).unwrap();
         let stem = path.file_stem().unwrap().to_string_lossy().to_string();
         designs.push((stem, compiled.program, compiled.top));
+    }
+    for (name, source) in EQUAL_ARM_SELECTS {
+        let compiled = spark_front::compile(source).unwrap();
+        designs.push((name.to_string(), compiled.program, compiled.top));
     }
     for (name, program, top) in &designs {
         for options in [

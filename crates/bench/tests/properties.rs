@@ -28,8 +28,8 @@ use spark_transforms as xf;
 /// (then- and else-branches), small counted loops (some with a branch on
 /// the loop index, which is constant per iteration once unrolled), repeated
 /// expressions (CSE fodder), constant copies (const-prop fodder) and
-/// variable copies (copy-prop fodder), ending in writes to primary outputs
-/// so not everything is dead. Two condition flags may be rewritten inside
+/// variable copies (copy-prop fodder), selects whose arms may become equal,
+/// ending in writes to primary outputs so not everything is dead. Two condition flags may be rewritten inside
 /// a branch and guard later code, also in the opposite branch; a pool
 /// variable may be redefined under a guard and then unconditionally.
 fn build_scripted_function(script: &[u8]) -> Function {
@@ -38,7 +38,7 @@ fn build_scripted_function(script: &[u8]) -> Function {
 
 /// [`build_scripted_function`] when `extended` is set. Without it, the
 /// older, narrower shapes: every `if` is on `cond` and has an empty else
-/// branch, and there are no flags and no redefinitions.
+/// branch, and there are no flags, redefinitions or selects.
 fn build_function(script: &[u8], extended: bool) -> Function {
     let mut b = FunctionBuilder::new("gen");
     let p0 = b.param("p0", Type::Bits(8));
@@ -62,7 +62,7 @@ fn build_function(script: &[u8], extended: bool) -> Function {
         let a = bytes.next().unwrap_or(1);
         let c = bytes.next().unwrap_or(2);
         let pick = |sel: u8, pool: &[spark_ir::VarId]| pool[sel as usize % pool.len()];
-        match choice % if extended { 12 } else { 10 } {
+        match choice % if extended { 13 } else { 10 } {
             // Fresh computation over the pool.
             0..=2 => {
                 let kinds = [
@@ -170,6 +170,39 @@ fn build_function(script: &[u8], extended: bool) -> Function {
                 let other = Value::Var(pick(c, &pool));
                 b.assign(OpKind::Xor, target, vec![Value::Var(target), other]);
             }
+            // A select on `cond` or a flag whose arms the clean-up may make
+            // equal: an arm and its copy, two equal sums (equal once CSE and
+            // copy propagation ran), or two pool values.
+            11 if extended => {
+                let guard = if c % 2 == 0 {
+                    cond
+                } else {
+                    flags[a as usize % 2]
+                };
+                let arm = pick(a, &pool);
+                let [lhs, rhs] = match c % 3 {
+                    0 => {
+                        let copy = b.var(&format!("v{}", pool.len()), Type::Bits(8));
+                        b.copy(copy, Value::Var(arm));
+                        pool.push(copy);
+                        [arm, copy]
+                    }
+                    1 => {
+                        let other = Value::Var(pick(c, &pool));
+                        [0, 1].map(|_| {
+                            let sum = b.var(&format!("v{}", pool.len()), Type::Bits(8));
+                            b.assign(OpKind::Add, sum, vec![Value::Var(arm), other]);
+                            pool.push(sum);
+                            sum
+                        })
+                    }
+                    _ => [arm, pick(c, &pool)],
+                };
+                let dest = b.var(&format!("v{}", pool.len()), Type::Bits(8));
+                let args = vec![Value::Var(guard), Value::Var(lhs), Value::Var(rhs)];
+                b.assign(OpKind::Select, dest, args);
+                pool.push(dest);
+            }
             // Write an output from the pool.
             _ => {
                 let dest = if a % 2 == 0 { out0 } else { out1 };
@@ -188,8 +221,7 @@ fn build_function(script: &[u8], extended: bool) -> Function {
 
 /// The fine-grain clean-up as two rounds of the stand-alone full-rescan
 /// entry points (each pass builds fresh analyses and examines everything):
-/// the reference the pipeline's one clean-up round must match, since a
-/// second round finds nothing left to do.
+/// the reference the pipeline's one clean-up round must match op for op.
 fn reference_cleanup(f: &mut Function) {
     xf::constant_propagation(f);
     xf::copy_propagation(f);

@@ -106,12 +106,19 @@ fn simplify_identity(kind: &OpKind, args: &[Value]) -> Option<Value> {
             if let Some(c) = const_of(&args[0]) {
                 return Some(if c.as_bool() { args[1] } else { args[2] });
             }
-            if args[1] == args[2] {
-                return Some(args[1]);
-            }
-            None
+            select_of_equal_arms(kind, args)
         }
         _ => None,
+    }
+}
+
+/// `c ? a : a` is `a`: the one identity here that needs no constant operand,
+/// so copy propagation, which can make two arms equal, applies it too.
+pub(crate) fn select_of_equal_arms(kind: &OpKind, args: &[Value]) -> Option<Value> {
+    if matches!(kind, OpKind::Select) && args[1] == args[2] {
+        Some(args[1])
+    } else {
+        None
     }
 }
 

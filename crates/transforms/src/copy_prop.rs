@@ -9,6 +9,7 @@
 
 use spark_ir::{Function, OpId, OpKind, Rewriter, Value, VarId};
 
+use crate::const_prop::select_of_equal_arms;
 use crate::fine::{FineState, OpQueue};
 use crate::report::Report;
 
@@ -28,6 +29,9 @@ use crate::report::Report;
 ///   reading `y` in place of `x` would change the value. A concatenation's
 ///   low operand also needs `y` exactly as wide as `x`, because its width
 ///   sets the shift of the high operand.
+///
+/// A select whose arms a forwarding makes equal (`c ? a : a`) becomes a copy
+/// of the arm, which is then forwarded in turn.
 pub fn copy_propagation(function: &mut Function) -> Report {
     let mut state = FineState::new(function);
     copy_propagation_with(function, &mut state)
@@ -106,6 +110,16 @@ pub fn copy_propagation_with(function: &mut Function, state: &mut FineState) -> 
             // The operand may now name another forwardable copy (chains), or
             // this op may itself be a copy whose source just changed.
             queue.push(op_id);
+        }
+
+        // --- A rewritten select may have equal arms now. Constant
+        // propagation, which runs before this pass, reduces `c ? a : a` to a
+        // copy of `a`; do the same here, where the case arises, so the copy
+        // is forwarded below and no later const-prop run is needed.
+        let op = &rw.function().ops[op_id];
+        if let Some(arm) = select_of_equal_arms(&op.kind, &op.args) {
+            rw.rewrite_op(op_id, OpKind::Copy, vec![arm]);
+            changed += 1;
         }
 
         // --- Def-side: if this op is a forwardable copy, push its source
@@ -286,6 +300,34 @@ mod tests {
     }
 
     #[test]
+    fn a_select_whose_arms_become_equal_is_forwarded_as_a_copy() {
+        // t = a; x = c ? a : t; out = x + 1 -- forwarding t leaves
+        // `c ? a : a`, which is a copy of a, and a then reaches the add.
+        let mut b = FunctionBuilder::new("f");
+        let c = b.param("c", Type::Bool);
+        let a = b.param("a", Type::Bits(8));
+        let t = b.var("t", Type::Bits(8));
+        let x = b.var("x", Type::Bits(8));
+        let out = b.output("out", Type::Bits(8));
+        b.copy(t, Value::Var(a));
+        let select = b.assign(
+            OpKind::Select,
+            x,
+            vec![Value::Var(c), Value::Var(a), Value::Var(t)],
+        );
+        let add = b.assign(OpKind::Add, out, vec![Value::Var(x), Value::word(1)]);
+        let mut f = b.finish();
+        let report = copy_propagation(&mut f);
+        assert_eq!(
+            report.changes, 3,
+            "t into the select, select to copy, a into the add"
+        );
+        assert_eq!(f.ops[select].kind, OpKind::Copy);
+        assert_eq!(f.ops[select].args, vec![Value::Var(a)]);
+        assert_eq!(f.ops[add].args[0], Value::Var(a));
+    }
+
+    #[test]
     fn copy_propagation_after_cse_forwards_its_copy() {
         // CSE turns the repeated `t2 = a + c` into `t2 = t1`; copy
         // propagation run after it forwards `t1` into `out = t2 + 1`, and
@@ -313,5 +355,32 @@ mod tests {
         assert_eq!(f.ops[last].args[0], Value::Var(t1));
         crate::dead_code_elimination_with(&mut f, &mut state);
         assert!(f.ops[repeat].dead);
+    }
+
+    #[test]
+    fn copy_propagation_after_cse_reduces_the_select_it_makes_equal() {
+        // s = a + b; t = a + b; x = c ? t : s -- CSE makes t a copy of s,
+        // forwarding it gives `c ? s : s`, and that is a copy of s.
+        let mut b = FunctionBuilder::new("f");
+        let c = b.param("c", Type::Bool);
+        let a = b.param("a", Type::Bits(8));
+        let d = b.param("d", Type::Bits(8));
+        let s = b.var("s", Type::Bits(8));
+        let t = b.var("t", Type::Bits(8));
+        let x = b.output("x", Type::Bits(8));
+        b.assign(OpKind::Add, s, vec![Value::Var(a), Value::Var(d)]);
+        b.assign(OpKind::Add, t, vec![Value::Var(a), Value::Var(d)]);
+        let select = b.assign(
+            OpKind::Select,
+            x,
+            vec![Value::Var(c), Value::Var(t), Value::Var(s)],
+        );
+        let mut f = b.finish();
+
+        let mut state = FineState::new(&f);
+        crate::common_subexpression_elimination_with(&mut f, &mut state);
+        copy_propagation_with(&mut f, &mut state);
+        assert_eq!(f.ops[select].kind, OpKind::Copy);
+        assert_eq!(f.ops[select].args, vec![Value::Var(s)]);
     }
 }
