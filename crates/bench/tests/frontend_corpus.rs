@@ -21,7 +21,7 @@ use spark_bench::corpus::{
 };
 use spark_core::{synthesize, transform_program, FlowOptions};
 use spark_ild::{build_ild_program, ILD_FUNCTION};
-use spark_ir::{verify, OpKind, Program};
+use spark_ir::{verify, Program};
 use spark_transforms as xf;
 
 /// The flow every corpus program is synthesized under (generous single-cycle
@@ -296,8 +296,8 @@ fn every_corpus_report_matches_the_committed_table() {
 
 /// Selects whose arms a clean-up pass after constant propagation makes
 /// equal: copy propagation in the first, CSE and then copy propagation in
-/// the second (coordinated flow only). Copy propagation reduces each to a
-/// copy of the arm, so no mux is left.
+/// the second (coordinated flow only). Unless copy propagation reduces such
+/// a select to a copy of its arm, constant propagation still finds it.
 const EQUAL_ARM_SELECTS: [(&str, &str); 2] = [
     (
         "equal_arms",
@@ -308,32 +308,6 @@ const EQUAL_ARM_SELECTS: [(&str, &str); 2] = [
         "void cse_arms(bool c, u8 a, u8 b, out u8 x) { u8 s; s = a + b; x = c ? a + b : s; }",
     ),
 ];
-
-#[test]
-fn selects_whose_arms_the_clean_up_makes_equal_leave_no_mux() {
-    for (name, source) in EQUAL_ARM_SELECTS {
-        let compiled = spark_front::compile(source).unwrap();
-        for options in [
-            FlowOptions::microprocessor_block(2000.0),
-            FlowOptions::asic_baseline(2000.0),
-        ] {
-            let transformed =
-                transform_program(&compiled.program, &compiled.top, &options).unwrap();
-            let top = transformed.program.function(&compiled.top).unwrap();
-            let selects = top
-                .live_ops()
-                .into_iter()
-                .filter(|&op| top.ops[op].kind == OpKind::Select)
-                .count();
-            // Without CSE the repeated sum in `cse_arms` keeps its arms apart.
-            let expected = usize::from(name == "cse_arms" && !options.cse);
-            assert_eq!(selects, expected, "`{name}` (cse {})", options.cse);
-            let result = synthesize(&compiled.program, &compiled.top, &options).unwrap();
-            check_rtl_matches_interp(&compiled, &compiled.top, &result, 0..8)
-                .unwrap_or_else(|e| panic!("`{name}` (cse {}): {e}", options.cse));
-        }
-    }
-}
 
 /// The transformed top of the ILD at n=8 and n=16, of every corpus program
 /// and of the [`EQUAL_ARM_SELECTS`], in both flows, is a fixed point of the
