@@ -14,7 +14,6 @@ use crate::function::Function;
 use crate::htg::{HtgNode, LoopKind, RegionId};
 use crate::op::{OpId, OpKind};
 use crate::program::Program;
-use crate::types::Type;
 use crate::value::Value;
 use crate::var::{StorageClass, VarId};
 
@@ -249,13 +248,6 @@ impl<'p> Interpreter<'p> {
         }
     }
 
-    fn value_width(&self, func: &Function, value: Value) -> u16 {
-        match value {
-            Value::Const(c) => c.ty().width(),
-            Value::Var(v) => func.vars[v].ty.width(),
-        }
-    }
-
     fn exec_region(
         &self,
         func: &Function,
@@ -266,8 +258,7 @@ impl<'p> Interpreter<'p> {
         for &node in &func.regions[region].nodes {
             match &func.nodes[node] {
                 HtgNode::Block(b) => {
-                    let ops: Vec<OpId> = func.blocks[*b].ops.clone();
-                    for op in ops {
+                    for &op in &func.blocks[*b].ops {
                         if func.ops[op].dead {
                             continue;
                         }
@@ -340,105 +331,36 @@ impl<'p> Interpreter<'p> {
         frame: &mut Frame,
         depth: usize,
     ) -> Result<Flow, EvalError> {
-        let op = func.ops[op_id].clone();
+        let op = &func.ops[op_id];
         let arg = |i: usize| -> Result<Value, EvalError> {
             op.args
                 .get(i)
                 .copied()
                 .ok_or_else(|| EvalError::Malformed(format!("{} missing operand {i}", op.kind)))
         };
-        let dest_ty = op.dest.map(|d| func.vars[d].ty).unwrap_or(Type::Bits(64));
-        let store = |frame: &mut Frame, dest: Option<VarId>, value: u64| {
-            if let Some(d) = dest {
-                frame.scalars.insert(d, value & func.vars[d].ty.mask());
-            }
-        };
 
         let result: u64 = match &op.kind {
-            OpKind::Add => {
-                self.eval(func, frame, arg(0)?)
-                    .wrapping_add(self.eval(func, frame, arg(1)?))
-            }
-            OpKind::Sub => {
-                self.eval(func, frame, arg(0)?)
-                    .wrapping_sub(self.eval(func, frame, arg(1)?))
-            }
-            OpKind::Mul => {
-                self.eval(func, frame, arg(0)?)
-                    .wrapping_mul(self.eval(func, frame, arg(1)?))
-            }
-            OpKind::And => self.eval(func, frame, arg(0)?) & self.eval(func, frame, arg(1)?),
-            OpKind::Or => self.eval(func, frame, arg(0)?) | self.eval(func, frame, arg(1)?),
-            OpKind::Xor => self.eval(func, frame, arg(0)?) ^ self.eval(func, frame, arg(1)?),
-            OpKind::Not => !self.eval(func, frame, arg(0)?),
-            OpKind::Shl => {
-                let amount = self.eval(func, frame, arg(1)?).min(63);
-                self.eval(func, frame, arg(0)?) << amount
-            }
-            OpKind::Shr => {
-                let amount = self.eval(func, frame, arg(1)?).min(63);
-                self.eval(func, frame, arg(0)?) >> amount
-            }
-            OpKind::Eq => {
-                (self.eval(func, frame, arg(0)?) == self.eval(func, frame, arg(1)?)) as u64
-            }
-            OpKind::Ne => {
-                (self.eval(func, frame, arg(0)?) != self.eval(func, frame, arg(1)?)) as u64
-            }
-            OpKind::Lt => {
-                (self.eval(func, frame, arg(0)?) < self.eval(func, frame, arg(1)?)) as u64
-            }
-            OpKind::Le => {
-                (self.eval(func, frame, arg(0)?) <= self.eval(func, frame, arg(1)?)) as u64
-            }
-            OpKind::Gt => {
-                (self.eval(func, frame, arg(0)?) > self.eval(func, frame, arg(1)?)) as u64
-            }
-            OpKind::Ge => {
-                (self.eval(func, frame, arg(0)?) >= self.eval(func, frame, arg(1)?)) as u64
-            }
-            OpKind::Copy => self.eval(func, frame, arg(0)?),
-            OpKind::Select => {
-                if self.eval(func, frame, arg(0)?) != 0 {
-                    self.eval(func, frame, arg(1)?)
-                } else {
-                    self.eval(func, frame, arg(2)?)
-                }
-            }
-            OpKind::Slice { hi, lo } => {
-                let value = self.eval(func, frame, arg(0)?);
-                let width = hi - lo + 1;
-                (value >> lo) & Type::Bits(width).mask()
-            }
-            OpKind::Concat => {
-                let high = self.eval(func, frame, arg(0)?);
-                let low = self.eval(func, frame, arg(1)?);
-                let low_width = self.value_width(func, arg(1)?);
-                (high << low_width) | low
-            }
             OpKind::ArrayRead { array } => {
                 let index = self.eval(func, frame, arg(0)?);
-                let contents = frame.arrays.get(array).cloned().unwrap_or_default();
-                let length = func.vars[*array].array_length().unwrap_or(0);
-                *contents.get(index as usize).ok_or(EvalError::OutOfBounds {
+                let value = frame.arrays.get(array).and_then(|c| c.get(index as usize));
+                *value.ok_or_else(|| EvalError::OutOfBounds {
                     array: func.vars[*array].name.clone(),
                     index,
-                    length,
+                    length: func.vars[*array].array_length().unwrap_or(0),
                 })?
             }
             OpKind::ArrayWrite { array } => {
                 let index = self.eval(func, frame, arg(0)?);
                 let value = self.eval(func, frame, arg(1)?) & func.vars[*array].ty.mask();
-                let length = func.vars[*array].array_length().unwrap_or(0);
-                let name = func.vars[*array].name.clone();
                 let contents = frame.arrays.entry(*array).or_default();
-                let slot = contents
-                    .get_mut(index as usize)
-                    .ok_or(EvalError::OutOfBounds {
-                        array: name,
-                        index,
-                        length,
-                    })?;
+                let slot =
+                    contents
+                        .get_mut(index as usize)
+                        .ok_or_else(|| EvalError::OutOfBounds {
+                            array: func.vars[*array].name.clone(),
+                            index,
+                            length: func.vars[*array].array_length().unwrap_or(0),
+                        })?;
                 *slot = value;
                 return Ok(Flow::Continue);
             }
@@ -481,9 +403,15 @@ impl<'p> Interpreter<'p> {
                 let value = self.eval(func, frame, arg(0)?);
                 return Ok(Flow::Return(value));
             }
+            kind => func
+                .eval_op(op, |value| self.eval(func, frame, value))
+                .ok_or_else(|| EvalError::Malformed(format!("{kind} missing an operand")))?,
         };
-        let _ = dest_ty;
-        store(frame, op.dest, result);
+        if let Some(dest) = op.dest {
+            frame
+                .scalars
+                .insert(dest, result & func.vars[dest].ty.mask());
+        }
         Ok(Flow::Continue)
     }
 }

@@ -6,6 +6,7 @@
 //! functional units.
 
 use crate::arena::Id;
+use crate::types::Type;
 use crate::value::Value;
 use crate::var::VarId;
 use std::fmt;
@@ -130,6 +131,57 @@ impl OpKind {
             OpKind::Select => 3,
             OpKind::Call { .. } => return None,
             _ => 2,
+        })
+    }
+
+    /// What a pure operation computes: the one definition the interpreter,
+    /// the RTL simulator and constant folding all call.
+    ///
+    /// `args` holds the operand values in positional order. `low_width`
+    /// gives the width of the low operand of a `Concat`; it is called only
+    /// for `Concat`, so a caller can look the width up lazily. The result
+    /// is not truncated: the caller's store masks it to the destination
+    /// width.
+    ///
+    /// Returns `None` for the kinds that are not pure (array accesses,
+    /// calls, returns) and when an operand is missing.
+    #[inline]
+    pub fn eval(&self, args: &[u64], low_width: impl FnOnce() -> u16) -> Option<u64> {
+        let a = |i: usize| args.get(i).copied();
+        Some(match self {
+            OpKind::Add => a(0)?.wrapping_add(a(1)?),
+            OpKind::Sub => a(0)?.wrapping_sub(a(1)?),
+            OpKind::Mul => a(0)?.wrapping_mul(a(1)?),
+            OpKind::And => a(0)? & a(1)?,
+            OpKind::Or => a(0)? | a(1)?,
+            OpKind::Xor => a(0)? ^ a(1)?,
+            OpKind::Not => !a(0)?,
+            OpKind::Shl => a(0)? << a(1)?.min(63),
+            OpKind::Shr => a(0)? >> a(1)?.min(63),
+            OpKind::Eq => (a(0)? == a(1)?) as u64,
+            OpKind::Ne => (a(0)? != a(1)?) as u64,
+            OpKind::Lt => (a(0)? < a(1)?) as u64,
+            OpKind::Le => (a(0)? <= a(1)?) as u64,
+            OpKind::Gt => (a(0)? > a(1)?) as u64,
+            OpKind::Ge => (a(0)? >= a(1)?) as u64,
+            OpKind::Copy => a(0)?,
+            OpKind::Select => {
+                let (cond, then_value, else_value) = (a(0)?, a(1)?, a(2)?);
+                if cond != 0 {
+                    then_value
+                } else {
+                    else_value
+                }
+            }
+            OpKind::Slice { hi, lo } => (a(0)? >> lo) & Type::Bits(hi - lo + 1).mask(),
+            OpKind::Concat => {
+                let (high, low) = (a(0)?, a(1)?);
+                (high << low_width()) | low
+            }
+            OpKind::ArrayRead { .. }
+            | OpKind::ArrayWrite { .. }
+            | OpKind::Call { .. }
+            | OpKind::Return => return None,
         })
     }
 
@@ -288,6 +340,34 @@ mod tests {
         );
         assert_eq!(write.uses(), vec![v(1)]);
         assert_eq!(write.def(), Some(v(5)));
+    }
+
+    #[test]
+    fn eval_covers_all_pure_kinds() {
+        let eval = |kind: OpKind, args: &[u64]| kind.eval(args, || 4);
+        assert_eq!(eval(OpKind::Sub, &[5, 3]), Some(2));
+        assert_eq!(eval(OpKind::And, &[0b1100, 0b1010]), Some(0b1000));
+        assert_eq!(eval(OpKind::Or, &[0b1100, 0b1010]), Some(0b1110));
+        assert_eq!(eval(OpKind::Xor, &[0b1100, 0b1010]), Some(0b0110));
+        assert_eq!(eval(OpKind::Shl, &[1, 4]), Some(16));
+        assert_eq!(eval(OpKind::Shr, &[16, 4]), Some(1));
+        assert_eq!(eval(OpKind::Lt, &[1, 2]), Some(1));
+        assert_eq!(eval(OpKind::Ge, &[1, 2]), Some(0));
+        assert_eq!(eval(OpKind::Slice { hi: 3, lo: 2 }, &[0b1100]), Some(0b11));
+        assert_eq!(eval(OpKind::Select, &[0, 7, 9]), Some(9));
+        assert_eq!(eval(OpKind::Concat, &[0xA, 0x5]), Some(0xA5));
+        assert_eq!(eval(OpKind::Return, &[1]), None);
+        assert_eq!(eval(OpKind::ArrayRead { array: v(0) }, &[1]), None);
+        // A missing operand is not read as zero.
+        assert_eq!(eval(OpKind::Add, &[1]), None);
+        assert_eq!(eval(OpKind::Select, &[1, 2]), None);
+    }
+
+    #[test]
+    fn eval_looks_up_the_low_width_only_for_concat() {
+        let unused = || -> u16 { panic!("only a Concat reads the low width") };
+        assert_eq!(OpKind::Add.eval(&[2, 3], unused), Some(5));
+        assert_eq!(OpKind::Concat.eval(&[1, 0], || 1), Some(0b10));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use spark_ir::{Env, Function, OpKind, PortDirection, SecondaryMap, Type, Value, VarId};
+use spark_ir::{Env, Function, OpKind, PortDirection, SecondaryMap, Value, VarId};
 use spark_sched::Controller;
 
 /// Result of one block evaluation (one pass through all FSM states).
@@ -63,6 +63,8 @@ pub enum RtlSimError {
     /// The design still contains operations the datapath cannot implement
     /// (calls must be inlined before RTL generation).
     UnsupportedOp(String),
+    /// An operation had fewer operands than its kind reads.
+    Malformed(String),
 }
 
 impl std::fmt::Display for RtlSimError {
@@ -72,6 +74,7 @@ impl std::fmt::Display for RtlSimError {
                 write!(f, "index {index} out of bounds for array `{array}`")
             }
             RtlSimError::UnsupportedOp(op) => write!(f, "unsupported operation in datapath: {op}"),
+            RtlSimError::Malformed(msg) => write!(f, "malformed operation: {msg}"),
         }
     }
 }
@@ -190,55 +193,30 @@ impl<'a> RtlSimulator<'a> {
                     continue;
                 }
                 let op = &function.ops[scheduled.op];
-                let a = |i: usize| op.args.get(i).copied().unwrap_or(Value::word(0));
+                let arg = |i: usize| {
+                    op.args.get(i).copied().ok_or_else(|| {
+                        RtlSimError::Malformed(format!("{} missing operand {i}", op.kind))
+                    })
+                };
                 let result: Option<u64> = match &op.kind {
-                    OpKind::Add => Some(read(a(0), wires).wrapping_add(read(a(1), wires))),
-                    OpKind::Sub => Some(read(a(0), wires).wrapping_sub(read(a(1), wires))),
-                    OpKind::Mul => Some(read(a(0), wires).wrapping_mul(read(a(1), wires))),
-                    OpKind::And => Some(read(a(0), wires) & read(a(1), wires)),
-                    OpKind::Or => Some(read(a(0), wires) | read(a(1), wires)),
-                    OpKind::Xor => Some(read(a(0), wires) ^ read(a(1), wires)),
-                    OpKind::Not => Some(!read(a(0), wires)),
-                    OpKind::Shl => Some(read(a(0), wires) << read(a(1), wires).min(63)),
-                    OpKind::Shr => Some(read(a(0), wires) >> read(a(1), wires).min(63)),
-                    OpKind::Eq => Some((read(a(0), wires) == read(a(1), wires)) as u64),
-                    OpKind::Ne => Some((read(a(0), wires) != read(a(1), wires)) as u64),
-                    OpKind::Lt => Some((read(a(0), wires) < read(a(1), wires)) as u64),
-                    OpKind::Le => Some((read(a(0), wires) <= read(a(1), wires)) as u64),
-                    OpKind::Gt => Some((read(a(0), wires) > read(a(1), wires)) as u64),
-                    OpKind::Ge => Some((read(a(0), wires) >= read(a(1), wires)) as u64),
-                    OpKind::Copy => Some(read(a(0), wires)),
-                    OpKind::Select => Some(if read(a(0), wires) != 0 {
-                        read(a(1), wires)
-                    } else {
-                        read(a(2), wires)
-                    }),
-                    OpKind::Slice { hi, lo } => {
-                        Some((read(a(0), wires) >> lo) & Type::Bits(hi - lo + 1).mask())
-                    }
-                    OpKind::Concat => {
-                        let low_width = match a(1) {
-                            Value::Const(c) => c.ty().width(),
-                            Value::Var(v) => function.vars[v].ty.width(),
-                        };
-                        Some((read(a(0), wires) << low_width) | read(a(1), wires))
-                    }
                     OpKind::ArrayRead { array } => {
-                        let index = read(a(0), wires);
+                        let index = read(arg(0)?, wires);
                         let value = arrays.get(array).and_then(|c| c.get(index as usize));
-                        Some(*value.ok_or(RtlSimError::OutOfBounds {
+                        Some(*value.ok_or_else(|| RtlSimError::OutOfBounds {
                             array: function.vars[*array].name.clone(),
                             index,
                         })?)
                     }
                     OpKind::ArrayWrite { array } => {
-                        let index = read(a(0), wires);
-                        let value = read(a(1), wires) & function.vars[*array].ty.mask();
-                        let name = function.vars[*array].name.clone();
+                        let index = read(arg(0)?, wires);
+                        let value = read(arg(1)?, wires) & function.vars[*array].ty.mask();
                         let contents = next_arrays.get_or_insert_with(*array, Vec::new);
-                        let slot = contents
-                            .get_mut(index as usize)
-                            .ok_or(RtlSimError::OutOfBounds { array: name, index })?;
+                        let slot = contents.get_mut(index as usize).ok_or_else(|| {
+                            RtlSimError::OutOfBounds {
+                                array: function.vars[*array].name.clone(),
+                                index,
+                            }
+                        })?;
                         *slot = value;
                         None
                     }
@@ -246,6 +224,13 @@ impl<'a> RtlSimulator<'a> {
                     OpKind::Call { callee } => {
                         return Err(RtlSimError::UnsupportedOp(format!("call to `{callee}`")))
                     }
+                    kind => Some(
+                        function
+                            .eval_op(op, |value| read(value, wires))
+                            .ok_or_else(|| {
+                                RtlSimError::Malformed(format!("{kind} missing an operand"))
+                            })?,
+                    ),
                 };
                 if let (Some(dest), Some(value)) = (op.dest, result) {
                     let masked = value & function.vars[dest].ty.mask();

@@ -7,53 +7,10 @@
 //! are all constants, simplifies algebraic identities, and forwards
 //! single-definition constants to every dominated use.
 
-use spark_ir::{Constant, Function, OpId, OpKind, Rewriter, Type, Value};
+use spark_ir::{Constant, Function, OpId, OpKind, Rewriter, Value};
 
 use crate::fine::{FineState, OpQueue};
 use crate::report::Report;
-
-/// Evaluates a pure operation over constant operands.
-///
-/// Returns `None` for kinds that cannot be folded (array accesses, calls,
-/// returns) or when the operand count is wrong.
-pub fn fold_constants(kind: &OpKind, args: &[Constant], dest_ty: Type) -> Option<Constant> {
-    let a = |i: usize| args.get(i).map(|c| c.value());
-    let value = match kind {
-        OpKind::Add => a(0)?.wrapping_add(a(1)?),
-        OpKind::Sub => a(0)?.wrapping_sub(a(1)?),
-        OpKind::Mul => a(0)?.wrapping_mul(a(1)?),
-        OpKind::And => a(0)? & a(1)?,
-        OpKind::Or => a(0)? | a(1)?,
-        OpKind::Xor => a(0)? ^ a(1)?,
-        OpKind::Not => !a(0)?,
-        OpKind::Shl => a(0)? << a(1)?.min(63),
-        OpKind::Shr => a(0)? >> a(1)?.min(63),
-        OpKind::Eq => (a(0)? == a(1)?) as u64,
-        OpKind::Ne => (a(0)? != a(1)?) as u64,
-        OpKind::Lt => (a(0)? < a(1)?) as u64,
-        OpKind::Le => (a(0)? <= a(1)?) as u64,
-        OpKind::Gt => (a(0)? > a(1)?) as u64,
-        OpKind::Ge => (a(0)? >= a(1)?) as u64,
-        OpKind::Copy => a(0)?,
-        OpKind::Select => {
-            if a(0)? != 0 {
-                a(1)?
-            } else {
-                a(2)?
-            }
-        }
-        OpKind::Slice { hi, lo } => (a(0)? >> lo) & Type::Bits(hi - lo + 1).mask(),
-        OpKind::Concat => {
-            let low_width = args.get(1)?.ty().width();
-            (a(0)? << low_width) | a(1)?
-        }
-        OpKind::ArrayRead { .. }
-        | OpKind::ArrayWrite { .. }
-        | OpKind::Call { .. }
-        | OpKind::Return => return None,
-    };
-    Some(Constant::new(value, dest_ty))
-}
 
 /// Simplifies algebraic identities with one constant operand
 /// (`x + 0`, `x * 1`, `x & 0`, `cond ? a : a`, ...). Returns the replacement
@@ -191,9 +148,9 @@ pub fn constant_propagation_with(function: &mut Function, state: &mut FineState)
             if let Some(dest) = op.dest {
                 let dest_ty = rw.function().vars[dest].ty;
                 let folded = if op.args.iter().all(|a| a.is_const()) {
-                    let consts: Vec<Constant> =
-                        op.args.iter().map(|a| a.as_const().unwrap()).collect();
-                    fold_constants(&op.kind, &consts, dest_ty).map(Value::Const)
+                    let value = |a: Value| a.as_const().map_or(0, Constant::value);
+                    let value = rw.function().eval_op(&op, value);
+                    value.map(|v| Value::Const(Constant::new(v, dest_ty)))
                 } else {
                     None
                 };
@@ -386,66 +343,5 @@ mod tests {
                 assert_eq!(before.return_value, after.return_value);
             }
         }
-    }
-
-    #[test]
-    fn fold_constants_covers_all_pure_kinds() {
-        let c = |v: u64| Constant::word(v);
-        let t = Type::Bits(32);
-        assert_eq!(
-            fold_constants(&OpKind::Sub, &[c(5), c(3)], t)
-                .unwrap()
-                .value(),
-            2
-        );
-        assert_eq!(
-            fold_constants(&OpKind::And, &[c(0b1100), c(0b1010)], t)
-                .unwrap()
-                .value(),
-            0b1000
-        );
-        assert_eq!(
-            fold_constants(&OpKind::Or, &[c(0b1100), c(0b1010)], t)
-                .unwrap()
-                .value(),
-            0b1110
-        );
-        assert_eq!(
-            fold_constants(&OpKind::Xor, &[c(0b1100), c(0b1010)], t)
-                .unwrap()
-                .value(),
-            0b0110
-        );
-        assert_eq!(
-            fold_constants(&OpKind::Shl, &[c(1), c(4)], t)
-                .unwrap()
-                .value(),
-            16
-        );
-        assert_eq!(
-            fold_constants(&OpKind::Shr, &[c(16), c(4)], t)
-                .unwrap()
-                .value(),
-            1
-        );
-        assert_eq!(
-            fold_constants(&OpKind::Lt, &[c(1), c(2)], Type::Bool)
-                .unwrap()
-                .value(),
-            1
-        );
-        assert_eq!(
-            fold_constants(&OpKind::Ge, &[c(1), c(2)], Type::Bool)
-                .unwrap()
-                .value(),
-            0
-        );
-        assert_eq!(
-            fold_constants(&OpKind::Slice { hi: 3, lo: 2 }, &[c(0b1100)], Type::Bits(2))
-                .unwrap()
-                .value(),
-            0b11
-        );
-        assert!(fold_constants(&OpKind::Return, &[c(1)], t).is_none());
     }
 }

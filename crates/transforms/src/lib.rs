@@ -70,7 +70,7 @@ mod speculation;
 mod unroll;
 mod while_to_for;
 
-pub use const_prop::{constant_propagation, constant_propagation_with, fold_constants};
+pub use const_prop::{constant_propagation, constant_propagation_with};
 pub use copy_prop::{copy_propagation, copy_propagation_with};
 pub use cse::{common_subexpression_elimination, common_subexpression_elimination_with};
 pub use dce::{dead_code_elimination, dead_code_elimination_with};
