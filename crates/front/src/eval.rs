@@ -347,8 +347,10 @@ impl Evaluator<'_> {
                     BinOp::And | BinOp::LogicAnd => l & r,
                     BinOp::Or | BinOp::LogicOr => l | r,
                     BinOp::Xor => l ^ r,
-                    BinOp::Shl => l << r.min(63),
-                    BinOp::Shr => l >> r.min(63),
+                    // `numeric_std` shifts every bit out at 64 and past.
+                    BinOp::Shl if r < 64 => l << r,
+                    BinOp::Shr if r < 64 => l >> r,
+                    BinOp::Shl | BinOp::Shr => 0,
                     BinOp::Eq => (l == r) as u64,
                     BinOp::Ne => (l != r) as u64,
                     BinOp::Lt => (l < r) as u64,
@@ -471,6 +473,19 @@ mod tests {
             "f",
             &Env::new().with_scalar("a", 200).with_scalar("b", 100),
         );
+    }
+
+    #[test]
+    fn u64_shifts_by_64_or_more_give_zero() {
+        let source = "void f(u64 a, u64 k, out u64 l, out u64 r) { l = a << k; r = a >> k; }";
+        let top = 1u64 << 63;
+        for (k, l, r) in [(63, top, 1), (64, 0, 0), (200, 0, 0)] {
+            let env = Env::new().with_scalar("a", top | 1).with_scalar("k", k);
+            let (direct, interp) = both(source, "f", &env);
+            assert_eq!(direct.scalar("l"), Some(l), "<< {k}");
+            assert_eq!(direct.scalar("r"), Some(r), ">> {k}");
+            assert_eq!(direct.scalars, interp.scalars, "shift by {k}");
+        }
     }
 
     #[test]

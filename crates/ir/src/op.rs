@@ -141,7 +141,9 @@ impl OpKind {
     /// gives the width of the low operand of a `Concat`; it is called only
     /// for `Concat`, so a caller can look the width up lazily. The result
     /// is not truncated: the caller's store masks it to the destination
-    /// width.
+    /// width. A shift by 64 or more gives 0, as `shift_left` and
+    /// `shift_right` of `numeric_std` do, and so does the high part of a
+    /// `Concat` whose low operand is 64 bits wide.
     ///
     /// Returns `None` for the kinds that are not pure (array accesses,
     /// calls, returns) and when an operand is missing.
@@ -156,8 +158,8 @@ impl OpKind {
             OpKind::Or => a(0)? | a(1)?,
             OpKind::Xor => a(0)? ^ a(1)?,
             OpKind::Not => !a(0)?,
-            OpKind::Shl => a(0)? << a(1)?.min(63),
-            OpKind::Shr => a(0)? >> a(1)?.min(63),
+            OpKind::Shl => shift(a(0)?, a(1)?, u64::checked_shl),
+            OpKind::Shr => shift(a(0)?, a(1)?, u64::checked_shr),
             OpKind::Eq => (a(0)? == a(1)?) as u64,
             OpKind::Ne => (a(0)? != a(1)?) as u64,
             OpKind::Lt => (a(0)? < a(1)?) as u64,
@@ -176,7 +178,7 @@ impl OpKind {
             OpKind::Slice { hi, lo } => (a(0)? >> lo) & Type::Bits(hi - lo + 1).mask(),
             OpKind::Concat => {
                 let (high, low) = (a(0)?, a(1)?);
-                (high << low_width()) | low
+                shift(high, u64::from(low_width()), u64::checked_shl) | low
             }
             OpKind::ArrayRead { .. }
             | OpKind::ArrayWrite { .. }
@@ -213,6 +215,16 @@ impl OpKind {
             OpKind::Return => "return",
         }
     }
+}
+
+/// `value` shifted by `amount` bits with `by`; an amount of 64 or more
+/// shifts every bit out.
+#[inline]
+fn shift(value: u64, amount: u64, by: fn(u64, u32) -> Option<u64>) -> u64 {
+    u32::try_from(amount)
+        .ok()
+        .and_then(|amount| by(value, amount))
+        .unwrap_or(0)
 }
 
 impl fmt::Display for OpKind {
@@ -361,6 +373,22 @@ mod tests {
         // A missing operand is not read as zero.
         assert_eq!(eval(OpKind::Add, &[1]), None);
         assert_eq!(eval(OpKind::Select, &[1, 2]), None);
+    }
+
+    #[test]
+    fn shifts_by_the_width_or_more_give_zero() {
+        let top = 1u64 << 63;
+        for (kind, value) in [(OpKind::Shl, 1), (OpKind::Shr, top)] {
+            assert_eq!(
+                kind.eval(&[value, 63], || 0),
+                Some(if value == 1 { top } else { 1 })
+            );
+            assert_eq!(kind.eval(&[value, 64], || 0), Some(0));
+            assert_eq!(kind.eval(&[value, 200], || 0), Some(0));
+            assert_eq!(kind.eval(&[u64::MAX, u64::MAX], || 0), Some(0));
+        }
+        // The high part of a Concat shifts out past a 64-bit low part.
+        assert_eq!(OpKind::Concat.eval(&[1, 7], || 64), Some(7));
     }
 
     #[test]
