@@ -76,6 +76,30 @@ pub fn check_rtl_matches_interp(
         .program
         .function(top)
         .ok_or_else(|| format!("`{top}` does not exist in the compiled program"))?;
+    let inputs: Vec<(String, Env)> = seeds
+        .into_iter()
+        .map(|seed| (format!("seed {seed}"), random_env_for(function, seed)))
+        .collect();
+    check_oracles_agree(compiled, top, result, &inputs)
+}
+
+/// [`check_rtl_matches_interp`] over given input sets, each with the label
+/// that names it in a report: the AST evaluator, the interpreter on the
+/// lowered program and the RTL simulation must give every primary output
+/// the same value.
+///
+/// # Errors
+/// Returns a human-readable description of the first divergence.
+pub fn check_oracles_agree(
+    compiled: &Compiled,
+    top: &str,
+    result: &SynthesisResult,
+    inputs: &[(String, Env)],
+) -> Result<(), String> {
+    let function = compiled
+        .program
+        .function(top)
+        .ok_or_else(|| format!("`{top}` does not exist in the compiled program"))?;
     let outputs: Vec<(String, bool)> = function
         .vars
         .iter()
@@ -88,32 +112,24 @@ pub fn check_rtl_matches_interp(
         ));
     }
     let interpreter = Interpreter::new(&compiled.program);
-    // One batch RTL simulation over the whole seeded workload: the simulator
+    // One batch RTL simulation over the whole workload: the simulator
     // reuses its value tables across buffers instead of reallocating per run.
-    let seeds: Vec<u64> = seeds.into_iter().collect();
-    let envs: Vec<Env> = seeds
-        .iter()
-        .map(|&seed| random_env_for(function, seed))
-        .collect();
+    let envs: Vec<Env> = inputs.iter().map(|(_, env)| env.clone()).collect();
     let outcomes = result.simulate_batch(&envs).map_err(|e| {
-        // Cold path: re-identify the failing seed for the report, since the
+        // Cold path: re-identify the failing input for the report, since the
         // batch entry point only surfaces the first error.
-        match seeds
-            .iter()
-            .zip(&envs)
-            .find(|(_, env)| result.simulate(env).is_err())
-        {
-            Some((seed, _)) => format!("RTL simulation failed (seed {seed}): {e}"),
+        match inputs.iter().find(|(_, env)| result.simulate(env).is_err()) {
+            Some((label, _)) => format!("RTL simulation failed ({label}): {e}"),
             None => format!("RTL simulation failed: {e}"),
         }
     })?;
-    for ((&seed, env), rtl) in seeds.iter().zip(&envs).zip(outcomes) {
+    for ((label, env), rtl) in inputs.iter().zip(outcomes) {
         let interp = interpreter
             .run(top, env)
-            .map_err(|e| format!("interpreter failed (seed {seed}): {e}"))?;
+            .map_err(|e| format!("interpreter failed ({label}): {e}"))?;
         let direct = compiled
             .evaluate(top, env)
-            .map_err(|e| format!("AST evaluator failed (seed {seed}): {e}"))?;
+            .map_err(|e| format!("AST evaluator failed ({label}): {e}"))?;
         for (name, is_array) in &outputs {
             if *is_array {
                 let want = interp.array(name).unwrap_or(&[]);
@@ -121,12 +137,12 @@ pub fn check_rtl_matches_interp(
                 let got = rtl.array(name).unwrap_or(&[]);
                 if ast != want {
                     return Err(format!(
-                        "AST evaluator disagrees with interpreter on `{name}` (seed {seed}): {ast:?} vs {want:?}"
+                        "AST evaluator disagrees with interpreter on `{name}` ({label}): {ast:?} vs {want:?}"
                     ));
                 }
                 if got != want {
                     return Err(format!(
-                        "RTL disagrees with interpreter on `{name}` (seed {seed}): {got:?} vs {want:?}"
+                        "RTL disagrees with interpreter on `{name}` ({label}): {got:?} vs {want:?}"
                     ));
                 }
             } else {
@@ -135,12 +151,12 @@ pub fn check_rtl_matches_interp(
                 let got = rtl.scalar(name);
                 if ast != want {
                     return Err(format!(
-                        "AST evaluator disagrees with interpreter on `{name}` (seed {seed}): {ast:?} vs {want:?}"
+                        "AST evaluator disagrees with interpreter on `{name}` ({label}): {ast:?} vs {want:?}"
                     ));
                 }
                 if got != want {
                     return Err(format!(
-                        "RTL disagrees with interpreter on `{name}` (seed {seed}): {got:?} vs {want:?}"
+                        "RTL disagrees with interpreter on `{name}` ({label}): {got:?} vs {want:?}"
                     ));
                 }
             }

@@ -17,11 +17,12 @@
 use std::collections::BTreeMap;
 
 use spark_bench::corpus::{
-    check_rtl_matches_interp, corpus_paths, programs_dir, synthesis_fingerprint,
+    check_oracles_agree, check_rtl_matches_interp, corpus_paths, programs_dir,
+    synthesis_fingerprint,
 };
 use spark_core::{synthesize, transform_program, FlowOptions};
 use spark_ild::{build_ild_program, ILD_FUNCTION};
-use spark_ir::{verify, Program};
+use spark_ir::{verify, Constant, Env, FunctionBuilder, Interpreter, OpKind, Program, Type, Value};
 use spark_transforms as xf;
 
 /// The flow every corpus program is synthesized under (generous single-cycle
@@ -232,6 +233,171 @@ fn no_guard_reads_a_register_written_earlier_in_its_state() {
                         written.extend(f.ops[scheduled.op].def());
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The widths of the operator table: a bit, an odd width, a byte, a word
+/// and the widest vector.
+const TABLE_WIDTHS: [u16; 5] = [1, 7, 8, 32, 64];
+
+/// The edge shift amounts at width `w`: `w - 1`, `w`, 63, 64 and 200.
+fn shift_amounts(w: u16) -> Vec<u64> {
+    let mut amounts = vec![u64::from(w) - 1, u64::from(w), 63, 64, 200];
+    amounts.sort_unstable();
+    amounts.dedup();
+    amounts
+}
+
+/// A SPARK-C program that applies every binary and unary operator, slices,
+/// `?:` and shifts by variable and literal amounts to `u{w}` operands `a`
+/// and `b`, a `u8` shift amount `k` and a condition `c`, one output each.
+fn operator_table_source(w: u16) -> String {
+    let mut params = vec![format!("u{w} a, u{w} b, u8 k, bool c")];
+    let mut body = String::new();
+    let mut row = |ty: &str, name: &str, expr: &str| {
+        params.push(format!("out {ty} {name}"));
+        body.push_str(&format!("  {name} = {expr};\n"));
+    };
+    let vector = format!("u{w}");
+    for (name, op) in [("add", "+"), ("sub", "-"), ("mul", "*")] {
+        row(&vector, name, &format!("a {op} b"));
+    }
+    for (name, op) in [("and", "&"), ("or", "|"), ("xor", "^")] {
+        row(&vector, name, &format!("a {op} b"));
+    }
+    for (name, op) in [("shl", "<<"), ("shr", ">>")] {
+        row(&vector, &format!("{name}_k"), &format!("a {op} k"));
+        for n in shift_amounts(w).into_iter().filter(|&n| n < 200) {
+            row(&vector, &format!("{name}_{n}"), &format!("a {op} {n}"));
+        }
+        row(&vector, &format!("one_{name}_k"), &format!("1 {op} k"));
+        row(&vector, &format!("lit_{name}"), &format!("3 {op} 64"));
+    }
+    for (name, op) in [
+        ("eq", "=="),
+        ("ne", "!="),
+        ("lt", "<"),
+        ("le", "<="),
+        ("gt", ">"),
+        ("ge", ">="),
+    ] {
+        row("bool", name, &format!("a {op} b"));
+    }
+    row("bool", "land", "c && a < b");
+    row("bool", "lor", "c || a == b");
+    row("bool", "lnot", "!c");
+    row(&vector, "inv", "~a");
+    row("u1", "top", &format!("a[{}:{}]", w - 1, w - 1));
+    row(&vector, "all", &format!("a[{}:0]", w - 1));
+    if w > 1 {
+        row(&format!("u{}", w - 1), "upper", &format!("a[{}:1]", w - 1));
+    }
+    row(&vector, "sel", "c ? a : b");
+    row(&vector, "sel_mix", "a < b ? a - b : b << k");
+    row(&vector, "mix", "(a + b) >> k");
+    row(&vector, "mix_inv", "(a * b) ^ ~b");
+    row("u64", "wide_add", "a + b");
+    row("u64", "wide_shl", "a << k");
+    format!("void table({}) {{\n{body}}}\n", params.join(", "))
+}
+
+/// A builder-IR function (SPARK-C has no concatenation) whose outputs
+/// concatenate a `u{w}` input `h` over a `u1` input, a 3-bit and a 32-bit
+/// literal, a `u64` input (the high part shifts out) and, for constant
+/// folding, two literals.
+fn concat_table_program(w: u16) -> Program {
+    let mut b = FunctionBuilder::new("cat");
+    let h = b.param("h", Type::Bits(w));
+    let bit = b.param("l1", Type::Bits(1));
+    let wide = b.param("l64", Type::Bits(64));
+    let lows = [
+        (
+            "cat_bit",
+            Type::Bits((w + 1).min(64)),
+            Value::Var(h),
+            Value::Var(bit),
+        ),
+        (
+            "cat_lit",
+            Type::Bits(64),
+            Value::Var(h),
+            Value::Const(Constant::new(5, Type::Bits(3))),
+        ),
+        ("cat_word", Type::Bits(64), Value::Var(h), Value::word(7)),
+        ("cat_wide", Type::Bits(64), Value::Var(h), Value::Var(wide)),
+        ("cat_const", Type::Bits(64), Value::word(3), Value::word(9)),
+    ];
+    for (name, ty, high, low) in lows {
+        let out = b.output(name, ty);
+        b.assign(OpKind::Concat, out, vec![high, low]);
+    }
+    let mut program = Program::new();
+    program.add_function(b.finish());
+    program
+}
+
+/// Every operator at widths 1, 7, 8, 32 and 64 on the edge operands 0, 1
+/// and the maximum, with shift amounts `w - 1`, `w`, 63, 64 and 200: the
+/// AST evaluator, the interpreter and the RTL simulation agree in both
+/// flows, on a single-cycle and a multi-state clock. Concatenation, which
+/// only the IR has, is checked by the interpreter and the simulation.
+#[test]
+fn operator_width_table_agrees_across_the_oracles() {
+    let flows = [
+        FlowOptions::microprocessor_block(2000.0),
+        FlowOptions::asic_baseline(2000.0),
+        FlowOptions::microprocessor_block(8.0),
+        FlowOptions::asic_baseline(8.0),
+    ];
+    for w in TABLE_WIDTHS {
+        let max = Type::Bits(w).mask();
+        let operands = [0, 1, max];
+        let source = operator_table_source(w);
+        let compiled = spark_front::compile(&source)
+            .unwrap_or_else(|d| panic!("u{w} table does not compile: {d:?}\n{source}"));
+        let mut inputs = Vec::new();
+        for a in operands {
+            for b in operands {
+                for k in shift_amounts(w) {
+                    for c in [0, 1] {
+                        let env = Env::new()
+                            .with_scalar("a", a)
+                            .with_scalar("b", b)
+                            .with_scalar("k", k)
+                            .with_scalar("c", c);
+                        inputs.push((format!("u{w} a={a} b={b} k={k} c={c}"), env));
+                    }
+                }
+            }
+        }
+        let cat = concat_table_program(w);
+        let mut cat_inputs = Vec::new();
+        for h in operands {
+            for l1 in [0, 1] {
+                for l64 in [0, u64::MAX] {
+                    let env = Env::new()
+                        .with_scalar("h", h)
+                        .with_scalar("l1", l1)
+                        .with_scalar("l64", l64);
+                    cat_inputs.push((format!("u{w} h={h} l1={l1} l64={l64}"), env));
+                }
+            }
+        }
+        for options in &flows {
+            let flow = format!("{:?} at {} ns", options.mode, options.clock_period_ns);
+            let result = synthesize(&compiled.program, &compiled.top, options)
+                .unwrap_or_else(|e| panic!("u{w} table, {flow}: {e}"));
+            check_oracles_agree(&compiled, &compiled.top, &result, &inputs)
+                .unwrap_or_else(|e| panic!("{flow}: {e}"));
+
+            let result = synthesize(&cat, "cat", options).unwrap();
+            let interpreter = Interpreter::new(&cat);
+            for (label, env) in &cat_inputs {
+                let want = interpreter.run("cat", env).unwrap();
+                let got = result.simulate(env).unwrap();
+                assert_eq!(want.scalars, got.scalars, "{label}, {flow}");
             }
         }
     }
