@@ -59,7 +59,7 @@ mod token;
 pub use diag::{Diagnostic, LineMap, Span};
 pub use eval::{evaluate, AstEvalError};
 pub use lower::lower;
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 pub use sema::{analyze_with_source, Analysis};
 
 /// A fully compiled source program: the AST, its analysis, and the lowered

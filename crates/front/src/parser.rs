@@ -16,11 +16,21 @@ use crate::lexer::lex;
 use crate::token::{Token, TokenKind};
 use spark_ir::Type;
 
+/// The deepest nesting the parser accepts. A parenthesis, a `?:` arm, an
+/// index, a call argument, a unary operator, a slice, a block and an
+/// `else if` each go one level deeper, and so does each further operator
+/// of a chain like `a + b + c`, whose tree deepens by one per operator. The
+/// parser and every later stage (semantic checks, lowering, the AST
+/// evaluator) walk the tree recursively, so past this limit parsing fails
+/// with a diagnostic instead of overflowing the stack.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a whole source file into an AST.
 ///
 /// # Errors
 /// Returns every lexical and syntactic diagnostic found (the AST is not
-/// returned when any error occurred).
+/// returned when any error occurred), including nesting deeper than
+/// [`MAX_NESTING`].
 pub fn parse(source: &str) -> Result<ProgramAst, Vec<crate::diag::Diagnostic>> {
     let mut sink = DiagSink::new(source);
     let tokens = lex(source, &mut sink);
@@ -29,6 +39,7 @@ pub fn parse(source: &str) -> Result<ProgramAst, Vec<crate::diag::Diagnostic>> {
         pos: 0,
         sink: &mut sink,
         next_expr_id: 0,
+        depth: 0,
     };
     let program = parser.program();
     if sink.is_clean() {
@@ -43,6 +54,8 @@ struct Parser<'d> {
     pos: usize,
     sink: &'d mut DiagSink,
     next_expr_id: ExprId,
+    /// Nesting levels entered so far (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 /// Internal marker: the current construct cannot be parsed; a diagnostic has
@@ -146,6 +159,24 @@ impl Parser<'_> {
         }
     }
 
+    /// Goes one nesting level deeper, or records a diagnostic at the current
+    /// token when that would pass [`MAX_NESTING`]. A construct that goes
+    /// deeper returns to its own level when it parsed; after an error,
+    /// [`Parser::block_body`] and [`Parser::program`], which catch it, reset
+    /// the level.
+    fn deeper(&mut self) -> PResult<()> {
+        if self.depth == MAX_NESTING {
+            let span = self.peek().span;
+            self.sink.error(
+                span,
+                format!("nesting deeper than {MAX_NESTING} levels (the parser's limit)"),
+            );
+            return Err(Abort);
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     /// Skips ahead to just past the next top-level `;` (or to the enclosing
     /// `}`/end of input), recovering from a statement-level parse error.
     /// Brace-aware: a malformed compound statement is skipped whole,
@@ -237,6 +268,7 @@ impl Parser<'_> {
             match self.function() {
                 Ok(function) => functions.push(function),
                 Err(Abort) => {
+                    self.depth = 0;
                     // Skip to the next plausible function start: a type/void
                     // token following a `}`.
                     loop {
@@ -329,20 +361,26 @@ impl Parser<'_> {
     /// Parses statements until the closing `}` of the current block,
     /// synchronizing on statement-level errors.
     fn block_body(&mut self) -> Vec<Stmt> {
+        let depth = self.depth;
         let mut stmts = Vec::new();
         while !self.at(&TokenKind::RBrace) && !self.at(&TokenKind::Eof) {
             match self.statement() {
                 Ok(stmt) => stmts.push(stmt),
-                Err(Abort) => self.synchronize(),
+                Err(Abort) => {
+                    self.depth = depth;
+                    self.synchronize();
+                }
             }
         }
         stmts
     }
 
     fn block(&mut self) -> PResult<Vec<Stmt>> {
+        self.deeper()?;
         self.expect(TokenKind::LBrace)?;
         let stmts = self.block_body();
         self.expect(TokenKind::RBrace)?;
+        self.depth -= 1;
         Ok(stmts)
     }
 
@@ -411,7 +449,10 @@ impl Parser<'_> {
         let else_body = if self.eat(&TokenKind::KwElse) {
             if self.at(&TokenKind::KwIf) {
                 let nested_start = self.peek().span;
-                vec![self.if_statement(nested_start)?]
+                self.deeper()?;
+                let nested = self.if_statement(nested_start)?;
+                self.depth -= 1;
+                vec![nested]
             } else {
                 self.block()?
             }
@@ -586,11 +627,14 @@ impl Parser<'_> {
     // ------------------------------------------------------------------
 
     fn expression(&mut self) -> PResult<Expr> {
-        self.ternary()
+        self.deeper()?;
+        let expr = self.ternary()?;
+        self.depth -= 1;
+        Ok(expr)
     }
 
     fn ternary(&mut self) -> PResult<Expr> {
-        let cond = self.logic_or()?;
+        let cond = self.binary(0)?;
         if !self.eat(&TokenKind::Question) {
             return Ok(cond);
         }
@@ -608,91 +652,31 @@ impl Parser<'_> {
         ))
     }
 
-    fn binary_tier(
-        &mut self,
-        next: fn(&mut Self) -> PResult<Expr>,
-        table: &[(TokenKind, BinOp)],
-    ) -> PResult<Expr> {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for (token, op) in table {
-                if self.at(token) {
-                    self.bump();
-                    let rhs = next(self)?;
-                    let span = lhs.span.to(rhs.span);
-                    lhs = self.make(
-                        span,
-                        ExprKind::Binary {
-                            op: *op,
-                            lhs: Box::new(lhs),
-                            rhs: Box::new(rhs),
-                        },
-                    );
-                    continue 'outer;
-                }
+    /// Parses a chain of binary operators that bind at least as tightly as
+    /// `min_precedence` (precedence climbing). Operators of one precedence
+    /// associate to the left; each one takes the tree a level deeper.
+    fn binary(&mut self, min_precedence: u8) -> PResult<Expr> {
+        let depth = self.depth;
+        let mut lhs = self.unary()?;
+        while let Some((op, precedence)) = binary_op(self.peek_kind()) {
+            if precedence < min_precedence {
+                break;
             }
-            return Ok(lhs);
+            self.bump();
+            self.deeper()?;
+            let rhs = self.binary(precedence + 1)?;
+            let span = lhs.span.to(rhs.span);
+            lhs = self.make(
+                span,
+                ExprKind::Binary {
+                    op,
+                    lhs: Box::new(lhs),
+                    rhs: Box::new(rhs),
+                },
+            );
         }
-    }
-
-    fn logic_or(&mut self) -> PResult<Expr> {
-        self.binary_tier(Self::logic_and, &[(TokenKind::OrOr, BinOp::LogicOr)])
-    }
-
-    fn logic_and(&mut self) -> PResult<Expr> {
-        self.binary_tier(Self::bit_or, &[(TokenKind::AndAnd, BinOp::LogicAnd)])
-    }
-
-    fn bit_or(&mut self) -> PResult<Expr> {
-        self.binary_tier(Self::bit_xor, &[(TokenKind::Pipe, BinOp::Or)])
-    }
-
-    fn bit_xor(&mut self) -> PResult<Expr> {
-        self.binary_tier(Self::bit_and, &[(TokenKind::Caret, BinOp::Xor)])
-    }
-
-    fn bit_and(&mut self) -> PResult<Expr> {
-        self.binary_tier(Self::equality, &[(TokenKind::Amp, BinOp::And)])
-    }
-
-    fn equality(&mut self) -> PResult<Expr> {
-        self.binary_tier(
-            Self::relational,
-            &[(TokenKind::EqEq, BinOp::Eq), (TokenKind::Ne, BinOp::Ne)],
-        )
-    }
-
-    fn relational(&mut self) -> PResult<Expr> {
-        self.binary_tier(
-            Self::shift,
-            &[
-                (TokenKind::Le, BinOp::Le),
-                (TokenKind::Lt, BinOp::Lt),
-                (TokenKind::Ge, BinOp::Ge),
-                (TokenKind::Gt, BinOp::Gt),
-            ],
-        )
-    }
-
-    fn shift(&mut self) -> PResult<Expr> {
-        self.binary_tier(
-            Self::additive,
-            &[(TokenKind::Shl, BinOp::Shl), (TokenKind::Shr, BinOp::Shr)],
-        )
-    }
-
-    fn additive(&mut self) -> PResult<Expr> {
-        self.binary_tier(
-            Self::multiplicative,
-            &[
-                (TokenKind::Plus, BinOp::Add),
-                (TokenKind::Minus, BinOp::Sub),
-            ],
-        )
-    }
-
-    fn multiplicative(&mut self) -> PResult<Expr> {
-        self.binary_tier(Self::unary, &[(TokenKind::Star, BinOp::Mul)])
+        self.depth = depth;
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> PResult<Expr> {
@@ -703,7 +687,9 @@ impl Parser<'_> {
         };
         if let Some(op) = op {
             let start = self.bump().span;
+            self.deeper()?;
             let operand = self.unary()?;
+            self.depth -= 1;
             let span = start.to(operand.span);
             return Ok(self.make(
                 span,
@@ -717,9 +703,11 @@ impl Parser<'_> {
     }
 
     fn postfix(&mut self) -> PResult<Expr> {
+        let depth = self.depth;
         let mut expr = self.primary()?;
         while self.at(&TokenKind::LBracket) {
             self.bump();
+            self.deeper()?;
             // Disambiguate `a[i]` (array read) from `x[hi:lo]` (bit slice):
             // a slice has the form `INT : INT`.
             if let (TokenKind::Int(hi), TokenKind::Colon) = (self.peek_kind(), self.peek2_kind()) {
@@ -764,6 +752,7 @@ impl Parser<'_> {
                 );
             }
         }
+        self.depth = depth;
         Ok(expr)
     }
 
@@ -828,6 +817,30 @@ impl Parser<'_> {
             }
         }
     }
+}
+
+/// The binary operator `kind` spells and its precedence, loosest first:
+/// `||`, `&&`, `|`, `^`, `&`, equality, relations, shifts, `+`/`-`, `*`.
+fn binary_op(kind: &TokenKind) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::OrOr => (BinOp::LogicOr, 0),
+        TokenKind::AndAnd => (BinOp::LogicAnd, 1),
+        TokenKind::Pipe => (BinOp::Or, 2),
+        TokenKind::Caret => (BinOp::Xor, 3),
+        TokenKind::Amp => (BinOp::And, 4),
+        TokenKind::EqEq => (BinOp::Eq, 5),
+        TokenKind::Ne => (BinOp::Ne, 5),
+        TokenKind::Lt => (BinOp::Lt, 6),
+        TokenKind::Le => (BinOp::Le, 6),
+        TokenKind::Gt => (BinOp::Gt, 6),
+        TokenKind::Ge => (BinOp::Ge, 6),
+        TokenKind::Shl => (BinOp::Shl, 7),
+        TokenKind::Shr => (BinOp::Shr, 7),
+        TokenKind::Plus => (BinOp::Add, 8),
+        TokenKind::Minus => (BinOp::Sub, 8),
+        TokenKind::Star => (BinOp::Mul, 9),
+        _ => return None,
+    })
 }
 
 /// Parses `u<width>` type names (`u1`..`u64`).
@@ -928,6 +941,30 @@ mod tests {
         let err = parse("int f() {\n  int x;\n  x = 1\n}").unwrap_err();
         assert_eq!(err.len(), 1);
         assert!(err[0].to_string().starts_with("4:1: error: expected `;`"));
+    }
+
+    #[test]
+    fn every_kind_of_nesting_counts_toward_the_limit() {
+        let deep = 3 * MAX_NESTING;
+        for body in [
+            format!("s = {};", vec!["a"; deep].join(" + ")),
+            format!("s = {}a;", "~".repeat(deep)),
+            format!("s = a{};", "[7:0]".repeat(deep)),
+            format!("s = {}a;", "c ? a : ".repeat(deep)),
+            format!("s = {}a{};", "g(".repeat(deep), ")".repeat(deep)),
+            format!("{}s = a;{}", "if (c) { ".repeat(deep), "}".repeat(deep)),
+            format!(
+                "if (c) {{ s = a; }} {}",
+                "else if (c) { s = a; } ".repeat(deep)
+            ),
+        ] {
+            let source = format!("void f(u8 a, bool c, out u8 s) {{ {body} }}");
+            let errors = parse(&source).unwrap_err();
+            assert!(
+                errors[0].message.contains("parser's limit"),
+                "{errors:?} for {body:.40}"
+            );
+        }
     }
 
     #[test]
