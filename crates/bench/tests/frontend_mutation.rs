@@ -6,12 +6,19 @@
 //! literals and `bound(100000)` trip bounds. Only `spark_front::compile`
 //! runs (parse, sema, lowering); nothing is synthesized, so a mutation that
 //! asks for an enormous unrolling cannot hang the test.
+//!
+//! Two extreme inputs are pinned on each side of a limit: nesting at and
+//! past the parser's [`MAX_NESTING`], and loops within and past the
+//! unrolling limits of `loop-unroll-all`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spark_bench::corpus::corpus_paths;
+use spark_core::{synthesize_source, FlowOptions, SourceSynthesisError, SynthesisError};
+use spark_front::MAX_NESTING;
+use spark_ir::Env;
 
 const MUTATIONS_PER_PROGRAM: usize = 300;
 
@@ -178,4 +185,70 @@ fn mutated_corpus_never_panics_the_frontend() {
     // The series reaches both outcomes, so it exercises the error paths
     // and not only inputs the mutations left intact.
     assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
+}
+
+/// `s = ((…(a)…));` with `parens` pairs of parentheses: the statement's
+/// expression is one nesting level and each parenthesis one more.
+fn nested_parens(parens: usize) -> String {
+    format!(
+        "void f(u8 a, out u8 s) {{ s = {}a{}; }}",
+        "(".repeat(parens),
+        ")".repeat(parens)
+    )
+}
+
+#[test]
+fn nesting_past_the_parser_limit_is_a_located_diagnostic() {
+    // The deepest accepted input goes through the whole frontend and the
+    // AST evaluator on the 2 MiB test thread.
+    let compiled = spark_front::compile(&nested_parens(MAX_NESTING - 1)).unwrap();
+    let env = Env::new().with_scalar("a", 9);
+    assert_eq!(compiled.evaluate("f", &env).unwrap().scalar("s"), Some(9));
+    // One level more, and the 3,000 levels that used to overflow the stack.
+    for parens in [MAX_NESTING, 3000] {
+        let diagnostics = spark_front::compile(&nested_parens(parens)).unwrap_err();
+        assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
+        let diagnostic = &diagnostics[0];
+        assert!(
+            diagnostic.message.contains("parser's limit"),
+            "{diagnostic}"
+        );
+        // Located just inside the parenthesis that goes one level too deep
+        // (columns count from 1).
+        let col = "void f(u8 a, out u8 s) { s = ".len() + MAX_NESTING + 1;
+        assert_eq!((diagnostic.line, diagnostic.col), (1, col as u32));
+    }
+}
+
+/// `for` loops of `trips` iterations each, nested `depth` deep, around one
+/// accumulation.
+fn nested_loops(depth: usize, trips: u32) -> String {
+    let mut body = "s = s + a;".to_string();
+    for level in 0..depth {
+        body = format!("for (i{level} = 1; i{level} <= {trips}; i{level}++) {{ {body} }}");
+    }
+    let indices: String = (0..depth).map(|level| format!("u32 i{level}; ")).collect();
+    format!("void f(u32 a, out u32 s) {{ {indices}s = 0; {body} }}")
+}
+
+#[test]
+fn unrolling_past_its_limits_fails_in_loop_unroll_all() {
+    let flow = FlowOptions::microprocessor_block(2000.0);
+    // Within both limits, the nested loops unroll and synthesize.
+    synthesize_source(&nested_loops(2, 20), &flow).unwrap();
+    // Two nested 4,000-iteration loops pass the per-loop limit but would
+    // make 16M copies; a single 5,000-iteration loop passes the per-loop
+    // limit itself.
+    for (depth, trips, why) in [(2, 4000, "operations"), (1, 5000, "iterations")] {
+        let Err(SourceSynthesisError::Synthesis(error @ SynthesisError::Unroll(_))) =
+            synthesize_source(&nested_loops(depth, trips), &flow)
+        else {
+            panic!("{depth} loop(s) of {trips} iterations did not fail in unrolling");
+        };
+        let message = error.to_string();
+        assert!(
+            message.contains("`loop-unroll-all`") && message.contains(why),
+            "{message}"
+        );
+    }
 }

@@ -247,7 +247,7 @@ fn fine_only_options() -> FlowOptions {
 /// rebuilt from the rewritten function).
 fn pre_and_post_wire_graphs(script: &[u8]) -> [(Function, DependenceGraph); 2] {
     let mut f = build_scripted_function(script);
-    xf::unroll_all_loops(&mut f);
+    xf::unroll_all_loops(&mut f).unwrap();
     let graph = DependenceGraph::build(&f).unwrap();
     let mut sched = schedule(
         &f,
@@ -268,7 +268,7 @@ fn pre_and_post_wire_graphs(script: &[u8]) -> [(Function, DependenceGraph); 2] {
 fn uncompacted_transformed_function(script: &[u8]) -> Function {
     let mut f = build_scripted_function(script);
     xf::speculate(&mut f);
-    xf::unroll_all_loops(&mut f);
+    xf::unroll_all_loops(&mut f).unwrap();
     xf::constant_propagation(&mut f);
     xf::copy_propagation(&mut f);
     xf::dead_code_elimination(&mut f);
@@ -283,7 +283,7 @@ fn uncompacted_transformed_function(script: &[u8]) -> Function {
 /// still a variable.
 fn speculated_before_cleanup(mut f: Function) -> Function {
     xf::speculate(&mut f);
-    xf::unroll_all_loops(&mut f);
+    xf::unroll_all_loops(&mut f).unwrap();
     xf::speculate(&mut f);
     reference_cleanup(&mut f);
     xf::isolate_conditions(&mut f);
@@ -469,7 +469,7 @@ proptest! {
         };
         let original = build();
         let mut transformed = build();
-        xf::unroll_all_loops(&mut transformed);
+        xf::unroll_all_loops(&mut transformed).unwrap();
         xf::constant_propagation(&mut transformed);
         xf::dead_code_elimination(&mut transformed);
         prop_assert_eq!(transformed.loop_count(), 0);
@@ -502,7 +502,7 @@ proptest! {
         script in proptest::collection::vec(any::<u8>(), 64),
     ) {
         let mut f = build_scripted_function(&script);
-        xf::unroll_all_loops(&mut f);
+        xf::unroll_all_loops(&mut f).unwrap();
         let mut state = xf::FineState::new(&f);
         xf::constant_propagation_with(&mut f, &mut state);
         prop_assert!(state.graph.consistency_errors(&f).is_empty());
@@ -533,7 +533,7 @@ proptest! {
 
         // Reference: stand-alone full-rescan passes in pipeline order.
         let mut reference = original.clone();
-        xf::unroll_all_loops(&mut reference);
+        xf::unroll_all_loops(&mut reference).unwrap();
         reference_cleanup(&mut reference);
         xf::isolate_conditions(&mut reference);
 
@@ -743,7 +743,7 @@ proptest! {
         script in proptest::collection::vec(any::<u8>(), 96),
     ) {
         let mut f = build_scripted_function(&script);
-        xf::unroll_all_loops(&mut f);
+        xf::unroll_all_loops(&mut f).unwrap();
         let graph = DependenceGraph::build(&f).unwrap();
         for clock in [6.0, 12.0, 50.0] {
             let sched = schedule(

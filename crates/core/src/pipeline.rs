@@ -120,6 +120,8 @@ pub enum SynthesisError {
         /// The structural violations found.
         errors: Vec<spark_ir::VerifyError>,
     },
+    /// Loop unrolling (`loop-unroll-all`) would pass one of its limits.
+    Unroll(xf::UnrollError),
 }
 
 impl std::fmt::Display for SynthesisError {
@@ -127,6 +129,7 @@ impl std::fmt::Display for SynthesisError {
         match self {
             SynthesisError::UnknownFunction(name) => write!(f, "unknown function `{name}`"),
             SynthesisError::Scheduling(e) => write!(f, "scheduling failed: {e}"),
+            SynthesisError::Unroll(e) => write!(f, "pass `loop-unroll-all` failed: {e}"),
             SynthesisError::MalformedIr { pass, errors } => {
                 write!(
                     f,
@@ -363,10 +366,10 @@ impl<'a> PassManager<'a> {
     /// dropped.
     fn coarse(
         &mut self,
-        run: impl FnOnce(&mut Program, &str) -> xf::Report,
+        run: impl FnOnce(&mut Program, &str) -> Result<xf::Report, SynthesisError>,
     ) -> Result<(), SynthesisError> {
         let started = Instant::now();
-        let report = run(&mut self.working, &self.top);
+        let report = run(&mut self.working, &self.top)?;
         self.analyses = None;
         self.record(report, started)
     }
@@ -396,16 +399,19 @@ impl<'a> PassManager<'a> {
         let options = self.options;
 
         // ---- Source-level and coarse-grain transformations ---------------
-        self.coarse(|p, top| xf::while_to_for(p.function_mut(top).expect("top exists")))?;
+        self.coarse(|p, top| Ok(xf::while_to_for(p.function_mut(top).expect("top exists"))))?;
         self.snapshot("while-to-for");
-        self.coarse(xf::inline_calls)?;
+        self.coarse(|p, top| Ok(xf::inline_calls(p, top)))?;
         self.snapshot("inline");
         if options.speculate {
-            self.coarse(|p, top| xf::speculate(p.function_mut(top).expect("top exists")))?;
+            self.coarse(|p, top| Ok(xf::speculate(p.function_mut(top).expect("top exists"))))?;
             self.snapshot("speculation");
         }
         if options.unroll {
-            self.coarse(|p, top| xf::unroll_all_loops(p.function_mut(top).expect("top exists")))?;
+            self.coarse(|p, top| {
+                xf::unroll_all_loops(p.function_mut(top).expect("top exists"))
+                    .map_err(SynthesisError::Unroll)
+            })?;
             self.snapshot("loop-unroll");
         }
         // Speculation opportunities often only appear after unrolling exposes
@@ -419,7 +425,7 @@ impl<'a> PassManager<'a> {
             }
             self.fine(xf::copy_propagation_with)?;
             self.fine(xf::dead_code_elimination_with)?;
-            self.coarse(|p, top| xf::speculate(p.function_mut(top).expect("top exists")))?;
+            self.coarse(|p, top| Ok(xf::speculate(p.function_mut(top).expect("top exists"))))?;
         }
 
         // ---- Fine-grain clean-up: one round over shared analyses ----------
@@ -438,7 +444,11 @@ impl<'a> PassManager<'a> {
 
         // The backend tests each operation's guard where the operation
         // runs, so no branch may write the condition of its own `if`.
-        self.coarse(|p, top| xf::isolate_conditions(p.function_mut(top).expect("top exists")))?;
+        self.coarse(|p, top| {
+            Ok(xf::isolate_conditions(
+                p.function_mut(top).expect("top exists"),
+            ))
+        })?;
 
         // Hand the backend only the live IR: every design point copies the
         // top function, sizes its per-op tables by its arenas, and binds,
@@ -753,7 +763,10 @@ mod tests {
         assert!(manager.analyses.is_some());
         let unrolled_before_fine = manager.working.function("f").unwrap().live_op_count();
         manager
-            .coarse(|p, top| xf::unroll_all_loops(p.function_mut(top).expect("top exists")))
+            .coarse(|p, top| {
+                xf::unroll_all_loops(p.function_mut(top).expect("top exists"))
+                    .map_err(SynthesisError::Unroll)
+            })
             .unwrap();
         assert!(manager.analyses.is_none(), "the analyses were dropped");
         manager.fine(xf::constant_propagation_with).unwrap();
@@ -764,7 +777,7 @@ mod tests {
         // Reference: the same sequence with stand-alone full-rescan passes.
         let mut reference = build();
         xf::constant_propagation(&mut reference);
-        xf::unroll_all_loops(&mut reference);
+        xf::unroll_all_loops(&mut reference).unwrap();
         xf::constant_propagation(&mut reference);
         xf::copy_propagation(&mut reference);
         xf::dead_code_elimination(&mut reference);

@@ -49,7 +49,7 @@
 //! b.loop_end();
 //! let mut f = b.finish();
 //!
-//! unroll_all_loops(&mut f);
+//! unroll_all_loops(&mut f).unwrap();
 //! constant_propagation(&mut f);
 //! dead_code_elimination(&mut f);
 //! assert_eq!(f.loop_count(), 0);
@@ -80,5 +80,5 @@ pub use isolate::isolate_conditions;
 pub use position::Positions;
 pub use report::Report;
 pub use speculation::{speculate, speculative_op_count};
-pub use unroll::unroll_all_loops;
+pub use unroll::{unroll_all_loops, UnrollError, MAX_UNROLLED_OPS, MAX_UNROLL_ITERATIONS};
 pub use while_to_for::while_to_for;

@@ -17,11 +17,19 @@ use crate::report::Report;
 /// Hard limit on the number of iterations a single loop may be expanded to.
 /// The ILD buffer sizes explored in the paper's domain are a few tens of
 /// bytes; the limit only guards against run-away expansion.
-const MAX_UNROLL_ITERATIONS: u64 = 4096;
+pub const MAX_UNROLL_ITERATIONS: u64 = 4096;
 
-/// Why a loop could not be unrolled.
+/// Hard limit on the operations full unrolling may leave in one function:
+/// each constant-bound loop counts its trip count times its body (plus one
+/// index copy per iteration), summed over nested loops. Nested loops can
+/// pass [`MAX_UNROLL_ITERATIONS`] one by one and still multiply to millions
+/// of copies, while the ILD at n=128 unrolls to 7,041 operations.
+pub const MAX_UNROLLED_OPS: u64 = 1 << 16;
+
+/// Why a loop could not be unrolled. [`unroll_all_loops`] skips the loops
+/// it cannot unroll and fails only on the two limits.
 #[derive(Clone, Debug, PartialEq, Eq)]
-enum UnrollError {
+pub enum UnrollError {
     /// The loop bound is not a compile-time constant and no trip bound was
     /// supplied.
     NonConstantBound,
@@ -29,6 +37,9 @@ enum UnrollError {
     TooManyIterations(u64),
     /// The node is not a loop.
     NotALoop,
+    /// Unrolling every loop would leave more than [`MAX_UNROLLED_OPS`]
+    /// operations in the function.
+    OverBudget(u64),
 }
 
 impl std::fmt::Display for UnrollError {
@@ -42,6 +53,10 @@ impl std::fmt::Display for UnrollError {
                 )
             }
             UnrollError::NotALoop => write!(f, "node is not a loop"),
+            UnrollError::OverBudget(ops) => write!(
+                f,
+                "unrolling every loop would leave {ops} operations (limit {MAX_UNROLLED_OPS})"
+            ),
         }
     }
 }
@@ -78,7 +93,7 @@ fn trip_count(start: Constant, end: Constant, step: i64) -> u64 {
 ///
 /// # Errors
 /// Returns [`UnrollError`] if the node is not a `for` loop with constant
-/// bounds or the trip count exceeds [`MAX_UNROLL_ITERATIONS`].
+/// bounds. The trip count is checked by [`unrolled_size`] beforehand.
 fn unroll_loop_fully(function: &mut Function, loop_node: NodeId) -> Result<Report, UnrollError> {
     let mut report = Report::new("loop-unroll", &function.name);
     let HtgNode::Loop(loop_data) = function.nodes[loop_node].clone() else {
@@ -97,9 +112,6 @@ fn unroll_loop_fully(function: &mut Function, loop_node: NodeId) -> Result<Repor
         return Err(UnrollError::NonConstantBound);
     };
     let iterations = trip_count(start, end_const, step);
-    if iterations > MAX_UNROLL_ITERATIONS {
-        return Err(UnrollError::TooManyIterations(iterations));
-    }
 
     // Locate the loop node in its parent region.
     let parent = function
@@ -179,10 +191,61 @@ fn reachable_loops(function: &Function) -> Vec<NodeId> {
     out
 }
 
+/// Operations left in `region` once every constant-bound `for` loop in it
+/// is fully unrolled: such a loop counts its trip count times its body plus
+/// one index copy per iteration, any other loop its body once.
+///
+/// # Errors
+/// Returns [`UnrollError::TooManyIterations`] for a loop whose trip count
+/// exceeds [`MAX_UNROLL_ITERATIONS`].
+fn unrolled_size(function: &Function, region: RegionId) -> Result<u64, UnrollError> {
+    let mut ops = 0u64;
+    for &node in &function.regions[region].nodes {
+        let size = match &function.nodes[node] {
+            HtgNode::Block(b) => {
+                let live = function.blocks[*b].ops.iter();
+                live.filter(|&&op| !function.ops[op].dead).count() as u64
+            }
+            HtgNode::If(i) => unrolled_size(function, i.then_region)?
+                .saturating_add(unrolled_size(function, i.else_region)?),
+            HtgNode::Loop(l) => {
+                let body = unrolled_size(function, l.body)?;
+                match l.kind {
+                    LoopKind::For {
+                        start,
+                        end: Value::Const(end),
+                        step,
+                        ..
+                    } => {
+                        let iterations = trip_count(start, end, step);
+                        if iterations > MAX_UNROLL_ITERATIONS {
+                            return Err(UnrollError::TooManyIterations(iterations));
+                        }
+                        iterations.saturating_mul(body.saturating_add(1))
+                    }
+                    _ => body,
+                }
+            }
+        };
+        ops = ops.saturating_add(size);
+    }
+    Ok(ops)
+}
+
 /// Fully unrolls every `for` loop with constant bounds, repeatedly, until no
 /// such loop remains (unrolling an outer loop may expose copies of inner
 /// loops). Loops that cannot be unrolled are skipped and noted.
-pub fn unroll_all_loops(function: &mut Function) -> Report {
+///
+/// # Errors
+/// Before changing anything, returns [`UnrollError::TooManyIterations`]
+/// when a loop exceeds [`MAX_UNROLL_ITERATIONS`] and
+/// [`UnrollError::OverBudget`] when the unrolled function would exceed
+/// [`MAX_UNROLLED_OPS`].
+pub fn unroll_all_loops(function: &mut Function) -> Result<Report, UnrollError> {
+    let ops = unrolled_size(function, function.body)?;
+    if ops > MAX_UNROLLED_OPS {
+        return Err(UnrollError::OverBudget(ops));
+    }
     let mut report = Report::new("loop-unroll-all", &function.name);
     for _round in 0..64 {
         let loops = reachable_loops(function);
@@ -207,7 +270,7 @@ pub fn unroll_all_loops(function: &mut Function) -> Report {
             break;
         }
     }
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -249,7 +312,7 @@ mod tests {
         let n = 8u64;
         let original = figure2_function(n);
         let mut unrolled = original.clone();
-        let report = unroll_all_loops(&mut unrolled);
+        let report = unroll_all_loops(&mut unrolled).unwrap();
         assert!(report.changes as u64 >= n);
         assert_eq!(unrolled.loop_count(), 0, "no loops remain");
         verify(&unrolled).expect("unrolled function is well formed");
@@ -268,7 +331,7 @@ mod tests {
     #[test]
     fn unroll_then_const_prop_eliminates_index_uses() {
         let mut f = figure2_function(4);
-        unroll_all_loops(&mut f);
+        unroll_all_loops(&mut f).unwrap();
         constant_propagation(&mut f);
         // After constant propagation no live op should read any of the
         // per-iteration index variables (they are only written, and DCE would
@@ -292,7 +355,7 @@ mod tests {
             original.live_op_count()
         };
         let mut unrolled = original.clone();
-        unroll_all_loops(&mut unrolled);
+        unroll_all_loops(&mut unrolled).unwrap();
         // Each iteration adds the body ops plus one index initialisation.
         assert_eq!(unrolled.live_op_count(), 4 * (per_iteration + 1));
     }
@@ -311,7 +374,7 @@ mod tests {
         let err = unroll_loop_fully(&mut f, loops[0]).unwrap_err();
         assert_eq!(err, UnrollError::NonConstantBound);
         // unroll_all_loops records the skip but does not fail.
-        let report = unroll_all_loops(&mut f);
+        let report = unroll_all_loops(&mut f).unwrap();
         assert!(report.notes.iter().any(|n| n.contains("skipped")));
     }
 
@@ -324,9 +387,49 @@ mod tests {
         b.assign(OpKind::Add, acc, vec![Value::Var(acc), Value::Var(i)]);
         b.loop_end();
         let mut f = b.finish();
-        let loops = reachable_loops(&f);
-        let err = unroll_loop_fully(&mut f, loops[0]).unwrap_err();
-        assert!(matches!(err, UnrollError::TooManyIterations(_)));
+        let err = unroll_all_loops(&mut f).unwrap_err();
+        assert_eq!(err, UnrollError::TooManyIterations(100_001));
+        assert_eq!(f.loop_count(), 1, "nothing was unrolled");
+    }
+
+    #[test]
+    fn nested_loops_past_the_op_budget_are_rejected() {
+        // Each loop passes the per-loop limit; together they would make
+        // 16M copies of the body.
+        let mut b = FunctionBuilder::new("f");
+        let i = b.var("i", Type::Bits(32));
+        let j = b.var("j", Type::Bits(32));
+        let acc = b.var("acc", Type::Bits(32));
+        b.for_begin(i, 1, Value::word(4000), 1);
+        b.for_begin(j, 1, Value::word(4000), 1);
+        b.assign(OpKind::Add, acc, vec![Value::Var(acc), Value::Var(j)]);
+        b.loop_end();
+        b.loop_end();
+        let mut f = b.finish();
+        let err = unroll_all_loops(&mut f).unwrap_err();
+        assert_eq!(err, UnrollError::OverBudget(4000 * (4000 * 2 + 1)));
+        assert!(err.to_string().contains("limit 65536"), "{err}");
+        assert_eq!(f.loop_count(), 2, "nothing was unrolled");
+    }
+
+    #[test]
+    fn unrolled_size_predicts_the_unrolled_op_count() {
+        let mut b = FunctionBuilder::new("nested");
+        let i = b.var("i", Type::Bits(32));
+        let j = b.var("j", Type::Bits(32));
+        let acc = b.output("acc", Type::Bits(32));
+        b.copy(acc, Value::word(0));
+        b.for_begin(i, 1, Value::word(3), 1);
+        b.assign(OpKind::Add, acc, vec![Value::Var(acc), Value::Var(i)]);
+        b.for_begin(j, 1, Value::word(2), 1);
+        b.assign(OpKind::Add, acc, vec![Value::Var(acc), Value::Var(j)]);
+        b.loop_end();
+        b.loop_end();
+        for mut f in [b.finish(), figure2_function(4)] {
+            let predicted = unrolled_size(&f, f.body).unwrap();
+            unroll_all_loops(&mut f).unwrap();
+            assert_eq!(predicted, f.live_op_count() as u64);
+        }
     }
 
     #[test]
@@ -339,7 +442,7 @@ mod tests {
         b.assign(OpKind::Add, acc, vec![Value::Var(acc), Value::Var(i)]);
         b.loop_end();
         let mut f = b.finish();
-        unroll_all_loops(&mut f);
+        unroll_all_loops(&mut f).unwrap();
         assert_eq!(f.loop_count(), 0);
         assert_eq!(f.live_op_count(), 1, "only the initial copy remains");
     }
@@ -358,7 +461,7 @@ mod tests {
         b.loop_end();
         let f0 = b.finish();
         let mut f = f0.clone();
-        unroll_all_loops(&mut f);
+        unroll_all_loops(&mut f).unwrap();
         assert_eq!(f.loop_count(), 0);
         verify(&f).expect("well formed");
         let mut p0 = Program::new();

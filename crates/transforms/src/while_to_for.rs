@@ -380,7 +380,7 @@ mod tests {
         let original = natural_description(n);
         let mut f = original.clone();
         while_to_for(&mut f);
-        let unrolled = unroll_all_loops(&mut f);
+        let unrolled = unroll_all_loops(&mut f).unwrap();
         assert!(unrolled.changes >= n as usize);
         assert_eq!(f.loop_count(), 0);
 
