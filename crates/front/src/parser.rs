@@ -18,11 +18,11 @@ use spark_ir::Type;
 
 /// The deepest nesting the parser accepts. A parenthesis, a `?:` arm, an
 /// index, a call argument, a unary operator, a slice, a block and an
-/// `else if` each go one level deeper, and so does each further operator
-/// of a chain like `a + b + c`, whose tree deepens by one per operator. The
-/// parser and every later stage (semantic checks, lowering, the AST
-/// evaluator) walk the tree recursively, so past this limit parsing fails
-/// with a diagnostic instead of overflowing the stack.
+/// `else if` each go one level deeper, and so does each binary operator:
+/// `a + b + c` is the tree `(a + b) + c`, two levels deep. The parser and
+/// every later stage (semantic checks, lowering, the AST evaluator) walk
+/// the tree recursively, so past this limit parsing fails with a
+/// diagnostic instead of overflowing the stack.
 pub const MAX_NESTING: usize = 128;
 
 /// Parses a whole source file into an AST.
