@@ -220,20 +220,16 @@ impl Function {
         self.live_ops().len()
     }
 
-    /// What the pure operation `op` computes, with each operand read by
-    /// `read`: [`OpKind::eval`] over the first three operands, with the width
-    /// of a `Concat`'s low operand looked up only for a `Concat`.
+    /// What the pure operation `op` computes, with each operand it needs
+    /// read by `read`: [`OpKind::eval`], with the width of a `Concat`'s low
+    /// operand looked up only for a `Concat`.
     ///
     /// Returns `None` for the kinds that are not pure and when an operand is
     /// missing.
     #[inline]
     pub fn eval_op(&self, op: &Operation, mut read: impl FnMut(Value) -> u64) -> Option<u64> {
-        let mut values = [0u64; 3];
-        for (slot, &arg) in values.iter_mut().zip(&op.args) {
-            *slot = read(arg);
-        }
-        let values = &values[..op.args.len().min(values.len())];
-        op.kind.eval(values, || match op.args[1] {
+        let arg = |i: usize| op.args.get(i).map(|&arg| read(arg));
+        op.kind.eval(arg, || match op.args[1] {
             Value::Const(c) => c.ty().width(),
             Value::Var(v) => self.vars[v].ty.width(),
         })

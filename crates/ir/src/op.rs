@@ -137,9 +137,10 @@ impl OpKind {
     /// What a pure operation computes: the one definition the interpreter,
     /// the RTL simulator and constant folding all call.
     ///
-    /// `args` holds the operand values in positional order. `low_width`
-    /// gives the width of the low operand of a `Concat`; it is called only
-    /// for `Concat`, so a caller can look the width up lazily. The result
+    /// `arg(i)` reads the value of operand `i`, only when the kind needs it
+    /// (a `Select` reads the arm it picks). `low_width` gives the width of
+    /// the low operand of a `Concat`; it is called only for `Concat`, so a
+    /// caller can look the width up lazily. The result
     /// is not truncated: the caller's store masks it to the destination
     /// width. A shift by 64 or more gives 0, as `shift_left` and
     /// `shift_right` of `numeric_std` do, and so does the high part of a
@@ -148,8 +149,11 @@ impl OpKind {
     /// Returns `None` for the kinds that are not pure (array accesses,
     /// calls, returns) and when an operand is missing.
     #[inline]
-    pub fn eval(&self, args: &[u64], low_width: impl FnOnce() -> u16) -> Option<u64> {
-        let a = |i: usize| args.get(i).copied();
+    pub fn eval(
+        &self,
+        mut a: impl FnMut(usize) -> Option<u64>,
+        low_width: impl FnOnce() -> u16,
+    ) -> Option<u64> {
         Some(match self {
             OpKind::Add => a(0)?.wrapping_add(a(1)?),
             OpKind::Sub => a(0)?.wrapping_sub(a(1)?),
@@ -168,11 +172,10 @@ impl OpKind {
             OpKind::Ge => (a(0)? >= a(1)?) as u64,
             OpKind::Copy => a(0)?,
             OpKind::Select => {
-                let (cond, then_value, else_value) = (a(0)?, a(1)?, a(2)?);
-                if cond != 0 {
-                    then_value
+                if a(0)? != 0 {
+                    a(1)?
                 } else {
-                    else_value
+                    a(2)?
                 }
             }
             OpKind::Slice { hi, lo } => (a(0)? >> lo) & Type::Bits(hi - lo + 1).mask(),
@@ -356,7 +359,10 @@ mod tests {
 
     #[test]
     fn eval_covers_all_pure_kinds() {
-        let eval = |kind: OpKind, args: &[u64]| kind.eval(args, || 4);
+        let eval = |kind: OpKind, args: &[u64]| {
+            let no_width = || -> u16 { panic!("only a Concat reads the low width") };
+            kind.eval(|i| args.get(i).copied(), no_width)
+        };
         assert_eq!(eval(OpKind::Sub, &[5, 3]), Some(2));
         assert_eq!(eval(OpKind::And, &[0b1100, 0b1010]), Some(0b1000));
         assert_eq!(eval(OpKind::Or, &[0b1100, 0b1010]), Some(0b1110));
@@ -367,35 +373,25 @@ mod tests {
         assert_eq!(eval(OpKind::Ge, &[1, 2]), Some(0));
         assert_eq!(eval(OpKind::Slice { hi: 3, lo: 2 }, &[0b1100]), Some(0b11));
         assert_eq!(eval(OpKind::Select, &[0, 7, 9]), Some(9));
-        assert_eq!(eval(OpKind::Concat, &[0xA, 0x5]), Some(0xA5));
         assert_eq!(eval(OpKind::Return, &[1]), None);
         assert_eq!(eval(OpKind::ArrayRead { array: v(0) }, &[1]), None);
-        // A missing operand is not read as zero.
+        // A missing operand is not read as zero; a Select reads only the
+        // arm it picks.
         assert_eq!(eval(OpKind::Add, &[1]), None);
-        assert_eq!(eval(OpKind::Select, &[1, 2]), None);
-    }
-
-    #[test]
-    fn shifts_by_the_width_or_more_give_zero() {
+        assert_eq!(eval(OpKind::Select, &[0, 2]), None);
+        assert_eq!(eval(OpKind::Select, &[1, 2]), Some(2));
+        // Shifting by 64 or more shifts every bit out, as does a Concat over
+        // a 64-bit low operand.
         let top = 1u64 << 63;
-        for (kind, value) in [(OpKind::Shl, 1), (OpKind::Shr, top)] {
-            assert_eq!(
-                kind.eval(&[value, 63], || 0),
-                Some(if value == 1 { top } else { 1 })
-            );
-            assert_eq!(kind.eval(&[value, 64], || 0), Some(0));
-            assert_eq!(kind.eval(&[value, 200], || 0), Some(0));
-            assert_eq!(kind.eval(&[u64::MAX, u64::MAX], || 0), Some(0));
+        assert_eq!(eval(OpKind::Shl, &[1, 63]), Some(top));
+        assert_eq!(eval(OpKind::Shr, &[top, 63]), Some(1));
+        for amount in [64, 200, u64::MAX] {
+            assert_eq!(eval(OpKind::Shl, &[1, amount]), Some(0));
+            assert_eq!(eval(OpKind::Shr, &[top, amount]), Some(0));
         }
-        // The high part of a Concat shifts out past a 64-bit low part.
-        assert_eq!(OpKind::Concat.eval(&[1, 7], || 64), Some(7));
-    }
-
-    #[test]
-    fn eval_looks_up_the_low_width_only_for_concat() {
-        let unused = || -> u16 { panic!("only a Concat reads the low width") };
-        assert_eq!(OpKind::Add.eval(&[2, 3], unused), Some(5));
-        assert_eq!(OpKind::Concat.eval(&[1, 0], || 1), Some(0b10));
+        let concat = |low_width| OpKind::Concat.eval(|i| [1, 7].get(i).copied(), || low_width);
+        assert_eq!(concat(4), Some(0x17));
+        assert_eq!(concat(64), Some(7));
     }
 
     #[test]

@@ -80,5 +80,5 @@ pub use isolate::isolate_conditions;
 pub use position::Positions;
 pub use report::Report;
 pub use speculation::{speculate, speculative_op_count};
-pub use unroll::{unroll_all_loops, UnrollError, MAX_UNROLLED_OPS, MAX_UNROLL_ITERATIONS};
+pub use unroll::{unroll_all_loops, UnrollError};
 pub use while_to_for::while_to_for;

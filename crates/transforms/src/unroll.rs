@@ -17,14 +17,14 @@ use crate::report::Report;
 /// Hard limit on the number of iterations a single loop may be expanded to.
 /// The ILD buffer sizes explored in the paper's domain are a few tens of
 /// bytes; the limit only guards against run-away expansion.
-pub const MAX_UNROLL_ITERATIONS: u64 = 4096;
+const MAX_UNROLL_ITERATIONS: u64 = 4096;
 
 /// Hard limit on the operations full unrolling may leave in one function:
 /// each constant-bound loop counts its trip count times its body (plus one
 /// index copy per iteration), summed over nested loops. Nested loops can
 /// pass [`MAX_UNROLL_ITERATIONS`] one by one and still multiply to millions
 /// of copies, while the ILD at n=128 unrolls to 7,041 operations.
-pub const MAX_UNROLLED_OPS: u64 = 1 << 16;
+const MAX_UNROLLED_OPS: u64 = 1 << 16;
 
 /// Why a loop could not be unrolled. [`unroll_all_loops`] skips the loops
 /// it cannot unroll and fails only on the two limits.
@@ -33,12 +33,12 @@ pub enum UnrollError {
     /// The loop bound is not a compile-time constant and no trip bound was
     /// supplied.
     NonConstantBound,
-    /// The loop would expand to more than [`MAX_UNROLL_ITERATIONS`] iterations.
+    /// The loop would expand to more than 4,096 iterations.
     TooManyIterations(u64),
     /// The node is not a loop.
     NotALoop,
-    /// Unrolling every loop would leave more than [`MAX_UNROLLED_OPS`]
-    /// operations in the function.
+    /// Unrolling every loop would leave more than 65,536 operations in the
+    /// function.
     OverBudget(u64),
 }
 
@@ -238,9 +238,10 @@ fn unrolled_size(function: &Function, region: RegionId) -> Result<u64, UnrollErr
 ///
 /// # Errors
 /// Before changing anything, returns [`UnrollError::TooManyIterations`]
-/// when a loop exceeds [`MAX_UNROLL_ITERATIONS`] and
-/// [`UnrollError::OverBudget`] when the unrolled function would exceed
-/// [`MAX_UNROLLED_OPS`].
+/// when a loop would expand to more than 4,096 iterations and
+/// [`UnrollError::OverBudget`] when the unrolled function would hold more
+/// than 65,536 operations: the trip count times the body, summed over
+/// nested loops.
 pub fn unroll_all_loops(function: &mut Function) -> Result<Report, UnrollError> {
     let ops = unrolled_size(function, function.body)?;
     if ops > MAX_UNROLLED_OPS {
