@@ -609,6 +609,19 @@ mod tests {
     }
 
     #[test]
+    fn missing_operand_is_malformed() {
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let x = b.var("x", Type::Bits(8));
+        b.assign(OpKind::Add, x, vec![Value::Var(a)]);
+        let p = program_with(b.finish());
+        let err = Interpreter::new(&p)
+            .run("f", &Env::new().with_scalar("a", 3))
+            .unwrap_err();
+        assert!(matches!(err, EvalError::Malformed(_)), "{err}");
+    }
+
+    #[test]
     fn unknown_call_is_an_error() {
         let mut b = FunctionBuilder::new("f");
         let r = b.var("r", Type::Bits(8));

@@ -426,4 +426,18 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, RtlSimError::OutOfBounds { .. }));
     }
+
+    #[test]
+    fn missing_operand_is_reported() {
+        // An `add` with one operand is an error, not a sum with zero.
+        let mut b = FunctionBuilder::new("short");
+        let a = b.param("a", Type::Bits(8));
+        let out = b.output("out", Type::Bits(8));
+        b.assign(OpKind::Add, out, vec![Value::Var(a)]);
+        let (f, controller) = prepare(b.finish(), 10.0);
+        let err = RtlSimulator::new(&f, &controller)
+            .run(&Env::new().with_scalar("a", 3))
+            .unwrap_err();
+        assert!(matches!(err, RtlSimError::Malformed(_)), "{err}");
+    }
 }
