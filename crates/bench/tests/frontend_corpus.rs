@@ -238,10 +238,6 @@ fn no_guard_reads_a_register_written_earlier_in_its_state() {
     }
 }
 
-/// The widths of the operator table: a bit, an odd width, a byte, a word
-/// and the widest vector.
-const TABLE_WIDTHS: [u16; 5] = [1, 7, 8, 32, 64];
-
 /// The edge shift amounts at width `w`: `w - 1`, `w`, 63, 64 and 200.
 fn shift_amounts(w: u16) -> Vec<u64> {
     let mut amounts = vec![u64::from(w) - 1, u64::from(w), 63, 64, 200];
@@ -351,7 +347,8 @@ fn operator_width_table_agrees_across_the_oracles() {
         FlowOptions::microprocessor_block(8.0),
         FlowOptions::asic_baseline(8.0),
     ];
-    for w in TABLE_WIDTHS {
+    // A bit, an odd width, a byte, a word and the widest vector.
+    for w in [1, 7, 8, 32, 64] {
         let max = Type::Bits(w).mask();
         let operands = [0, 1, max];
         let source = operator_table_source(w);
