@@ -7,64 +7,34 @@
 //! are all constants, simplifies algebraic identities, and forwards
 //! single-definition constants to every dominated use.
 
-use spark_ir::{Constant, Function, OpId, OpKind, Rewriter, Value};
+use spark_ir::{Constant, Function, OpKind, Rewriter, Value};
 
-use crate::fine::{FineState, OpQueue};
+use crate::fine::{push_to_readers, FineState, OpQueue};
 use crate::report::Report;
 
 /// Simplifies algebraic identities with one constant operand
 /// (`x + 0`, `x * 1`, `x & 0`, `cond ? a : a`, ...). Returns the replacement
 /// operand if the whole operation reduces to a single value.
 fn simplify_identity(kind: &OpKind, args: &[Value]) -> Option<Value> {
-    let const_of = |v: &Value| v.as_const();
+    if args.len() < 2 {
+        return None;
+    }
+    let is = |index: usize, value: u64| args[index].as_const().is_some_and(|c| c.value() == value);
     match kind {
-        OpKind::Add | OpKind::Or | OpKind::Xor | OpKind::Shl | OpKind::Shr => {
-            if const_of(&args[1]).map(|c| c.is_zero()).unwrap_or(false) {
-                return Some(args[0]);
-            }
-            if matches!(kind, OpKind::Add | OpKind::Or | OpKind::Xor)
-                && const_of(&args[0]).map(|c| c.is_zero()).unwrap_or(false)
-            {
-                return Some(args[1]);
-            }
-            None
+        OpKind::Add | OpKind::Or | OpKind::Xor | OpKind::Sub | OpKind::Shl | OpKind::Shr
+            if is(1, 0) =>
+        {
+            Some(args[0])
         }
-        OpKind::Sub => {
-            if const_of(&args[1]).map(|c| c.is_zero()).unwrap_or(false) {
-                return Some(args[0]);
-            }
-            None
-        }
-        OpKind::Mul => {
-            for (this, other) in [(0usize, 1usize), (1, 0)] {
-                if let Some(c) = const_of(&args[this]) {
-                    if c.is_zero() {
-                        return Some(Value::Const(c));
-                    }
-                    if c.value() == 1 {
-                        return Some(args[other]);
-                    }
-                }
-            }
-            None
-        }
-        OpKind::And => {
-            for (this, other) in [(0usize, 1usize), (1, 0)] {
-                if let Some(c) = const_of(&args[this]) {
-                    if c.is_zero() {
-                        return Some(Value::Const(c));
-                    }
-                    let _ = other;
-                }
-            }
-            None
-        }
-        OpKind::Select => {
-            if let Some(c) = const_of(&args[0]) {
-                return Some(if c.as_bool() { args[1] } else { args[2] });
-            }
-            select_of_equal_arms(kind, args)
-        }
+        OpKind::Add | OpKind::Or | OpKind::Xor if is(0, 0) => Some(args[1]),
+        OpKind::Mul | OpKind::And if is(0, 0) => Some(args[0]),
+        OpKind::Mul | OpKind::And if is(1, 0) => Some(args[1]),
+        OpKind::Mul if is(0, 1) => Some(args[1]),
+        OpKind::Mul if is(1, 1) => Some(args[0]),
+        OpKind::Select => match args[0].as_const() {
+            Some(c) => Some(if c.as_bool() { args[1] } else { args[2] }),
+            None => select_of_equal_arms(kind, args),
+        },
         _ => None,
     }
 }
@@ -92,17 +62,18 @@ pub fn constant_propagation(function: &mut Function) -> Report {
 /// Worklist-driven constant folding and propagation over an incrementally
 /// maintained [`FineState`].
 ///
-/// The worklist starts from every live operation, each followed by the
-/// current readers of its destination. Folding depends only on an
-/// operation's own operands, and forwarding only on the definition of an
-/// operand having become a constant copy, so every rewrite requeues the
-/// readers it changed. The rewrites (operand → constant, operation →
-/// `Copy`) are confluent and monotone, so the fixed point equals the
-/// full-rescan implementation's.
+/// The worklist starts from every live operation. Folding depends only on
+/// an operation's own operands, and an operand becomes a constant only when
+/// its definition, a constant copy, pushes the constant in (the def side),
+/// which requeues the reader. Every constant copy is visited at least once, either from the
+/// start or when it folds, so no reader needs to look for constants on its
+/// own. The rewrites (operand → constant, operation → `Copy`) are
+/// confluent and monotone, so the fixed point equals the full-rescan
+/// implementation's.
 pub fn constant_propagation_with(function: &mut Function, state: &mut FineState) -> Report {
     let mut report = Report::new("constant-propagation", &function.name);
     let FineState { graph, positions } = state;
-    let mut queue = OpQueue::with_readers(function, graph);
+    let mut queue = OpQueue::of(function.live_ops());
     let mut rw = Rewriter::new(function, graph);
 
     let mut changed = 0usize;
@@ -111,90 +82,44 @@ pub fn constant_propagation_with(function: &mut Function, state: &mut FineState)
             continue;
         }
 
-        // --- Use-side forwarding: pull dominating single-def constants into
-        // this operation's operands.
-        for index in 0..rw.function().ops[op_id].args.len() {
-            let Value::Var(var) = rw.function().ops[op_id].args[index] else {
-                continue;
-            };
-            let defs = rw.graph().defs_of(var);
-            if defs.len() != 1 || defs[0] == op_id {
-                continue;
-            }
-            let def_op_id = defs[0];
-            let def_op = &rw.function().ops[def_op_id];
-            if !matches!(def_op.kind, OpKind::Copy) {
-                continue;
-            }
-            let Some(constant) = def_op.args[0].as_const() else {
-                continue;
-            };
-            // The copy narrows the constant to its destination's width, so
-            // the forwarded constant takes that width too.
-            let constant = Constant::new(constant.value(), rw.function().vars[var].ty);
-            // A definition inside a loop body may execute many times; the
-            // constant is still the same every time, so forwarding is safe.
-            if positions.dominates(def_op_id, op_id)
-                && rw.replace_operand(op_id, index, Value::Const(constant))
-            {
-                changed += 1;
-            }
-        }
-
         // --- Folding: rewrite the op if its operands are all constants, or
         // an algebraic identity collapses it to a single value.
-        let op = rw.function().ops[op_id].clone();
-        if !op.kind.has_side_effects() && !matches!(op.kind, OpKind::Copy) {
-            if let Some(dest) = op.dest {
-                let dest_ty = rw.function().vars[dest].ty;
-                let folded = if op.args.iter().all(|a| a.is_const()) {
-                    let value = |a: Value| a.as_const().map_or(0, Constant::value);
-                    let value = rw.function().eval_op(&op, value);
-                    value.map(|v| Value::Const(Constant::new(v, dest_ty)))
-                } else {
-                    None
-                };
-                let replacement = folded.or_else(|| {
-                    if op.args.len() >= 2 || matches!(op.kind, OpKind::Select) {
-                        simplify_identity(&op.kind, &op.args)
-                    } else {
-                        None
-                    }
-                });
-                if let Some(replacement) = replacement {
-                    rw.rewrite_op(op_id, OpKind::Copy, vec![replacement]);
-                    changed += 1;
-                }
+        let function = rw.function();
+        let op = &function.ops[op_id];
+        let replacement = match op.dest {
+            Some(dest) if !op.kind.has_side_effects() && op.kind != OpKind::Copy => {
+                let folded = op
+                    .args
+                    .iter()
+                    .all(|a| a.is_const())
+                    .then(|| function.eval_op(op, |a| a.as_const().map_or(0, Constant::value)));
+                folded
+                    .flatten()
+                    .map(|v| Value::Const(Constant::new(v, function.vars[dest].ty)))
+                    .or_else(|| simplify_identity(&op.kind, &op.args))
             }
+            _ => None,
+        };
+        if let Some(replacement) = replacement {
+            rw.rewrite_op(op_id, OpKind::Copy, vec![replacement]);
+            changed += 1;
         }
 
-        // --- Def-side forwarding: if this op is (or just became) a constant
-        // copy with a single-def destination, push the constant into every
-        // dominated use and requeue those uses (they may fold in turn).
+        // --- Forwarding: if this op is (or just became) a constant copy
+        // with a single-def destination, push the constant into every
+        // dominated reader and requeue those readers (they may fold in turn).
+        // The copy narrows the constant to its destination's width, so the
+        // forwarded constant takes that width too. A definition inside a
+        // loop body may execute many times; the constant is the same every
+        // time, so forwarding is safe.
         let op = &rw.function().ops[op_id];
-        if matches!(op.kind, OpKind::Copy) {
-            if let (Some(dest), Some(constant)) = (op.dest, op.args[0].as_const()) {
-                if rw.graph().has_single_def(dest) {
-                    let constant = Constant::new(constant.value(), rw.function().vars[dest].ty);
-                    let users: Vec<OpId> = rw.graph().uses_of(dest).to_vec();
-                    for use_op in users {
-                        if use_op == op_id || !positions.dominates(op_id, use_op) {
-                            continue;
-                        }
-                        let mut rewrote = false;
-                        for index in 0..rw.function().ops[use_op].args.len() {
-                            if rw.function().ops[use_op].args[index] == Value::Var(dest)
-                                && rw.replace_operand(use_op, index, Value::Const(constant))
-                            {
-                                changed += 1;
-                                rewrote = true;
-                            }
-                        }
-                        if rewrote {
-                            queue.push(use_op);
-                        }
-                    }
-                }
+        if let (OpKind::Copy, Some(dest), Some(constant)) =
+            (&op.kind, op.dest, op.args[0].as_const())
+        {
+            if rw.graph().has_single_def(dest) {
+                let constant = Constant::new(constant.value(), rw.function().vars[dest].ty);
+                let value = Value::Const(constant);
+                changed += push_to_readers(&mut rw, positions, &mut queue, op_id, value, None);
             }
         }
     }
@@ -285,10 +210,8 @@ mod tests {
     #[test]
     fn forwarded_constants_take_the_copied_variables_width() {
         // t is 1 bit wide, so `t = 200` stores 0 and `s = t + w` reads 0 + 5.
-        // Both forwarding sites must narrow the constant. With `w` defined
-        // first, `s` is queued as a reader of `w` ahead of `t`'s copy, so
-        // the use side forwards `t`; with `t` first, its copy is examined
-        // first and the def side forwards it.
+        // The forwarded constant must be narrowed, whichever copy pushes
+        // into the add first.
         let build = |w_first: bool| {
             let mut b = FunctionBuilder::new("f");
             let w = b.var("w", Type::Bits(8));

@@ -10,7 +10,7 @@
 use spark_ir::{Function, OpId, OpKind, Rewriter, Value, VarId};
 
 use crate::const_prop::select_of_equal_arms;
-use crate::fine::{FineState, OpQueue};
+use crate::fine::{push_to_readers, FineState, OpQueue};
 use crate::report::Report;
 
 /// Runs copy propagation to a fixed point on `function`.
@@ -45,8 +45,10 @@ pub fn copy_propagation(function: &mut Function) -> Report {
 /// every dominated reader (the def side), so a reader needs no visit of its
 /// own until it is rewritten. Copy chains then resolve transitively by
 /// requeueing every rewritten reader: a reader that is itself a copy
-/// forwards its new source, and any other reader pulls in the source of a
-/// copy its new operand names (the use side). Each replacement substitutes
+/// forwards its new source. A reader handed the source `y` of a copy never
+/// looks up `y`'s definition itself: if that definition is a forwardable
+/// copy, it has either already rewritten the copy that handed `y` on, or it
+/// pushes into the reader when it is visited. Each replacement substitutes
 /// the source of a strictly earlier dominating copy, so the process
 /// terminates at the same fixed point as a full rescan.
 pub fn copy_propagation_with(function: &mut Function, state: &mut FineState) -> Report {
@@ -80,38 +82,6 @@ pub fn copy_propagation_with(function: &mut Function, state: &mut FineState) -> 
             continue;
         }
 
-        // --- Use-side: pull the source of a dominating forwardable copy
-        // into this operation's operands.
-        let mut rewrote_operand = false;
-        for index in 0..rw.function().ops[op_id].args.len() {
-            let Value::Var(var) = rw.function().ops[op_id].args[index] else {
-                continue;
-            };
-            let defs = rw.graph().defs_of(var);
-            if defs.len() != 1 || defs[0] == op_id {
-                continue;
-            }
-            let copy_op_id = defs[0];
-            let copy_op = &rw.function().ops[copy_op_id];
-            if copy_op.kind != OpKind::Copy {
-                continue;
-            }
-            let source = copy_op.args[0];
-            if lossless(rw.function(), var, source, op_id, index)
-                && stable(&rw, positions, source, copy_op_id)
-                && positions.dominates(copy_op_id, op_id)
-                && rw.replace_operand(op_id, index, source)
-            {
-                changed += 1;
-                rewrote_operand = true;
-            }
-        }
-        if rewrote_operand {
-            // The operand may now name another forwardable copy (chains), or
-            // this op may itself be a copy whose source just changed.
-            queue.push(op_id);
-        }
-
         // --- A rewritten select may have equal arms now. Constant
         // propagation, which runs before this pass, reduces `c ? a : a` to a
         // copy of `a`; do the same here, where the case arises, so the copy
@@ -122,35 +92,23 @@ pub fn copy_propagation_with(function: &mut Function, state: &mut FineState) -> 
             changed += 1;
         }
 
-        // --- Def-side: if this op is a forwardable copy, push its source
-        // into every dominated use and requeue them for chain resolution.
+        // --- If this op is a forwardable copy, push its source into every
+        // dominated reader and requeue them for chain resolution.
         let op = &rw.function().ops[op_id];
         if op.kind != OpKind::Copy {
             continue;
         }
         let Some(dest) = op.dest else { continue };
         let source = op.args[0];
-        if !rw.graph().has_single_def(dest) || !stable(&rw, positions, source, op_id) {
-            continue;
-        }
-        let users: Vec<OpId> = rw.graph().uses_of(dest).to_vec();
-        for use_op in users {
-            if use_op == op_id || !positions.dominates(op_id, use_op) {
-                continue;
-            }
-            let mut rewrote = false;
-            for index in 0..rw.function().ops[use_op].args.len() {
-                if rw.function().ops[use_op].args[index] == Value::Var(dest)
-                    && lossless(rw.function(), dest, source, use_op, index)
-                    && rw.replace_operand(use_op, index, source)
-                {
-                    changed += 1;
-                    rewrote = true;
-                }
-            }
-            if rewrote {
-                queue.push(use_op);
-            }
+        if rw.graph().has_single_def(dest) && stable(&rw, positions, source, op_id) {
+            changed += push_to_readers(
+                &mut rw,
+                positions,
+                &mut queue,
+                op_id,
+                source,
+                Some(lossless),
+            );
         }
     }
 

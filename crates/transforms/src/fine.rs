@@ -17,9 +17,11 @@
 //!
 //! The state carries analyses only, not work: every pass starts its
 //! worklist from the function itself (see each pass for where), so no pass
-//! depends on what an earlier one touched.
+//! depends on what an earlier one touched. Constant and copy propagation
+//! share one forwarding routine, `push_to_readers`, which works from the
+//! definition outward.
 
-use spark_ir::{DefUseGraph, Function, OpId};
+use spark_ir::{DefUseGraph, Function, OpId, Rewriter, Value, VarId};
 
 use crate::position::Positions;
 
@@ -70,21 +72,6 @@ impl OpQueue {
         queue
     }
 
-    /// A queue of every live operation, each followed by the current
-    /// readers of its destination: where constant propagation starts.
-    pub(crate) fn with_readers(function: &Function, graph: &DefUseGraph) -> Self {
-        let mut queue = OpQueue::default();
-        for op in function.live_ops() {
-            queue.push(op);
-            if let Some(dest) = function.ops[op].def() {
-                for &user in graph.uses_of(dest) {
-                    queue.push(user);
-                }
-            }
-        }
-        queue
-    }
-
     pub(crate) fn push(&mut self, op: OpId) {
         let index = op.index();
         if index >= self.queued.len() {
@@ -103,10 +90,54 @@ impl OpQueue {
     }
 }
 
+/// A per-operand check on a forwarding: `(function, dest, value, reader,
+/// index)`, whether operand `index` of `reader` may read `value` for `dest`.
+pub(crate) type Admits = fn(&Function, VarId, Value, OpId, usize) -> bool;
+
+/// Forwards `value` from `def`, the single definition of its destination,
+/// into every operand that reads the destination in an operation `def`
+/// dominates, and requeues each rewritten reader. `admits`, when given,
+/// may refuse an operand. Returns the number of operands replaced.
+pub(crate) fn push_to_readers(
+    rw: &mut Rewriter<'_>,
+    positions: &Positions,
+    queue: &mut OpQueue,
+    def: OpId,
+    value: Value,
+    admits: Option<Admits>,
+) -> usize {
+    let dest = rw.function().ops[def]
+        .def()
+        .expect("a forwarded definition writes a variable");
+    let mut changed = 0;
+    let readers: Vec<OpId> = rw.graph().uses_of(dest).to_vec();
+    for reader in readers {
+        if reader == def || !positions.dominates(def, reader) {
+            continue;
+        }
+        let mut rewrote = false;
+        for index in 0..rw.function().ops[reader].args.len() {
+            if rw.function().ops[reader].args[index] == Value::Var(dest)
+                && admits.map_or(true, |admits| {
+                    admits(rw.function(), dest, value, reader, index)
+                })
+                && rw.replace_operand(reader, index, value)
+            {
+                changed += 1;
+                rewrote = true;
+            }
+        }
+        if rewrote {
+            queue.push(reader);
+        }
+    }
+    changed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spark_ir::{FunctionBuilder, OpKind, Type, Value};
+    use spark_ir::{FunctionBuilder, OpKind, Type};
 
     #[test]
     fn op_queue_dedups_until_popped() {
