@@ -238,6 +238,34 @@ fn no_guard_reads_a_register_written_earlier_in_its_state() {
     }
 }
 
+#[test]
+fn a_condition_tested_in_a_later_state_keeps_its_register() {
+    // At 2 ns the baseline runs one adder per state: `gt` is computed in
+    // state 0 and guards the write of `d` in state 3, so it needs a register
+    // next to `d` (an output) and `s` (carried across states).
+    let source = "void guardreg(u8 x, u8 y, out u8 d) {
+        bool gt; u8 s;
+        gt = x > y; s = x + y; s = s + x; s = s + y;
+        if (gt) { d = s; } else { d = x; }
+    }";
+    let compiled = spark_front::compile(source).unwrap();
+    let result = synthesize(
+        &compiled.program,
+        &compiled.top,
+        &FlowOptions::asic_baseline(2.0),
+    )
+    .unwrap();
+    assert_eq!(result.report.states, 4);
+    let f = &result.function;
+    let mut registered: Vec<&str> = (result.binding.registers.iter())
+        .flat_map(|r| r.variables.iter().map(|&v| f.vars[v].name.as_str()))
+        .collect();
+    registered.sort_unstable();
+    assert_eq!(registered, ["d", "gt", "s"]);
+    assert_eq!(result.report.registers, 3);
+    check_rtl_matches_interp(&compiled, &compiled.top, &result, 0..8).unwrap();
+}
+
 /// The edge shift amounts at width `w`: `w - 1`, `w`, 63, 64 and 200.
 fn shift_amounts(w: u16) -> Vec<u64> {
     let mut amounts = vec![u64::from(w) - 1, u64::from(w), 63, 64, 200];

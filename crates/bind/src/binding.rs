@@ -161,13 +161,13 @@ mod tests {
     use super::*;
     use crate::lifetime::LifetimeAnalysis;
     use spark_ir::{FunctionBuilder, OpKind, Type, Value};
-    use spark_sched::{schedule, Allocation, Constraints, DependenceGraph};
+    use spark_sched::{schedule, Allocation, Constraints, Controller, DependenceGraph};
 
     fn bind(f: &Function, constraints: &Constraints) -> (Schedule, Binding) {
         let graph = DependenceGraph::build(f).unwrap();
         let lib = ResourceLibrary::new();
         let sched = schedule(f, &graph, &lib, constraints).unwrap();
-        let lifetimes = LifetimeAnalysis::compute(f, &sched);
+        let lifetimes = LifetimeAnalysis::compute(f, &Controller::build(f, &sched));
         let binding = Binding::compute(f, &sched, &lifetimes, &lib);
         (sched, binding)
     }

@@ -1,7 +1,7 @@
 //! # spark-bind — register and functional-unit binding
 //!
 //! Binding support for the Spark HLS reproduction (Gupta et al., DAC 2002):
-//! variable [`LifetimeAnalysis`] over scheduled control steps (deciding which
+//! variable [`LifetimeAnalysis`] over the controller's states (deciding which
 //! variables become registers and which collapse into wires — Section 3.1.2),
 //! left-edge register allocation, functional-unit sharing between mutually
 //! exclusive operations, and a steering-logic/area estimate consumed by the
@@ -12,7 +12,7 @@
 //! ```
 //! use spark_bind::{Binding, LifetimeAnalysis};
 //! use spark_ir::{FunctionBuilder, OpKind, Type, Value};
-//! use spark_sched::{schedule, Constraints, DependenceGraph, ResourceLibrary};
+//! use spark_sched::{schedule, Constraints, Controller, DependenceGraph, ResourceLibrary};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = FunctionBuilder::new("f");
@@ -24,7 +24,7 @@
 //! let graph = DependenceGraph::build(&f)?;
 //! let library = ResourceLibrary::new();
 //! let sched = schedule(&f, &graph, &library, &Constraints::microprocessor_block(10.0))?;
-//! let lifetimes = LifetimeAnalysis::compute(&f, &sched);
+//! let lifetimes = LifetimeAnalysis::compute(&f, &Controller::build(&f, &sched));
 //! let binding = Binding::compute(&f, &sched, &lifetimes, &library);
 //! assert_eq!(binding.register_count(), 1);
 //! # Ok(())

@@ -1,4 +1,4 @@
-//! Variable lifetime analysis over the scheduled control steps.
+//! Variable lifetime analysis over the controller's states.
 //!
 //! "The Spark synthesis tool initially assumes that each variable in the
 //! input behavioral description is mapped to a virtual register. After
@@ -9,7 +9,7 @@
 //! output); wire-variables never get registers.
 
 use spark_ir::{Function, PortDirection, SecondaryMap, VarId};
-use spark_sched::Schedule;
+use spark_sched::Controller;
 
 /// The lifetime of one variable in terms of control steps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,28 +39,38 @@ pub struct LifetimeAnalysis {
 }
 
 impl LifetimeAnalysis {
-    /// Analyses `function` under `schedule`.
+    /// Analyses `function` as `controller` runs it.
+    ///
+    /// A variable is read in a state by the operations there that take it
+    /// as an operand and by those whose guard tests it: the RTL simulator
+    /// and the VHDL emitter evaluate each guard term where its operation
+    /// runs, so a condition computed in an earlier state must be held in a
+    /// register until then.
     ///
     /// Arrays are excluded: input arrays are ports and output arrays are
     /// per-element registers counted by the datapath generator.
-    pub fn compute(function: &Function, schedule: &Schedule) -> Self {
+    pub fn compute(function: &Function, controller: &Controller) -> Self {
         let capacity = function.vars.len();
         let mut first_def: SecondaryMap<VarId, usize> = SecondaryMap::with_capacity(capacity);
         let mut last_def: SecondaryMap<VarId, usize> = SecondaryMap::with_capacity(capacity);
         let mut last_use: SecondaryMap<VarId, usize> = SecondaryMap::with_capacity(capacity);
-        for op_id in function.live_ops() {
-            let Some(&state) = schedule.op_state.get(&op_id) else {
-                continue;
-            };
-            let op = &function.ops[op_id];
-            for used in op.uses() {
-                let entry = last_use.get_or_insert_with(used, || state);
-                *entry = (*entry).max(state);
-            }
-            if let Some(defined) = op.def() {
-                first_def.get_or_insert_with(defined, || state);
-                let entry = last_def.get_or_insert_with(defined, || state);
-                *entry = (*entry).max(state);
+        for step in &controller.steps {
+            let state = step.index;
+            for scheduled in &step.ops {
+                let op = &function.ops[scheduled.op];
+                // A guard term that reads a wire is read within the state
+                // that wrote it; wires are never registered anyway.
+                let guard_reads = scheduled.guard.terms.iter().filter_map(|(c, _)| c.as_var());
+                for used in op.uses_iter().chain(guard_reads) {
+                    let entry = last_use.get_or_insert_with(used, || state);
+                    *entry = (*entry).max(state);
+                }
+                if let Some(defined) = op.def() {
+                    // Steps come in state order: this is the earliest write.
+                    first_def.get_or_insert_with(defined, || state);
+                    let entry = last_def.get_or_insert_with(defined, || state);
+                    *entry = (*entry).max(state);
+                }
             }
         }
 
@@ -108,13 +118,13 @@ impl LifetimeAnalysis {
 mod tests {
     use super::*;
     use spark_ir::{FunctionBuilder, OpKind, Type, Value};
-    use spark_sched::{schedule, Constraints, DependenceGraph, ResourceLibrary};
+    use spark_sched::{schedule, Constraints, DependenceGraph, ResourceLibrary, Schedule};
 
     fn analyse(f: &Function, period: f64) -> (Schedule, LifetimeAnalysis) {
         let graph = DependenceGraph::build(f).unwrap();
         let lib = ResourceLibrary::new();
         let sched = schedule(f, &graph, &lib, &Constraints::microprocessor_block(period)).unwrap();
-        let analysis = LifetimeAnalysis::compute(f, &sched);
+        let analysis = LifetimeAnalysis::compute(f, &Controller::build(f, &sched));
         (sched, analysis)
     }
 

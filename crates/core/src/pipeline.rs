@@ -546,12 +546,12 @@ pub fn synthesize_transformed(
     trace.push("schedule", 0, schedule_started);
 
     let binding = trace.time("bind", 0, || {
-        let lifetimes = LifetimeAnalysis::compute(&function, &sched);
+        let lifetimes = LifetimeAnalysis::compute(&function, &controller);
         Binding::compute(&function, &sched, &lifetimes, &library)
     });
 
     let report = trace.time("rtl", 0, || {
-        DatapathReport::build(&function, &sched, &binding, &controller, &library)
+        DatapathReport::build(&function, &sched, &binding, &controller)
     });
     stages.push(StageSnapshot {
         stage: "scheduled".to_string(),

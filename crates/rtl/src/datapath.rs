@@ -9,7 +9,7 @@
 
 use spark_bind::Binding;
 use spark_ir::{Function, PortDirection, SecondaryMap, StorageClass};
-use spark_sched::{Controller, FuClass, ResourceLibrary, Schedule};
+use spark_sched::{Controller, FuClass, Schedule};
 
 /// A structural and quantitative summary of a synthesized design.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -47,7 +47,6 @@ impl DatapathReport {
         schedule: &Schedule,
         binding: &Binding,
         controller: &Controller,
-        library: &ResourceLibrary,
     ) -> Self {
         let mut report = DatapathReport {
             name: function.name.clone(),
@@ -81,7 +80,6 @@ impl DatapathReport {
                 PortDirection::Internal => {}
             }
         }
-        let _ = library;
         report
     }
 
@@ -134,7 +132,7 @@ mod tests {
     use super::*;
     use spark_bind::LifetimeAnalysis;
     use spark_ir::{FunctionBuilder, OpKind, Type, Value};
-    use spark_sched::{schedule, Constraints, DependenceGraph};
+    use spark_sched::{schedule, Constraints, DependenceGraph, ResourceLibrary};
 
     fn report_for(f: &Function, period: f64) -> DatapathReport {
         let graph = DependenceGraph::build(f).unwrap();
@@ -146,10 +144,10 @@ mod tests {
             &Constraints::microprocessor_block(period),
         )
         .unwrap();
-        let lifetimes = LifetimeAnalysis::compute(f, &sched);
-        let binding = Binding::compute(f, &sched, &lifetimes, &library);
         let controller = Controller::build(f, &sched);
-        DatapathReport::build(f, &sched, &binding, &controller, &library)
+        let lifetimes = LifetimeAnalysis::compute(f, &controller);
+        let binding = Binding::compute(f, &sched, &lifetimes, &library);
+        DatapathReport::build(f, &sched, &binding, &controller)
     }
 
     fn sample() -> Function {

@@ -30,10 +30,10 @@
 //! let graph = DependenceGraph::build(&f)?;
 //! let library = ResourceLibrary::new();
 //! let sched = schedule(&f, &graph, &library, &Constraints::microprocessor_block(10.0))?;
-//! let lifetimes = LifetimeAnalysis::compute(&f, &sched);
-//! let binding = Binding::compute(&f, &sched, &lifetimes, &library);
 //! let controller = Controller::build(&f, &sched);
-//! let report = DatapathReport::build(&f, &sched, &binding, &controller, &library);
+//! let lifetimes = LifetimeAnalysis::compute(&f, &controller);
+//! let binding = Binding::compute(&f, &sched, &lifetimes, &library);
+//! let report = DatapathReport::build(&f, &sched, &binding, &controller);
 //! assert_eq!(report.states, 1);
 //! let vhdl = VhdlEmitter::new(&f, &controller).emit();
 //! assert!(vhdl.contains("entity incr"));
