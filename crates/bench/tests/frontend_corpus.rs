@@ -324,7 +324,44 @@ fn operator_table_source(w: u16) -> String {
     row(&vector, "mix_inv", "(a * b) ^ ~b");
     row("u64", "wide_add", "a + b");
     row("u64", "wide_shl", "a << k");
+    row("u64", "wide_inv", "~a");
+    row("u64", "wide_inv_sum", "~a + 0");
+    row("u8", "byte_lnot", "!c");
+    row("u8", "byte_lnot_lt", "!(a < b)");
     format!("void table({}) {{\n{body}}}\n", params.join(", "))
+}
+
+/// `~` and `!` complement within the operand's width in every spelling:
+/// stored straight into a wider destination or through a sum, in the AST
+/// evaluator, the interpreter and the RTL simulation of both flows.
+#[test]
+fn complements_keep_the_operand_width_in_a_wider_destination() {
+    let source = "void inv(u8 a, bool c, out u64 direct, out u64 summed, out u8 lnot) {
+        direct = ~a; summed = ~a + 0; lnot = !c;
+    }";
+    let compiled = spark_front::compile(source).unwrap();
+    let interpreter = Interpreter::new(&compiled.program);
+    for options in [
+        FlowOptions::microprocessor_block(2000.0),
+        FlowOptions::asic_baseline(2000.0),
+    ] {
+        let result = synthesize(&compiled.program, &compiled.top, &options).unwrap();
+        for (a, c) in [(0u64, 0u64), (0x5a, 1), (0xff, 0)] {
+            let env = Env::new().with_scalar("a", a).with_scalar("c", c);
+            let ast = compiled.evaluate("inv", &env).unwrap();
+            let interp = interpreter.run("inv", &env).unwrap();
+            let rtl = result.simulate(&env).unwrap();
+            let outputs = ["direct", "summed", "lnot"];
+            let want = [!a & 0xff, !a & 0xff, 1 - c].map(Some);
+            for (oracle, got) in [
+                ("AST evaluator", outputs.map(|name| ast.scalar(name))),
+                ("interpreter", outputs.map(|name| interp.scalar(name))),
+                ("RTL", outputs.map(|name| rtl.scalar(name))),
+            ] {
+                assert_eq!(got, want, "{oracle}, {:?}, a={a} c={c}", options.mode);
+            }
+        }
+    }
 }
 
 /// A builder-IR function (SPARK-C has no concatenation) whose outputs

@@ -331,10 +331,12 @@ impl Evaluator<'_> {
             ExprKind::Int(value) => Ok(*value),
             ExprKind::Bool(value) => Ok(*value as u64),
             ExprKind::Var(name) => Ok(frame.load(name)),
+            // A complement stays within the operand's width (a bool's for
+            // `!`), whatever the destination's.
             ExprKind::Unary { op, operand } => {
                 let operand = self.eval(operand, frame)?;
                 Ok(match op {
-                    UnOp::Not | UnOp::BitNot => !operand,
+                    UnOp::Not | UnOp::BitNot => !operand & self.analysis.type_of(expr).mask(),
                 })
             }
             ExprKind::Binary { op, lhs, rhs } => {

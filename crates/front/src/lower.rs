@@ -178,6 +178,16 @@ impl<'a> Lowerer<'a> {
                 self.builder.copy(dest, value);
             }
             ExprKind::Unary { op, operand } => {
+                // `~` and `!` complement within the operand's width (a bool's
+                // for `!`), the IR's `Not` within its destination's. A wider
+                // destination takes the complement through a temporary of the
+                // expression's type; a narrower one keeps the same low bits.
+                let ty = self.analysis.type_of(expr);
+                if self.builder.function_mut().vars[dest].ty.width() > ty.width() {
+                    let temp = self.temp_of(expr, ty);
+                    self.builder.copy(dest, Value::Var(temp));
+                    return;
+                }
                 let operand = self.value_of(operand);
                 let kind = match op {
                     UnOp::Not | UnOp::BitNot => OpKind::Not,
