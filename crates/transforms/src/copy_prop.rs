@@ -40,8 +40,9 @@ pub fn copy_propagation(function: &mut Function) -> Report {
 /// Worklist-driven copy propagation over an incrementally maintained
 /// [`FineState`].
 ///
-/// The worklist starts from the live `Copy` operations: a copy is the only
-/// place a forwarding can start. Examining a copy pushes its source into
+/// The worklist starts from the live `Copy` operations and the selects with
+/// equal arms (which become copies): a copy is the only place a forwarding
+/// can start. Examining a copy pushes its source into
 /// every dominated reader (the def side), so a reader needs no visit of its
 /// own until it is rewritten. Copy chains then resolve transitively by
 /// requeueing every rewritten reader: a reader that is itself a copy
@@ -54,11 +55,11 @@ pub fn copy_propagation(function: &mut Function) -> Report {
 pub fn copy_propagation_with(function: &mut Function, state: &mut FineState) -> Report {
     let mut report = Report::new("copy-propagation", &function.name);
     let FineState { graph, positions } = state;
-    let copies = function
-        .live_ops()
-        .into_iter()
-        .filter(|&op| function.ops[op].kind == OpKind::Copy);
-    let mut queue = OpQueue::of(copies);
+    let starts = function.live_ops().into_iter().filter(|&op| {
+        let op = &function.ops[op];
+        op.kind == OpKind::Copy || select_of_equal_arms(&op.kind, &op.args).is_some()
+    });
+    let mut queue = OpQueue::of(starts);
     let mut rw = Rewriter::new(function, graph);
 
     // Source stability: a constant, or a variable with a single dominating
@@ -82,10 +83,11 @@ pub fn copy_propagation_with(function: &mut Function, state: &mut FineState) -> 
             continue;
         }
 
-        // --- A rewritten select may have equal arms now. Constant
-        // propagation, which runs before this pass, reduces `c ? a : a` to a
-        // copy of `a`; do the same here, where the case arises, so the copy
-        // is forwarded below and no later const-prop run is needed.
+        // --- A select may have equal arms, most often because a forwarding
+        // just rewrote it. Constant propagation, which runs before this pass,
+        // reduces `c ? a : a` to a copy of `a`; do the same here, where the
+        // case arises, so the copy is forwarded below and no later
+        // const-prop run is needed.
         let op = &rw.function().ops[op_id];
         if let Some(arm) = select_of_equal_arms(&op.kind, &op.args) {
             rw.rewrite_op(op_id, OpKind::Copy, vec![arm]);

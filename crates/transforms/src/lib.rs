@@ -29,11 +29,12 @@
 //! [`DefUseGraph`](spark_ir::DefUseGraph) plus [`Positions`]), so a
 //! sequence of them builds the analyses once instead of once per pass. Each
 //! starts from the function itself — constant propagation from every live
-//! operation, copy propagation from every live copy, CSE from every block,
-//! DCE from every live operation — and runs to its own fixed point.
-//! Constant and copy propagation forward in one direction only: a
-//! single-definition copy pushes its value into the operands of the readers
-//! it dominates, and no reader looks up the definitions of its operands.
+//! operation, copy propagation from every live copy and equal-arm select,
+//! CSE from every block, DCE from every live operation — and runs to its
+//! own fixed point. Constant and copy propagation forward in one direction
+//! only: a single-definition copy pushes its value into the operands of the
+//! readers it dominates, and no reader looks up the definitions of its
+//! operands.
 //!
 //! # Examples
 //!
