@@ -1,5 +1,5 @@
 //! Regenerates every figure-level result of the paper and prints the tables
-//! recorded in `EXPERIMENTS.md`.
+//! recorded in `docs/reproduce.txt`.
 //!
 //! ```bash
 //! cargo run -p spark-bench --bin reproduce --release

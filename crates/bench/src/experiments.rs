@@ -34,7 +34,7 @@ pub struct ReproduceOptions {
 }
 
 impl ReproduceOptions {
-    /// The full sweep reported in `EXPERIMENTS.md` (the paper's figures).
+    /// The full sweep recorded in `docs/reproduce.txt` (the paper's figures).
     pub fn paper() -> Self {
         ReproduceOptions {
             sizes: ILD_SIZES.to_vec(),
@@ -226,11 +226,11 @@ fn experiment_e10(opts: &ReproduceOptions) {
     println!();
 }
 
-/// Ablation called out in DESIGN.md: each coordinated transformation switched
-/// off individually.
+/// Ablation (see `docs/ARCHITECTURE.md`, "Design-space exploration"): each
+/// coordinated transformation switched off individually.
 fn experiment_ablation(opts: &ReproduceOptions) {
     println!(
-        "== Ablation (DESIGN.md §3): switching off individual transformations (n = {}) ==",
+        "== Ablation (docs/ARCHITECTURE.md): switching off individual transformations (n = {}) ==",
         opts.detail_n
     );
     let program = build_ild_program(opts.detail_n);

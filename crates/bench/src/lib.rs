@@ -1,14 +1,15 @@
 //! # spark-bench — experiment harness
 //!
 //! Shared helpers behind the `reproduce` binary (which prints the
-//! table/series for every figure of the paper, recorded in `EXPERIMENTS.md`)
-//! and the `bench_synthesize` timing binary ([`perf`]), which writes the
-//! mean span totals of each run's [`Trace`](spark_core::Trace).
+//! table/series for every figure of the paper, recorded in
+//! `docs/reproduce.txt`) and the `bench_synthesize` timing binary
+//! ([`perf`]), which writes the mean span totals of each run's
+//! [`Trace`](spark_core::Trace).
 //!
-//! Experiment index (see `DESIGN.md` §3): E1 = Figures 2–3, E2–E4 =
-//! Figures 4–7, E5–E8 = the ILD transformation stages of Figures 10–15,
-//! E9 = the baseline comparison implied by Figure 1, E10 = the natural
-//! description of Figure 16.
+//! Experiment index (the design behind it is in `docs/ARCHITECTURE.md`):
+//! E1 = Figures 2–3, E2–E4 = Figures 4–7, E5–E8 = the ILD transformation
+//! stages of Figures 10–15, E9 = the baseline comparison implied by
+//! Figure 1, E10 = the natural description of Figure 16.
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,7 @@
 //! Integration tests reproducing the shape of every didactic figure of the
 //! paper (Figures 2–7 and the transformation stages of Figures 10–15).
 //! The quantitative series behind these tests are printed by the
-//! `spark-bench` reproduce binary and recorded in `EXPERIMENTS.md`.
+//! `spark-bench` reproduce binary and recorded in `docs/reproduce.txt`.
 
 use spark_core::{ablation_study, synthesize, transform_program, FlowOptions};
 use spark_ild::{build_ild_program, ILD_FUNCTION};

@@ -88,7 +88,8 @@ pub fn explore_configurations(
     .collect()
 }
 
-/// The ablation study called out in `DESIGN.md`: the coordinated flow with
+/// The ablation study (see `docs/ARCHITECTURE.md`, "Design-space
+/// exploration"): the coordinated flow with
 /// each transformation switched off individually, plus the classical
 /// baseline. Returns `(label, report)` per configuration.
 pub fn ablation_study(

@@ -7,12 +7,24 @@
 //!
 //! The crate provides:
 //!
-//! * a synthetic [`encoding`] with the paper's look-ahead structure (the real
-//!   tables are proprietary — see `DESIGN.md` for the substitution note);
+//! * a synthetic [`encoding`] with the paper's look-ahead structure (see
+//!   "The encoding" below);
 //! * a [`decode_marks`] golden software reference decoder;
 //! * behavioral descriptions: the Figure 10 form ([`build_ild_program`]) and
 //!   the natural Figure 16 form ([`build_ild_natural_program`]);
 //! * buffer workload generators used by tests and benchmarks.
+//!
+//! # The encoding
+//!
+//! The paper's decoder reads Pentium instructions, whose length tables are
+//! proprietary. This reproduction substitutes a synthetic encoding with the
+//! same structure: a length contribution per byte and a `Need_kth_Byte`
+//! flag that says whether the next byte counts, so lengths run from 1 to 11
+//! bytes and are decided by at most 4 bytes. The transformations see only
+//! that nested look-ahead, so no result of the reproduction (states, chained
+//! operations, unrolled and speculated operation counts) depends on the
+//! table contents; the area and gate estimates of the real tables would
+//! differ in their constants, not in their shape.
 //!
 //! # Examples
 //!
