@@ -89,9 +89,9 @@ pub fn explore_configurations(
 }
 
 /// The ablation study (see `docs/ARCHITECTURE.md`, "Design-space
-/// exploration"): the coordinated flow with
-/// each transformation switched off individually, plus the classical
-/// baseline. Returns `(label, report)` per configuration.
+/// exploration"): the coordinated flow with each transformation switched
+/// off individually, plus the classical baseline. Returns `(label, report)`
+/// per configuration.
 pub fn ablation_study(
     program: &Program,
     top: &str,

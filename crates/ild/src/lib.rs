@@ -20,11 +20,8 @@
 //! proprietary. This reproduction substitutes a synthetic encoding with the
 //! same structure: a length contribution per byte and a `Need_kth_Byte`
 //! flag that says whether the next byte counts, so lengths run from 1 to 11
-//! bytes and are decided by at most 4 bytes. The transformations see only
-//! that nested look-ahead, so no result of the reproduction (states, chained
-//! operations, unrolled and speculated operation counts) depends on the
-//! table contents; the area and gate estimates of the real tables would
-//! differ in their constants, not in their shape.
+//! bytes and are decided by at most 4 bytes. What the transformations act
+//! on is that nested look-ahead, not the table contents.
 //!
 //! # Examples
 //!

@@ -65,11 +65,10 @@ pub fn constant_propagation(function: &mut Function) -> Report {
 /// The worklist starts from every live operation. Folding depends only on
 /// an operation's own operands, and an operand becomes a constant only when
 /// its definition, a constant copy, pushes the constant in (the def side),
-/// which requeues the reader. Every constant copy is visited at least once, either from the
-/// start or when it folds, so no reader needs to look for constants on its
-/// own. The rewrites (operand → constant, operation → `Copy`) are
-/// confluent and monotone, so the fixed point equals the full-rescan
-/// implementation's.
+/// which requeues the reader. Every constant copy is visited, so no reader
+/// needs to look for constants on its own. The rewrites (operand →
+/// constant, operation → `Copy`) are confluent and monotone, so the fixed
+/// point equals the full-rescan implementation's.
 pub fn constant_propagation_with(function: &mut Function, state: &mut FineState) -> Report {
     let mut report = Report::new("constant-propagation", &function.name);
     let FineState { graph, positions } = state;

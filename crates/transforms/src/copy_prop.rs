@@ -42,11 +42,11 @@ pub fn copy_propagation(function: &mut Function) -> Report {
 ///
 /// The worklist starts from the live `Copy` operations and the selects with
 /// equal arms (which become copies): a copy is the only place a forwarding
-/// can start. Examining a copy pushes its source into
-/// every dominated reader (the def side), so a reader needs no visit of its
-/// own until it is rewritten. Copy chains then resolve transitively by
-/// requeueing every rewritten reader: a reader that is itself a copy
-/// forwards its new source. A reader handed the source `y` of a copy never
+/// can start. Examining a copy pushes its source into every dominated
+/// reader (the def side), so a reader needs no visit of its own until it is
+/// rewritten. Copy chains then resolve transitively by requeueing every
+/// rewritten reader: a reader that is itself a copy, or a select that
+/// became one, forwards its new source. A reader handed the source `y` of a copy never
 /// looks up `y`'s definition itself: if that definition is a forwardable
 /// copy, it has either already rewritten the copy that handed `y` on, or it
 /// pushes into the reader when it is visited. Each replacement substitutes
