@@ -20,7 +20,7 @@ use spark_bench::corpus::{
     check_oracles_agree, check_rtl_matches_interp, corpus_paths, programs_dir,
     synthesis_fingerprint,
 };
-use spark_core::{synthesize, transform_program, FlowOptions};
+use spark_core::{synthesize, synthesize_transformed, transform_program, FlowOptions};
 use spark_ild::{build_ild_program, ILD_FUNCTION};
 use spark_ir::{verify, Constant, Env, FunctionBuilder, Interpreter, OpKind, Program, Type, Value};
 use spark_transforms as xf;
@@ -103,6 +103,34 @@ fn every_corpus_program_compiles_synthesizes_and_simulates_correctly() {
              regenerate programs/fingerprints.txt",
             fingerprints[&stem]
         );
+    }
+}
+
+/// Every corpus program in both flows at 10, 16 and 30 ns, clocks between
+/// the ones the committed tables pin, where a state boundary falls inside
+/// the designs' chains: the RTL simulation agrees with the interpreter and
+/// the AST evaluator. Each program is transformed once per flow.
+#[test]
+fn every_corpus_program_simulates_correctly_at_intermediate_clocks() {
+    for path in corpus_paths() {
+        let stem = path.file_stem().unwrap().to_string_lossy().to_string();
+        let source = std::fs::read_to_string(&path).unwrap();
+        let compiled = spark_front::compile(&source).unwrap();
+        for options in [
+            FlowOptions::microprocessor_block as fn(f64) -> FlowOptions,
+            FlowOptions::asic_baseline,
+        ] {
+            let transformed =
+                transform_program(&compiled.program, &compiled.top, &options(2000.0)).unwrap();
+            for clock in [10.0, 16.0, 30.0] {
+                let options = options(clock);
+                let design = format!("`{stem}` {:?} at {clock} ns", options.mode);
+                let result = synthesize_transformed(&transformed, &options)
+                    .unwrap_or_else(|e| panic!("{design}: {e}"));
+                check_rtl_matches_interp(&compiled, &compiled.top, &result, 0..8)
+                    .unwrap_or_else(|e| panic!("{design}: {e}"));
+            }
+        }
     }
 }
 

@@ -197,6 +197,26 @@ fn dense_map_scheduler_is_byte_identical_to_seed_behavior() {
     }
 }
 
+/// The single-cycle ILD at n=32 commits a wire back to its register only
+/// where something reads that register: 288 commit copies for 1,345
+/// producers rewritten to write a wire, not one per producer.
+#[test]
+fn single_cycle_ild_commits_only_read_registers() {
+    let result = synthesize(
+        &build_ild_program(32),
+        ILD_FUNCTION,
+        &FlowOptions::microprocessor_block(2000.0),
+    )
+    .unwrap();
+    assert!(result.is_single_cycle());
+    let wires = &result.wire_report;
+    assert_eq!(
+        (wires.producers_rewritten, wires.commit_copies),
+        (1345, 288),
+        "{wires:?}"
+    );
+}
+
 /// The parallel clock sweep must return points in input order with the same
 /// reports the serial per-point flow produces.
 #[test]

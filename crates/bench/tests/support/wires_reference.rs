@@ -3,15 +3,21 @@
 //! replaced, written against the public IR and schedule API. Test files
 //! include it with `#[path = "support/wires_reference.rs"] mod wires_reference;`.
 
+use std::collections::BTreeSet;
+
 use spark_ir::{
-    BlockId, Function, HtgNode, NodeId, OpId, OpKind, RegionId, SecondaryMap, Value, Var, VarId,
+    BlockId, Function, HtgNode, NodeId, OpId, OpKind, PortDirection, RegionId, SecondaryMap, Value,
+    Var, VarId,
 };
 use spark_sched::{DependenceGraph, Schedule, WireReport};
 
 /// Wire-variable insertion with one `(writers, readers)` table per variable
 /// and state, splicing each commit copy and initializer node into place as
 /// it is created. Each condition of an op's guard in `graph` counts as a
-/// read by that op.
+/// read by that op. A rewritten writer gets its commit copy only if its
+/// variable's register is read: the variable is a port, a guard reads it,
+/// an operand reads it with no writer of the same state before it in
+/// program order, or an initializer reads it.
 pub fn reference_insert_wire_variables(
     function: &mut Function,
     graph: &DependenceGraph,
@@ -45,6 +51,18 @@ pub fn reference_insert_wire_variables(
         };
         &mut entries[index].1
     }
+    let conditional = |op: OpId| {
+        graph
+            .block_of(op)
+            .is_some_and(|b| outermost.contains_key(&b))
+    };
+    let mut register_read: BTreeSet<VarId> = function
+        .vars
+        .iter()
+        .filter(|(_, v)| v.direction != PortDirection::Internal)
+        .map(|(id, _)| id)
+        .collect();
+    let mut operand_reads: Vec<(VarId, usize, OpId)> = Vec::new();
     for &op_id in &order {
         let Some(&state) = schedule.op_state.get(&op_id) else {
             continue;
@@ -53,17 +71,41 @@ pub fn reference_insert_wire_variables(
         for used in op.uses_iter() {
             if !function.vars[used].is_array() {
                 state_entry(&mut accesses, used, state).1.push(op_id);
+                operand_reads.push((used, state, op_id));
             }
         }
         for (cond, _) in graph.guard_of(op_id).terms {
             if let Some(cond) = cond.as_var() {
                 state_entry(&mut accesses, cond, state).1.push(op_id);
+                register_read.insert(cond);
             }
         }
         if let Some(defined) = op.def() {
             if !function.vars[defined].is_array() {
                 state_entry(&mut accesses, defined, state).0.push(op_id);
             }
+        }
+    }
+    // A state whose first writer is conditional and has a read after it
+    // gets an initializer, which reads the register.
+    for (var, entries) in accesses.iter() {
+        for (_, (writers, readers)) in entries {
+            let first_writer = writers.iter().copied().min_by_key(|w| position[w]);
+            if first_writer.is_some_and(|w| {
+                conditional(w) && readers.iter().any(|r| position[r] > position[&w])
+            }) {
+                register_read.insert(var);
+            }
+        }
+    }
+    for (var, state, reader) in operand_reads {
+        let redirected = accesses[&var]
+            .iter()
+            .filter(|&&(s, _)| s == state)
+            .flat_map(|(_, (writers, _))| writers)
+            .any(|w| position[w] < position[&reader]);
+        if !redirected {
+            register_read.insert(var);
         }
     }
 
@@ -130,6 +172,10 @@ pub fn reference_insert_wire_variables(
                     continue;
                 };
                 function.ops[writer].dest = Some(wire);
+                report.producers_rewritten += 1;
+                if !register_read.contains(&var) {
+                    continue;
+                }
                 let commit = function.add_op(OpKind::Copy, Some(var), vec![Value::Var(wire)]);
                 let at = function.blocks[block]
                     .ops
@@ -139,7 +185,6 @@ pub fn reference_insert_wire_variables(
                 function.blocks[block].insert(at + 1, commit);
                 let finish = schedule.op_finish.get(&writer).copied().unwrap_or(0.0);
                 schedule.record(commit, state, finish, finish, 0);
-                report.producers_rewritten += 1;
                 report.commit_copies += 1;
             }
 

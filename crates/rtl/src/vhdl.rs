@@ -75,11 +75,15 @@ impl<'a> VhdlEmitter<'a> {
             "  signal state : integer range 0 to {};",
             num_states.saturating_sub(1)
         );
+        let named = registers_named(f, self.controller);
         for (var_id, var) in f.vars.iter() {
             // Inputs come straight from the ports; wire-variables become
-            // process variables. Everything else (internal registers and the
-            // registers backing output ports) is a signal.
-            if var.direction == PortDirection::Input || var.is_wire() {
+            // process variables. The registers backing output ports, and the
+            // internal registers some statement names, are signals.
+            if var.direction == PortDirection::Input
+                || var.is_wire()
+                || (var.direction == PortDirection::Internal && !named[var_id.index()])
+            {
                 continue;
             }
             for element in elements(var.storage) {
@@ -133,6 +137,24 @@ impl<'a> VhdlEmitter<'a> {
         out.push_str("end architecture;\n");
         out
     }
+}
+
+/// Per variable (indexed by `VarId::index()`), whether a statement of the
+/// controller names it: the destination, an operand or a guard term of a
+/// scheduled op other than a return, which the text leaves out.
+fn registers_named(f: &Function, controller: &Controller) -> Vec<bool> {
+    let mut named = vec![false; f.vars.len()];
+    for scheduled in controller.steps.iter().flat_map(|step| &step.ops) {
+        let op = &f.ops[scheduled.op];
+        if matches!(op.kind, OpKind::Return) {
+            continue;
+        }
+        let conditions = scheduled.guard.terms.iter().filter_map(|(c, _)| c.as_var());
+        for var in op.uses_iter().chain(op.def()).chain(conditions) {
+            named[var.index()] = true;
+        }
+    }
+    named
 }
 
 /// The declared elements of a variable: `[None]` for a scalar, one
@@ -410,8 +432,12 @@ mod tests {
         // wire-variables -> VHDL variables.
         let vhdl = emit(sample());
         assert!(
-            vhdl.contains("signal r_t"),
-            "the chained temporary t is a register signal candidate"
+            vhdl.contains("signal r_result"),
+            "the register behind an output port is a signal"
+        );
+        assert!(
+            !vhdl.contains("r_t"),
+            "the chained temporary t is read only through its wire: no register"
         );
         assert!(
             vhdl.contains("variable v_w_t_0"),
@@ -548,6 +574,63 @@ end architecture;
         let vhdl = emit(b.finish());
         assert!(!vhdl.contains("if r_c"), "{vhdl}");
         assert_eq!(vhdl, expected);
+    }
+
+    #[test]
+    fn declares_only_the_registers_a_statement_names() {
+        // t = a + 1; u = t + 2; y = u + t, chained into one state: t and u
+        // are read only through their wires, so no statement names `r_t`
+        // or `r_u` and neither is declared.
+        let mut b = FunctionBuilder::new("chain");
+        let a = b.param("a", Type::Bits(8));
+        let t = b.var("t", Type::Bits(8));
+        let u = b.var("u", Type::Bits(8));
+        let y = b.output("y", Type::Bits(8));
+        b.assign(OpKind::Add, t, vec![Value::Var(a), Value::word(1)]);
+        b.assign(OpKind::Add, u, vec![Value::Var(t), Value::word(2)]);
+        b.assign(OpKind::Add, y, vec![Value::Var(u), Value::Var(t)]);
+        let expected = "\
+-- Generated by the Spark HLS reproduction (DAC 2002 coordinated transformations)
+library ieee;
+use ieee.std_logic_1164.all;
+use ieee.numeric_std.all;
+
+entity chain is
+  port (
+    clk : in std_logic;
+    rst : in std_logic;
+    a : in std_logic_vector(7 downto 0);
+    y : out std_logic_vector(7 downto 0)
+  );
+end entity;
+
+architecture spark of chain is
+  signal state : integer range 0 to 0;
+  signal r_y : std_logic_vector(7 downto 0);
+begin
+  datapath : process(clk)
+    variable v_w_t_0 : std_logic_vector(7 downto 0);
+    variable v_w_u_0 : std_logic_vector(7 downto 0);
+  begin
+    if rising_edge(clk) then
+      if rst = '1' then
+        state <= 0;
+      else
+        case state is
+          when 0 =>
+            v_w_t_0 := std_logic_vector(unsigned(a) + unsigned(std_logic_vector(to_unsigned(1, 32))));
+            v_w_u_0 := std_logic_vector(unsigned(v_w_t_0) + unsigned(std_logic_vector(to_unsigned(2, 32))));
+            r_y <= std_logic_vector(unsigned(v_w_u_0) + unsigned(v_w_t_0));
+            state <= 0;
+          when others => state <= 0;
+        end case;
+      end if;
+    end if;
+  end process;
+  y <= r_y;
+end architecture;
+";
+        assert_eq!(emit(b.finish()), expected);
     }
 
     /// One variable of every kind the operand writer distinguishes.

@@ -3,15 +3,17 @@
 //! Registers can only be read in the cycle after they are written. To chain
 //! an operation with the producer of one of its operands *within* a cycle,
 //! the producer must drive a **wire-variable**: the producer is rewritten to
-//! write a fresh variable marked as a wire, a copy back into the original
-//! (potentially registered) variable is inserted after it, and same-cycle
-//! readers are redirected to the wire. When producers sit in conditional
-//! branches, the wire is pre-initialised with the register value before the
-//! conditional so that every chaining trail supplies a value (the situation
-//! of Figures 6 and 7).
+//! write a fresh variable marked as a wire, and same-cycle readers are
+//! redirected to the wire. A commit copy back into the original variable is
+//! inserted after the producer only when something reads that variable's
+//! register: a port, a read in a later state, a guard, or an initializer.
+//! When producers sit in conditional branches, the wire is pre-initialised
+//! with the register value before the conditional so that every chaining
+//! trail supplies a value (the situation of Figures 6 and 7).
 //!
 //! A guard condition counts as a read, by each op it guards, so it gets its
-//! wire and commit copy exactly as a data operand does.
+//! wire exactly as a data operand does, and always keeps its commit copy:
+//! the controller reads a guard through its wire only via that copy.
 //!
 //! The rewrites add copies only under guards the
 //! [`DependenceGraph`](crate::DependenceGraph) the schedule was built from
@@ -21,7 +23,8 @@
 //! needs them.
 
 use spark_ir::{
-    BlockId, Function, HtgNode, NodeId, OpId, OpKind, RegionId, SecondaryMap, Value, VarId,
+    BlockId, Function, HtgNode, NodeId, OpId, OpKind, PortDirection, RegionId, SecondaryMap, Value,
+    VarId,
 };
 
 use crate::deps::DependenceGraph;
@@ -43,16 +46,28 @@ pub struct WireReport {
     pub readers_redirected: usize,
 }
 
+/// How an [`Access`] touches its variable.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Touch {
+    /// An operand read, redirected to the wire when a writer precedes it.
+    Operand,
+    /// A guard condition read. [`Controller::build`](crate::Controller::build)
+    /// redirects it only through a commit copy, so it always reads the
+    /// register.
+    Guard,
+    /// A definition.
+    Write,
+}
+
 /// One scalar access by a scheduled live operation: `op`, at `position` in
-/// program order, reads (an operand or guard condition) or (`is_writer`)
-/// writes `var` in control step `state`.
+/// program order, touches `var` in control step `state`.
 #[derive(Clone, Copy)]
 struct Access {
     var: VarId,
     state: usize,
     position: usize,
     op: OpId,
-    is_writer: bool,
+    touch: Touch,
 }
 
 /// Inserts wire-variables for every value that is produced and consumed in
@@ -61,15 +76,30 @@ struct Access {
 /// from, gives the program order, the guards and the blocks.
 ///
 /// Returns a [`WireReport`] describing the rewrites. The transformation
-/// preserves sequential semantics (checked by the interpreter-equivalence
-/// tests) and leaves registers holding exactly the values they held before.
+/// preserves sequential semantics for every port and for every register
+/// that some operation or guard still reads (checked by the
+/// interpreter-equivalence tests). A variable whose register nothing reads
+/// gets no commit copies at all, so its register may end holding another
+/// value than before, and nothing observes it.
+///
+/// A variable's register is read, and each of its rewritten writers gets a
+/// commit copy, when
+/// - (a) it is a port;
+/// - (b) some operand read of it is not redirected to a wire: no writer
+///   precedes the read in its state, or the reader is that writer itself
+///   (`v = v + 1`);
+/// - (c) a guard term reads it (guards read the register unless a commit
+///   copy in the same state hands them its wire);
+/// - (d) an initializer `wire = register` reads it: in some state its first
+///   writer is conditional and a read follows that writer.
 ///
 /// The pass makes one walk over the graph's operations, collecting every
 /// scalar access into one flat list, and a stable sort by
 /// `(variable, state)` groups it: variable-major, state-ascending, program
-/// order within a group. Each group creates its wire, initializer and commit
-/// copies (ids allocated in group order) and redirects its readers. The
-/// commits are spliced in after their writers, and the initializers in
+/// order within a group. One scan of a variable's run decides whether its
+/// register is read. Each group then creates its wire, initializer and
+/// commit copies (ids allocated in group order) and redirects its readers.
+/// The commits are spliced in after their writers, and the initializers in
 /// front of their compound nodes, once per touched block and once for the
 /// body region at the end.
 pub fn insert_wire_variables(
@@ -82,6 +112,11 @@ pub fn insert_wire_variables(
     // Per-block guard structure, in one walk: the outermost compound node a
     // block lives under (absent for top-level blocks).
     let outermost = outermost_compounds(function);
+    let conditional = |op: OpId| {
+        graph
+            .block_of(op)
+            .is_some_and(|b| outermost.contains_key(&b))
+    };
 
     let mut accesses: Vec<Access> = Vec::with_capacity(graph.order.len() * 3);
     for (position, &op) in graph.order.iter().enumerate() {
@@ -89,27 +124,27 @@ pub fn insert_wire_variables(
             continue;
         };
         let operation = &function.ops[op];
-        let access = |var, is_writer| Access {
+        let access = |var, touch| Access {
             var,
             state,
             position,
             op,
-            is_writer,
+            touch,
         };
         for used in operation.uses_iter() {
             if !function.vars[used].is_array() {
-                accesses.push(access(used, false));
+                accesses.push(access(used, Touch::Operand));
             }
         }
         let guard = graph
             .guard_id_of(op)
             .map(|id| graph.guard_table().guard(id));
         for (cond, _) in guard.iter().flat_map(|g| &g.terms) {
-            accesses.extend(cond.as_var().map(|c| access(c, false)));
+            accesses.extend(cond.as_var().map(|c| access(c, Touch::Guard)));
         }
         if let Some(defined) = operation.def() {
             if !function.vars[defined].is_array() {
-                accesses.push(access(defined, true));
+                accesses.push(access(defined, Touch::Write));
             }
         }
     }
@@ -122,8 +157,17 @@ pub fn insert_wire_variables(
     let mut initializers: SecondaryMap<NodeId, Vec<NodeId>> = SecondaryMap::new();
 
     let mut rest = accesses.as_slice();
+    let mut run_var = None;
+    let mut register_read = false;
     while let Some(first) = rest.first() {
         let key = (first.var, first.state);
+        if run_var != Some(first.var) {
+            // Entering the variable's run: decide for all its states at once.
+            run_var = Some(first.var);
+            let run = rest.iter().take_while(|a| a.var == first.var).count();
+            register_read = function.vars[first.var].direction != PortDirection::Internal
+                || reads_register(&rest[..run], conditional);
+        }
         let len = rest
             .iter()
             .position(|a| (a.var, a.state) != key)
@@ -134,13 +178,13 @@ pub fn insert_wire_variables(
 
         // A reader needs the wire only if some writer precedes it in program
         // order (otherwise it legitimately reads the register).
-        let Some(first_writer) = group.iter().find(|a| a.is_writer) else {
+        let Some(first_writer) = group.iter().find(|a| a.touch == Touch::Write) else {
             continue;
         };
         let Some(last_chained_reader) = group
             .iter()
             .rev()
-            .find(|a| !a.is_writer)
+            .find(|a| a.touch != Touch::Write)
             .filter(|r| r.position > first_writer.position)
         else {
             continue;
@@ -157,12 +201,9 @@ pub fn insert_wire_variables(
         // Figure 7 case: if any writer is conditional, pre-initialise the
         // wire from the register before the outermost compound node that
         // contains the first writer.
-        let needs_initializer = group.iter().any(|a| {
-            a.is_writer
-                && graph
-                    .block_of(a.op)
-                    .is_some_and(|b| outermost.contains_key(&b))
-        });
+        let needs_initializer = group
+            .iter()
+            .any(|a| a.touch == Touch::Write && conditional(a.op));
         if needs_initializer {
             if let Some(&compound) = graph
                 .block_of(first_writer.op)
@@ -180,29 +221,33 @@ pub fn insert_wire_variables(
             }
         }
 
-        // Rewrite writers: write the wire, commit the register right after.
-        // A writer after every chained reader does not need rewriting.
+        // Rewrite writers to write the wire and, if the register is read,
+        // commit it right after. A writer after every chained reader does
+        // not need rewriting.
         for writer in group
             .iter()
-            .filter(|a| a.is_writer && a.position <= last_chained_reader.position)
+            .filter(|a| a.touch == Touch::Write && a.position <= last_chained_reader.position)
         {
             let Some(block) = graph.block_of(writer.op) else {
                 continue;
             };
             function.ops[writer.op].dest = Some(wire);
+            report.producers_rewritten += 1;
+            if !register_read {
+                continue;
+            }
             let commit = function.add_op(OpKind::Copy, Some(var), vec![Value::Var(wire)]);
             commits.insert(writer.op, commit);
             touched_blocks.push(block);
             let finish = schedule.op_finish.get(&writer.op).copied().unwrap_or(0.0);
             schedule.record(commit, state, finish, finish, 0);
-            report.producers_rewritten += 1;
             report.commit_copies += 1;
         }
 
         // Redirect chained readers to the wire.
         for reader in group
             .iter()
-            .filter(|a| !a.is_writer && a.position > first_writer.position)
+            .filter(|a| a.touch == Touch::Operand && a.position > first_writer.position)
         {
             for arg in &mut function.ops[reader.op].args {
                 if *arg == Value::Var(var) {
@@ -234,6 +279,29 @@ pub fn insert_wire_variables(
             .collect();
     }
     report
+}
+
+/// Rules (b) to (d) of [`insert_wire_variables`] over one internal
+/// variable's accesses, sorted by state and then program order (an op's
+/// operand reads before its write). `conditional` tells whether a writer
+/// sits under a compound node.
+fn reads_register(run: &[Access], conditional: impl Fn(OpId) -> bool) -> bool {
+    let mut state = run[0].state;
+    // Whether the state's first writer so far is conditional.
+    let mut first_writer: Option<bool> = None;
+    for access in run {
+        if access.state != state {
+            state = access.state;
+            first_writer = None;
+        }
+        match (access.touch, first_writer) {
+            (Touch::Guard, _) | (Touch::Operand, None | Some(true)) => return true,
+            (Touch::Operand, Some(false)) => {}
+            (Touch::Write, None) => first_writer = Some(conditional(access.op)),
+            (Touch::Write, Some(_)) => {}
+        }
+    }
+    false
 }
 
 /// Maps every basic block nested under a top-level compound node of the body
@@ -278,7 +346,7 @@ fn outermost_compounds(function: &Function) -> SecondaryMap<BlockId, NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deps::{DepKind, DependenceGraph};
+    use crate::deps::{walk_guards, DepKind, DependenceGraph};
     use crate::resources::ResourceLibrary;
     use crate::scheduler::{schedule, Constraints};
     use spark_ir::{verify, Env, FunctionBuilder, Interpreter, Program, StorageClass, Type};
@@ -292,18 +360,56 @@ mod tests {
         (sched, report)
     }
 
+    /// The registers `f` still reads: every non-wire scalar that a live
+    /// op's operand or a guard term names.
+    fn registers_read(f: &Function) -> Vec<VarId> {
+        let mut read: Vec<VarId> = f
+            .live_ops()
+            .into_iter()
+            .flat_map(|op| f.ops[op].uses_iter().collect::<Vec<_>>())
+            .collect();
+        walk_guards(f, |guard, _, _| {
+            read.extend(guard.terms.iter().filter_map(|(c, _)| c.as_var()));
+        })
+        .unwrap();
+        read.retain(|&v| !f.vars[v].is_wire() && !f.vars[v].is_array());
+        read
+    }
+
+    /// Runs `original` and its rewrite `transformed` on each of `envs`.
+    /// Every port, and every variable that an op or guard of `transformed`
+    /// reads as a register, ends with the same value, and so do the arrays.
+    /// A variable that ends with another value is no port, no op or guard
+    /// of `transformed` reads it, and no commit copy writes it: the pass
+    /// left its register uncommitted because nothing reads it.
     fn equivalent(original: &Function, transformed: &Function, envs: &[Env]) {
         let mut p0 = Program::new();
         p0.add_function(original.clone());
         let mut p1 = Program::new();
         p1.add_function(transformed.clone());
+        let read = registers_read(transformed);
+        let committed: Vec<VarId> = commits(transformed)
+            .into_iter()
+            .filter_map(|op| transformed.ops[op].dest)
+            .collect();
         for env in envs {
             let a = Interpreter::new(&p0).run(&original.name, env).unwrap();
             let b = Interpreter::new(&p1).run(&transformed.name, env).unwrap();
-            // Every variable of the original must hold the same final value
-            // (wire temporaries only add new names).
             for (name, value) in &a.scalars {
-                assert_eq!(Some(value), b.scalars.get(name), "scalar `{name}`");
+                let (var, v) = transformed
+                    .vars
+                    .iter()
+                    .find(|(_, v)| v.name == *name)
+                    .expect("the rewrite keeps every variable");
+                let port = v.direction != PortDirection::Internal;
+                if port || read.contains(&var) {
+                    assert_eq!(Some(value), b.scalars.get(name), "scalar `{name}`");
+                } else if Some(value) != b.scalars.get(name) {
+                    assert!(
+                        !committed.contains(&var),
+                        "`{name}` ends differently, yet a commit copy writes it"
+                    );
+                }
             }
             assert_eq!(a.arrays, b.arrays);
         }
@@ -323,7 +429,7 @@ mod tests {
         let (sched, report) = schedule_and_insert(&mut f, 10.0);
         assert_eq!(sched.num_states, 1);
         assert_eq!(report.wires_created, 1);
-        assert_eq!(report.commit_copies, 1);
+        assert_eq!(report.commit_copies, 0, "nothing reads r1's register");
         assert_eq!(report.readers_redirected, 1);
         verify(&f).expect("well formed");
         // r2's producer now reads a wire-variable.
@@ -342,6 +448,114 @@ mod tests {
                 Env::new().with_scalar("a", 250),
             ],
         );
+    }
+
+    #[test]
+    fn a_chain_within_one_state_gets_wires_and_no_commit() {
+        // t = a + 1; u = t + 2; y = u + t: every read of t and u follows
+        // its writer in the one state, so no register of theirs is read.
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let t = b.var("t", Type::Bits(8));
+        let u = b.var("u", Type::Bits(8));
+        let y = b.output("y", Type::Bits(8));
+        b.assign(OpKind::Add, t, vec![Value::Var(a), Value::word(1)]);
+        b.assign(OpKind::Add, u, vec![Value::Var(t), Value::word(2)]);
+        b.assign(OpKind::Add, y, vec![Value::Var(u), Value::Var(t)]);
+        let original = b.finish();
+        let mut f = original.clone();
+        let (sched, report) = schedule_and_insert(&mut f, 10.0);
+        assert_eq!(sched.num_states, 1);
+        assert_eq!(
+            report,
+            WireReport {
+                wires_created: 2,
+                producers_rewritten: 2,
+                commit_copies: 0,
+                initializers: 0,
+                readers_redirected: 3,
+            }
+        );
+        verify(&f).expect("well formed");
+        assert_eq!(registers_read(&f), [a], "only the input port is read");
+        for op in f.live_ops() {
+            let named: Vec<VarId> = f.ops[op].uses_iter().chain(f.ops[op].def()).collect();
+            assert!(!named.contains(&t) && !named.contains(&u), "{op:?}");
+        }
+        equivalent(
+            &original,
+            &f,
+            &[
+                Env::new().with_scalar("a", 7),
+                Env::new().with_scalar("a", 254),
+            ],
+        );
+    }
+
+    #[test]
+    fn a_value_chained_in_one_state_and_read_in_the_next_keeps_its_commit() {
+        // At 5 ns two adders fit a state: x and y chain in state 0, z and
+        // out in state 1, where `out` reads x's register.
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let x = b.var("x", Type::Bits(8));
+        let y = b.var("y", Type::Bits(8));
+        let z = b.var("z", Type::Bits(8));
+        let out = b.output("out", Type::Bits(8));
+        b.assign(OpKind::Add, x, vec![Value::Var(a), Value::word(1)]);
+        b.assign(OpKind::Add, y, vec![Value::Var(x), Value::word(2)]);
+        b.assign(OpKind::Add, z, vec![Value::Var(y), Value::word(3)]);
+        b.assign(OpKind::Add, out, vec![Value::Var(z), Value::Var(x)]);
+        let original = b.finish();
+        let mut f = original.clone();
+        let (sched, report) = schedule_and_insert(&mut f, 5.0);
+        assert_eq!(sched.num_states, 2);
+        assert_eq!(report.wires_created, 2, "x in state 0, z in state 1");
+        assert_eq!(report.commit_copies, 1);
+        let commit = commits(&f)[0];
+        assert_eq!(f.ops[commit].dest, Some(x));
+        assert_eq!(sched.op_state[&commit], 0);
+        verify(&f).expect("well formed");
+        equivalent(
+            &original,
+            &f,
+            &[
+                Env::new().with_scalar("a", 7),
+                Env::new().with_scalar("a", 200),
+            ],
+        );
+    }
+
+    #[test]
+    fn a_guarded_writer_in_a_later_state_keeps_the_earlier_commit() {
+        // v = a + 1 chains into x in state 0; in state 1 a guarded write of
+        // v chains into y, so its wire is pre-initialised from v's register.
+        // No operand or guard reads that register, but the initializer
+        // does: without the state-0 commit it would read a stale value.
+        let mut b = FunctionBuilder::new("f");
+        let a = b.param("a", Type::Bits(8));
+        let c = b.param("c", Type::Bool);
+        let v = b.var("v", Type::Bits(8));
+        let x = b.output("x", Type::Bits(8));
+        let y = b.output("y", Type::Bits(8));
+        b.assign(OpKind::Add, v, vec![Value::Var(a), Value::word(1)]);
+        b.assign(OpKind::Add, x, vec![Value::Var(v), Value::word(2)]);
+        b.if_begin(Value::Var(c));
+        b.assign(OpKind::Add, v, vec![Value::Var(x), Value::word(1)]);
+        b.if_end();
+        b.assign(OpKind::Add, y, vec![Value::Var(v), Value::word(3)]);
+        let original = b.finish();
+        let mut f = original.clone();
+        let (sched, report) = schedule_and_insert(&mut f, 5.0);
+        assert_eq!(sched.num_states, 2);
+        assert_eq!(report.initializers, 1);
+        assert_eq!(report.commit_copies, 2, "one commit of v per state");
+        verify(&f).expect("well formed");
+        let envs: Vec<Env> = [0u64, 1]
+            .into_iter()
+            .map(|c| Env::new().with_scalar("a", 9).with_scalar("c", c))
+            .collect();
+        equivalent(&original, &f, &envs);
     }
 
     #[test]
@@ -517,9 +731,10 @@ mod tests {
 
     #[test]
     fn straight_line_chain_post_wire_graph_links_writer_commit_and_reader() {
+        // r1 is an output, so its register is read and keeps its commit.
         let mut b = FunctionBuilder::new("f");
         let a = b.param("a", Type::Bits(8));
-        let r1 = b.var("r1", Type::Bits(8));
+        let r1 = b.output("r1", Type::Bits(8));
         let r2 = b.var("r2", Type::Bits(8));
         let writer = b.assign(OpKind::Add, r1, vec![Value::Var(a), Value::word(1)]);
         let reader = b.assign(OpKind::Add, r2, vec![Value::Var(r1), Value::word(2)]);
