@@ -79,7 +79,7 @@ fn experiment_e1(opts: &ReproduceOptions) {
         let sched = figure2_unrolled_schedule(n);
         let mut unrolled = figure2_loop(n);
         spark_transforms::unroll_all_loops(&mut unrolled).expect("the Figure 2 loop unrolls");
-        spark_transforms::constant_propagation(&mut unrolled);
+        spark_transforms::propagation(&mut unrolled);
         spark_transforms::dead_code_elimination(&mut unrolled);
         (n, sched.num_states, unrolled.live_op_count())
     });

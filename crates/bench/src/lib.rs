@@ -59,8 +59,7 @@ pub fn figure2_loop(n: u64) -> Function {
 pub fn figure2_unrolled_schedule(n: u64) -> Schedule {
     let mut f = figure2_loop(n);
     xf::unroll_all_loops(&mut f).expect("the Figure 2 loop unrolls");
-    xf::constant_propagation(&mut f);
-    xf::copy_propagation(&mut f);
+    xf::propagation(&mut f);
     xf::dead_code_elimination(&mut f);
     let graph = DependenceGraph::build(&f).expect("loop-free after unrolling");
     schedule(

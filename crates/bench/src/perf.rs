@@ -173,9 +173,9 @@ mod tests {
                 mean_ms: 1.5,
                 trace: Trace {
                     spans: vec![
-                        span("constant-propagation", 1, 0.25),
+                        span("propagation", 1, 0.25),
                         span("dead-code-elimination", 1, 0.2),
-                        span("constant-propagation", 1, 0.125),
+                        span("propagation", 1, 0.125),
                         span("transform", 0, 0.9),
                         span("sched_deps", 1, 0.15),
                         span("sched_list", 1, 0.1),
@@ -212,8 +212,8 @@ mod tests {
         assert!(json.contains("\"sched_validate_ms\": 0.030"));
         assert!(json.contains("\"sched_controller_ms\": 0.020"));
         // A pass that ran twice is written once, as the sum of both runs.
-        assert_eq!(json.matches("\"constant-propagation_ms\"").count(), 1);
-        assert!(json.contains("\"constant-propagation_ms\": 0.375"));
+        assert_eq!(json.matches("\"propagation_ms\"").count(), 1);
+        assert!(json.contains("\"propagation_ms\": 0.375"));
         assert!(json.contains("\"dead-code-elimination_ms\": 0.200"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         // Exactly one separating comma between the two records.

@@ -38,8 +38,7 @@ fn figure2_unroll_and_const_prop_expose_parallelism() {
 
     let mut f = build();
     xf::unroll_all_loops(&mut f).unwrap();
-    xf::constant_propagation(&mut f);
-    xf::copy_propagation(&mut f);
+    xf::propagation(&mut f);
     xf::dead_code_elimination(&mut f);
     assert_eq!(f.loop_count(), 0);
 

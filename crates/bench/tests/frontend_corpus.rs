@@ -550,10 +550,10 @@ fn every_corpus_report_matches_the_committed_table() {
     }
 }
 
-/// Selects whose arms a clean-up pass after constant propagation makes
-/// equal: copy propagation in the first, CSE and then copy propagation in
-/// the second (coordinated flow only). Unless copy propagation reduces such
-/// a select to a copy of its arm, constant propagation still finds it.
+/// Selects whose arms the clean-up makes equal: a forwarded copy in the
+/// first, CSE and then a forwarded copy in the second (coordinated flow
+/// only). Unless propagation reduces such a select to a copy of its arm, a
+/// second propagation run still finds it.
 const EQUAL_ARM_SELECTS: [(&str, &str); 2] = [
     (
         "equal_arms",
@@ -600,10 +600,7 @@ fn transformed_tops_are_fixed_points_of_the_clean_up() {
         ] {
             let transformed = transform_program(program, top, &options).unwrap();
             let mut function = transformed.program.function(top).unwrap().clone();
-            let mut passes = vec![
-                xf::constant_propagation(&mut function),
-                xf::copy_propagation(&mut function),
-            ];
+            let mut passes = vec![xf::propagation(&mut function)];
             if options.cse {
                 passes.push(xf::common_subexpression_elimination(&mut function));
             }
@@ -628,19 +625,14 @@ fn transformed_tops_are_fixed_points_of_the_clean_up() {
             .map(|report| report.pass.clone())
             .collect()
     };
-    let clean_up = [
-        "constant-propagation",
-        "copy-propagation",
-        "dead-code-elimination",
-    ];
+    let clean_up = ["propagation", "dead-code-elimination"];
     let mut coordinated = vec!["while-to-for", "inline", "speculation", "loop-unroll-all"];
     coordinated.extend(clean_up);
     coordinated.extend([
         "speculation",
-        "constant-propagation",
-        "copy-propagation",
+        "propagation",
         "cse",
-        "copy-propagation",
+        "propagation",
         "dead-code-elimination",
         "condition-isolation",
     ]);

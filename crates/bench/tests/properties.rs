@@ -27,8 +27,8 @@ use spark_transforms as xf;
 /// straight-line arithmetic over a growing variable pool, conditionals
 /// (then- and else-branches), small counted loops (some with a branch on
 /// the loop index, which is constant per iteration once unrolled), repeated
-/// expressions (CSE fodder), constant copies (const-prop fodder) and
-/// variable copies (copy-prop fodder), selects whose arms may become equal,
+/// expressions (CSE fodder), constant and variable copies (propagation
+/// fodder), selects whose arms may become equal,
 /// ending in writes to primary outputs so not everything is dead. Two condition flags may be rewritten inside
 /// a branch and guard later code, also in the opposite branch; a pool
 /// variable may be redefined under a guard and then unconditionally.
@@ -83,13 +83,13 @@ fn build_function(script: &[u8], extended: bool) -> Function {
                 b.assign(kind, dest, vec![lhs, rhs]);
                 pool.push(dest);
             }
-            // A constant copy (constant-propagation fodder).
+            // A constant copy (propagation fodder).
             3 => {
                 let dest = b.var(&format!("v{}", pool.len()), Type::Bits(8));
                 b.copy(dest, Value::word(u64::from(a % 16)));
                 pool.push(dest);
             }
-            // A variable copy (copy-propagation fodder).
+            // A variable copy (propagation fodder).
             4 => {
                 let dest = b.var(&format!("v{}", pool.len()), Type::Bits(8));
                 b.copy(dest, Value::Var(pick(a, &pool)));
@@ -223,12 +223,10 @@ fn build_function(script: &[u8], extended: bool) -> Function {
 /// entry points (each pass builds fresh analyses and examines everything):
 /// the reference the pipeline's one clean-up round must match op for op.
 fn reference_cleanup(f: &mut Function) {
-    xf::constant_propagation(f);
-    xf::copy_propagation(f);
+    xf::propagation(f);
     xf::common_subexpression_elimination(f);
     xf::dead_code_elimination(f);
-    xf::constant_propagation(f);
-    xf::copy_propagation(f);
+    xf::propagation(f);
     xf::dead_code_elimination(f);
 }
 
@@ -269,8 +267,7 @@ fn uncompacted_transformed_function(script: &[u8]) -> Function {
     let mut f = build_scripted_function(script);
     xf::speculate(&mut f);
     xf::unroll_all_loops(&mut f).unwrap();
-    xf::constant_propagation(&mut f);
-    xf::copy_propagation(&mut f);
+    xf::propagation(&mut f);
     xf::dead_code_elimination(&mut f);
     xf::speculate(&mut f);
     reference_cleanup(&mut f);
@@ -431,12 +428,12 @@ proptest! {
         let original = builder.finish();
 
         let mut transformed = original.clone();
-        xf::constant_propagation(&mut transformed);
+        xf::propagation(&mut transformed);
         xf::common_subexpression_elimination(&mut transformed);
-        xf::copy_propagation(&mut transformed);
+        xf::propagation(&mut transformed);
         xf::dead_code_elimination(&mut transformed);
         xf::speculate(&mut transformed);
-        xf::copy_propagation(&mut transformed);
+        xf::propagation(&mut transformed);
         xf::dead_code_elimination(&mut transformed);
         prop_assert!(verify(&transformed).is_ok());
 
@@ -470,7 +467,7 @@ proptest! {
         let original = build();
         let mut transformed = build();
         xf::unroll_all_loops(&mut transformed).unwrap();
-        xf::constant_propagation(&mut transformed);
+        xf::propagation(&mut transformed);
         xf::dead_code_elimination(&mut transformed);
         prop_assert_eq!(transformed.loop_count(), 0);
         prop_assert!(verify(&transformed).is_ok());
@@ -504,11 +501,11 @@ proptest! {
         let mut f = build_scripted_function(&script);
         xf::unroll_all_loops(&mut f).unwrap();
         let mut state = xf::FineState::new(&f);
-        xf::constant_propagation_with(&mut f, &mut state);
-        prop_assert!(state.graph.consistency_errors(&f).is_empty());
-        xf::copy_propagation_with(&mut f, &mut state);
+        xf::propagation_with(&mut f, &mut state, true);
         prop_assert!(state.graph.consistency_errors(&f).is_empty());
         xf::common_subexpression_elimination_with(&mut f, &mut state);
+        prop_assert!(state.graph.consistency_errors(&f).is_empty());
+        xf::propagation_with(&mut f, &mut state, true);
         prop_assert!(state.graph.consistency_errors(&f).is_empty());
         xf::dead_code_elimination_with(&mut f, &mut state);
         prop_assert!(state.graph.consistency_errors(&f).is_empty());
@@ -520,8 +517,9 @@ proptest! {
         }
     }
 
-    /// Each stand-alone fine pass reaches its own fixed point in one run: run
-    /// again on its own output, it changes nothing. Checked on generated
+    /// Each stand-alone fine pass (propagation with folding on and off, CSE,
+    /// DCE) reaches its own fixed point in one run: run again on its own
+    /// output, it changes nothing. Checked on generated
     /// programs of both shapes, with their loops kept and after unrolling,
     /// so a rewrite that a pass misses (a rewritten reader it does not
     /// revisit, say) shows up as a second run's change.
@@ -531,8 +529,11 @@ proptest! {
         extended in proptest::bool::ANY,
     ) {
         let passes: [fn(&mut Function) -> xf::Report; 4] = [
-            xf::constant_propagation,
-            xf::copy_propagation,
+            xf::propagation,
+            |f| {
+                let mut state = xf::FineState::new(f);
+                xf::propagation_with(f, &mut state, false)
+            },
             xf::common_subexpression_elimination,
             xf::dead_code_elimination,
         ];

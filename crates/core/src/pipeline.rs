@@ -55,7 +55,9 @@ pub struct FlowOptions {
     pub speculate: bool,
     /// Fully unroll loops (Figure 13).
     pub unroll: bool,
-    /// Run constant propagation (Figure 14).
+    /// Run constant propagation (Figure 14): fold constant operations and
+    /// algebraic identities. Copies, constant ones included, are forwarded
+    /// either way.
     pub constant_propagation: bool,
     /// Run common-subexpression elimination on the flattened code.
     pub cse: bool,
@@ -379,7 +381,7 @@ impl<'a> PassManager<'a> {
     /// span of their own, so the pass's span times the pass alone.
     fn fine(
         &mut self,
-        pass: fn(&mut Function, &mut xf::FineState) -> xf::Report,
+        pass: impl FnOnce(&mut Function, &mut xf::FineState) -> xf::Report,
     ) -> Result<(), SynthesisError> {
         let function = self.working.function_mut(&self.top).expect("top exists");
         let state = self.analyses.get_or_insert_with(|| {
@@ -397,6 +399,9 @@ impl<'a> PassManager<'a> {
     /// and the variables they name besides the ports.
     fn run(mut self) -> Result<TransformedProgram, SynthesisError> {
         let options = self.options;
+        let fold = options.constant_propagation;
+        let propagation =
+            move |f: &mut Function, s: &mut xf::FineState| xf::propagation_with(f, s, fold);
 
         // ---- Source-level and coarse-grain transformations ---------------
         self.coarse(|p, top| Ok(xf::while_to_for(p.function_mut(top).expect("top exists"))))?;
@@ -420,25 +425,21 @@ impl<'a> PassManager<'a> {
         // per-iteration branch would be hoisted into temporaries that the
         // clean-up below deletes again.
         if options.speculate {
-            if options.constant_propagation {
-                self.fine(xf::constant_propagation_with)?;
-            }
-            self.fine(xf::copy_propagation_with)?;
+            self.fine(propagation)?;
             self.fine(xf::dead_code_elimination_with)?;
             self.coarse(|p, top| Ok(xf::speculate(p.function_mut(top).expect("top exists"))))?;
         }
 
         // ---- Fine-grain clean-up: one round over shared analyses ----------
-        if options.constant_propagation {
-            self.fine(xf::constant_propagation_with)?;
+        self.fine(propagation)?;
+        if fold {
             self.snapshot("constant-propagation");
         }
-        self.fine(xf::copy_propagation_with)?;
         if options.cse {
             // CSE leaves each repeated expression as a copy of its first
             // result; forward those copies so DCE can delete them.
             self.fine(xf::common_subexpression_elimination_with)?;
-            self.fine(xf::copy_propagation_with)?;
+            self.fine(propagation)?;
         }
         self.fine(xf::dead_code_elimination_with)?;
 
@@ -759,7 +760,9 @@ mod tests {
         program.add_function(build());
         let options = FlowOptions::microprocessor_block(100.0);
         let mut manager = PassManager::new(&program, "f", &options).unwrap();
-        manager.fine(xf::constant_propagation_with).unwrap();
+        let propagation =
+            |f: &mut Function, s: &mut xf::FineState| xf::propagation_with(f, s, true);
+        manager.fine(propagation).unwrap();
         assert!(manager.analyses.is_some());
         let unrolled_before_fine = manager.working.function("f").unwrap().live_op_count();
         manager
@@ -769,17 +772,15 @@ mod tests {
             })
             .unwrap();
         assert!(manager.analyses.is_none(), "the analyses were dropped");
-        manager.fine(xf::constant_propagation_with).unwrap();
-        manager.fine(xf::copy_propagation_with).unwrap();
+        manager.fine(propagation).unwrap();
         manager.fine(xf::dead_code_elimination_with).unwrap();
         let managed = manager.working.function("f").unwrap().clone();
 
         // Reference: the same sequence with stand-alone full-rescan passes.
         let mut reference = build();
-        xf::constant_propagation(&mut reference);
+        xf::propagation(&mut reference);
         xf::unroll_all_loops(&mut reference).unwrap();
-        xf::constant_propagation(&mut reference);
-        xf::copy_propagation(&mut reference);
+        xf::propagation(&mut reference);
         xf::dead_code_elimination(&mut reference);
         assert_eq!(managed.to_string(), reference.to_string());
         assert!(managed.live_op_count() < unrolled_before_fine + 3 * 2);
@@ -907,12 +908,7 @@ mod tests {
         // the first fine pass after a coarse one — then `transform`, then
         // the back end.
         let full = synthesize(&program, ILD_FUNCTION, &options).unwrap();
-        let fine = [
-            "constant-propagation",
-            "copy-propagation",
-            "cse",
-            "dead-code-elimination",
-        ];
+        let fine = ["propagation", "cse", "dead-code-elimination"];
         let mut expected = Vec::new();
         let mut analyses = false;
         for report in &full.pass_log {

@@ -103,13 +103,6 @@ impl Function {
         self.add_var(Var::register(name, ty))
     }
 
-    /// Creates a fresh uniquely-named wire-variable of type `ty`.
-    pub fn fresh_wire(&mut self, prefix: &str, ty: Type) -> VarId {
-        let name = format!("{prefix}_{}", self.next_temp);
-        self.next_temp += 1;
-        self.add_var(Var::wire(name, ty))
-    }
-
     /// Creates an empty basic block.
     pub fn add_block(&mut self, label: impl Into<String>) -> BlockId {
         self.blocks.alloc(BasicBlock::new(label))
@@ -688,9 +681,9 @@ mod tests {
     fn fresh_names_are_unique() {
         let mut f = Function::new("t");
         let a = f.fresh_temp("tmp", Type::Bits(8));
-        let b = f.fresh_wire("tmp", Type::Bits(8));
+        let b = f.fresh_temp("tmp", Type::Bits(8));
         assert_ne!(f.vars[a].name, f.vars[b].name);
-        assert!(f.vars[b].is_wire());
+        assert!(!f.vars[b].is_wire());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Shared analysis state for the worklist-driven fine-grain passes.
 //!
-//! Constant propagation, copy propagation, CSE and dead code elimination all
-//! operate over the same two whole-function analyses: the incrementally
-//! maintained [`DefUseGraph`] and the structural [`Positions`]. [`FineState`]
-//! bundles them so the `spark-core` pass manager can build them once per
-//! fine-grain phase and thread them through every pass, and so a wrapper
-//! entry point (`constant_propagation(&mut Function)` and friends) can build
-//! a fresh state for stand-alone use.
+//! Propagation, CSE and dead code elimination all operate over the same two
+//! whole-function analyses: the incrementally maintained [`DefUseGraph`]
+//! and the structural [`Positions`]. [`FineState`] bundles them so the
+//! `spark-core` pass manager can build them once per fine-grain phase and
+//! thread them through every pass, and so a wrapper entry point
+//! (`propagation(&mut Function)` and friends) can build a fresh state for
+//! stand-alone use.
 //!
 //! Positions survive the whole phase because the fine passes only rewrite
 //! operations in place or erase them — they never move an operation between
@@ -17,11 +17,9 @@
 //!
 //! The state carries analyses only, not work: every pass starts its
 //! worklist from the function itself (see each pass for where), so no pass
-//! depends on what an earlier one touched. Constant and copy propagation
-//! share one forwarding routine, `push_to_readers`, which works from the
-//! definition outward.
+//! depends on what an earlier one touched.
 
-use spark_ir::{DefUseGraph, Function, OpId, Rewriter, Value, VarId};
+use spark_ir::{DefUseGraph, Function, OpId};
 
 use crate::position::Positions;
 
@@ -90,54 +88,10 @@ impl OpQueue {
     }
 }
 
-/// A per-operand check on a forwarding: `(function, dest, value, reader,
-/// index)`, whether operand `index` of `reader` may read `value` for `dest`.
-pub(crate) type Admits = fn(&Function, VarId, Value, OpId, usize) -> bool;
-
-/// Forwards `value` from `def`, the single definition of its destination,
-/// into every operand that reads the destination in an operation `def`
-/// dominates, and requeues each rewritten reader. `admits`, when given,
-/// may refuse an operand. Returns the number of operands replaced.
-pub(crate) fn push_to_readers(
-    rw: &mut Rewriter<'_>,
-    positions: &Positions,
-    queue: &mut OpQueue,
-    def: OpId,
-    value: Value,
-    admits: Option<Admits>,
-) -> usize {
-    let dest = rw.function().ops[def]
-        .def()
-        .expect("a forwarded definition writes a variable");
-    let mut changed = 0;
-    let readers: Vec<OpId> = rw.graph().uses_of(dest).to_vec();
-    for reader in readers {
-        if reader == def || !positions.dominates(def, reader) {
-            continue;
-        }
-        let mut rewrote = false;
-        for index in 0..rw.function().ops[reader].args.len() {
-            if rw.function().ops[reader].args[index] == Value::Var(dest)
-                && admits.map_or(true, |admits| {
-                    admits(rw.function(), dest, value, reader, index)
-                })
-                && rw.replace_operand(reader, index, value)
-            {
-                changed += 1;
-                rewrote = true;
-            }
-        }
-        if rewrote {
-            queue.push(reader);
-        }
-    }
-    changed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spark_ir::{FunctionBuilder, OpKind, Type};
+    use spark_ir::{FunctionBuilder, OpKind, Type, Value};
 
     #[test]
     fn op_queue_dedups_until_popped() {

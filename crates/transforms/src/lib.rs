@@ -8,8 +8,8 @@
 //!   description into the synthesizable Figure 10 form).
 //! * **Speculative code motion:** [`speculate`] (hoist pure operations above
 //!   the conditions they depend on — Figure 11).
-//! * **Fine grain:** [`constant_propagation`] (with folding — Figures 3/14),
-//!   [`copy_propagation`], [`common_subexpression_elimination`] and
+//! * **Fine grain:** [`propagation`] (constant folding, constant and copy
+//!   propagation — Figures 3/14), [`common_subexpression_elimination`] and
 //!   [`dead_code_elimination`].
 //! * **Backend preparation:** [`isolate_conditions`] (an `if` whose branch
 //!   writes its own condition tests a copy, since the scheduled design tests
@@ -22,19 +22,17 @@
 //! can log the per-stage effect exactly as the paper's figures do.
 //!
 //! The fine-grain passes also come in `_with` form
-//! ([`constant_propagation_with`], [`copy_propagation_with`],
-//! [`common_subexpression_elimination_with`],
+//! ([`propagation_with`], [`common_subexpression_elimination_with`],
 //! [`dead_code_elimination_with`]): worklist-driven passes over a shared
 //! [`FineState`] (an incrementally maintained
 //! [`DefUseGraph`](spark_ir::DefUseGraph) plus [`Positions`]), so a
 //! sequence of them builds the analyses once instead of once per pass. Each
-//! starts from the function itself — constant propagation from every live
-//! operation, copy propagation from every live copy and equal-arm select,
-//! CSE from every block, DCE from every live operation — and runs to its
-//! own fixed point. Constant and copy propagation forward in one direction
-//! only: a single-definition copy pushes its value into the operands of the
-//! readers it dominates, and no reader looks up the definitions of its
-//! operands.
+//! starts from the function itself — propagation and DCE from every live
+//! operation, CSE from every block — and runs to its own fixed point.
+//! Propagation forwards in one direction only: a single-definition copy
+//! pushes its value into the operands of the readers it dominates, and no
+//! reader looks up the definitions of its operands. Its `fold` switch turns
+//! constant folding off and leaves the forwarding on.
 //!
 //! # Examples
 //!
@@ -42,7 +40,7 @@
 //!
 //! ```
 //! use spark_ir::{FunctionBuilder, OpKind, Type, Value};
-//! use spark_transforms::{constant_propagation, dead_code_elimination, unroll_all_loops};
+//! use spark_transforms::{dead_code_elimination, propagation, unroll_all_loops};
 //!
 //! let mut b = FunctionBuilder::new("fig2");
 //! let i = b.var("i", Type::Bits(32));
@@ -54,34 +52,32 @@
 //! let mut f = b.finish();
 //!
 //! unroll_all_loops(&mut f).unwrap();
-//! constant_propagation(&mut f);
+//! propagation(&mut f);
 //! dead_code_elimination(&mut f);
 //! assert_eq!(f.loop_count(), 0);
 //! ```
 
 #![warn(missing_docs)]
 
-mod const_prop;
-mod copy_prop;
 mod cse;
 mod dce;
 mod fine;
 mod inline;
 mod isolate;
 mod position;
+mod propagation;
 mod report;
 mod speculation;
 mod unroll;
 mod while_to_for;
 
-pub use const_prop::{constant_propagation, constant_propagation_with};
-pub use copy_prop::{copy_propagation, copy_propagation_with};
 pub use cse::{common_subexpression_elimination, common_subexpression_elimination_with};
 pub use dce::{dead_code_elimination, dead_code_elimination_with};
 pub use fine::FineState;
 pub use inline::inline_calls;
 pub use isolate::isolate_conditions;
 pub use position::Positions;
+pub use propagation::{propagation, propagation_with};
 pub use report::Report;
 pub use speculation::{speculate, speculative_op_count};
 pub use unroll::{unroll_all_loops, UnrollError};

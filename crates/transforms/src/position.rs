@@ -1,7 +1,6 @@
 //! Structural program positions and a structural dominance test.
 //!
-//! The fine-grain transformations (constant propagation, copy propagation,
-//! CSE) must only forward a value from a definition to a use when the
+//! The fine-grain transformations (propagation, CSE) must only forward a value from a definition to a use when the
 //! definition is guaranteed to execute before the use on every path. For the
 //! structured HTG this reduces to a simple *structural dominance* test: the
 //! definition's chain of enclosing regions must be a prefix of the use's
@@ -23,16 +22,14 @@ use std::collections::HashMap;
 
 use spark_ir::{Function, HtgNode, OpId, RegionId, SecondaryMap};
 
-/// Per-operation position record: an interned region chain, the pre-order
-/// program index, and loop membership.
+/// Per-operation position record: an interned region chain and the
+/// pre-order program index.
 #[derive(Clone, Copy, Debug)]
 struct OpPosition {
     /// Index into [`Positions::paths`].
     path: u32,
     /// Index in a pre-order walk of the whole body (program order).
     order: u32,
-    /// Whether any enclosing HTG node is a loop.
-    in_loop: bool,
 }
 
 /// Structural position of every live operation in a function.
@@ -59,7 +56,6 @@ impl Positions {
             function,
             function.body,
             &mut path,
-            false,
             &mut counter,
             &mut interned,
             &mut positions,
@@ -70,11 +66,6 @@ impl Positions {
     /// Program-order index of an operation (`None` for dead/detached ops).
     pub fn order_of(&self, op: OpId) -> Option<usize> {
         self.info.get(&op).map(|p| p.order as usize)
-    }
-
-    /// Returns `true` if `op` is nested inside at least one loop.
-    pub fn is_in_loop(&self, op: OpId) -> bool {
-        self.info.get(&op).map(|p| p.in_loop).unwrap_or(false)
     }
 
     /// Returns `true` if `def` structurally dominates `user`: `def` executes
@@ -103,12 +94,10 @@ impl Positions {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn walk(
     function: &Function,
     region: RegionId,
     path: &mut Vec<RegionId>,
-    in_loop: bool,
     counter: &mut u32,
     interned: &mut HashMap<Vec<RegionId>, u32>,
     positions: &mut Positions,
@@ -132,39 +121,21 @@ fn walk(
                         OpPosition {
                             path: path_id,
                             order: *counter,
-                            in_loop,
                         },
                     );
                     *counter += 1;
                 }
             }
             HtgNode::If(i) => {
-                path.push(i.then_region);
-                walk(
-                    function,
-                    i.then_region,
-                    path,
-                    in_loop,
-                    counter,
-                    interned,
-                    positions,
-                );
-                path.pop();
-                path.push(i.else_region);
-                walk(
-                    function,
-                    i.else_region,
-                    path,
-                    in_loop,
-                    counter,
-                    interned,
-                    positions,
-                );
-                path.pop();
+                for region in [i.then_region, i.else_region] {
+                    path.push(region);
+                    walk(function, region, path, counter, interned, positions);
+                    path.pop();
+                }
             }
             HtgNode::Loop(l) => {
                 path.push(l.body);
-                walk(function, l.body, path, true, counter, interned, positions);
+                walk(function, l.body, path, counter, interned, positions);
                 path.pop();
             }
         }
@@ -224,7 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn loop_membership_is_tracked() {
+    fn def_before_a_loop_dominates_ops_inside_it() {
         let mut b = FunctionBuilder::new("f");
         let i = b.var("i", Type::Bits(32));
         let x = b.var("x", Type::Bits(32));
@@ -234,10 +205,8 @@ mod tests {
         b.loop_end();
         let f = b.finish();
         let pos = Positions::compute(&f);
-        assert!(!pos.is_in_loop(before));
-        assert!(pos.is_in_loop(inside));
-        // A def before the loop dominates ops inside it.
         assert!(pos.dominates(before, inside));
+        assert!(!pos.dominates(inside, before));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt;
 /// The outcome of running one transformation pass over one function.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Report {
-    /// Name of the pass (e.g. `"constant-propagation"`).
+    /// Name of the pass (e.g. `"propagation"`).
     pub pass: String,
     /// Name of the function the pass ran on.
     pub function: String,

@@ -220,8 +220,8 @@ pub fn speculative_op_count(function: &Function) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::copy_prop::copy_propagation;
     use crate::dce::dead_code_elimination;
+    use crate::propagation::propagation;
     use spark_ir::{verify, Env, FunctionBuilder, Interpreter, Program, Type};
 
     /// The nested-conditional length computation of Figure 10's
@@ -401,7 +401,7 @@ mod tests {
         let original = nested_length_function();
         let mut f = original.clone();
         speculate(&mut f);
-        copy_propagation(&mut f);
+        propagation(&mut f);
         dead_code_elimination(&mut f);
         verify(&f).expect("well formed after cleanup");
         let mut p0 = Program::new();

@@ -5,8 +5,8 @@
 //! unrolling" (Section 3 of the paper). A design targeted at a single cycle
 //! must have its loops unrolled completely (Figures 2 and 13). Each unrolled
 //! iteration receives a fresh copy of the loop index initialised to the
-//! iteration's constant value, so that the subsequent constant-propagation
-//! pass can eliminate the index exactly as in Figures 3 and 14.
+//! iteration's constant value, so that the subsequent propagation pass
+//! can eliminate the index exactly as in Figures 3 and 14.
 
 use std::collections::BTreeMap;
 
@@ -277,7 +277,7 @@ pub fn unroll_all_loops(function: &mut Function) -> Result<Report, UnrollError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::const_prop::constant_propagation;
+    use crate::propagation::propagation;
     use spark_ir::{verify, Env, FunctionBuilder, Interpreter, Program, Type};
 
     /// The synthetic example of Figure 2: a loop computing r1(i) = Op1(i) and
@@ -333,7 +333,7 @@ mod tests {
     fn unroll_then_const_prop_eliminates_index_uses() {
         let mut f = figure2_function(4);
         unroll_all_loops(&mut f).unwrap();
-        constant_propagation(&mut f);
+        propagation(&mut f);
         // After constant propagation no live op should read any of the
         // per-iteration index variables (they are only written, and DCE would
         // remove them next).
