@@ -1,13 +1,13 @@
 //! Structural program positions and a structural dominance test.
 //!
-//! The fine-grain transformations (propagation, CSE) must only forward a value from a definition to a use when the
-//! definition is guaranteed to execute before the use on every path. For the
-//! structured HTG this reduces to a simple *structural dominance* test: the
-//! definition's chain of enclosing regions must be a prefix of the use's
-//! chain, and the definition must come earlier in program order. A definition
-//! buried inside a conditional branch therefore never dominates a use after
-//! the join, while a definition at the top level dominates everything that
-//! follows it.
+//! The fine-grain transformations (propagation, CSE) must only forward a
+//! value from a definition to a use when the definition is guaranteed to
+//! execute before the use on every path. For the structured HTG this
+//! reduces to a simple *structural dominance* test: the definition's chain
+//! of enclosing regions must be a prefix of the use's chain, and the
+//! definition must come earlier in program order. A definition buried inside
+//! a conditional branch therefore never dominates a use after the join,
+//! while a definition at the top level dominates everything that follows it.
 //!
 //! Positions stay valid across in-place rewrites and erasures: the fine
 //! passes never move an operation between blocks, erasing operations keeps
