@@ -53,10 +53,10 @@ pub fn propagation(function: &mut Function) -> Report {
 /// are equal (`c ? a : a`) becomes a copy of the arm. Then, if the operation
 /// is a forwardable copy, its source is pushed into every dominated reader
 /// (the def side), which requeues the reader. A definition precedes every
-/// reader it dominates, so a reader is visited after every push it can
-/// receive from a definition that was a copy when visited; the requeue
-/// covers the rest (a select whose arms a push made equal). The rewrites
-/// are confluent and monotone, so the fixed point equals a full rescan's.
+/// reader it dominates, so a rewritten reader is still queued and is
+/// visited after every push it can receive; the requeue keeps that true
+/// for any start order. The rewrites are confluent and monotone, so the
+/// fixed point equals a full rescan's.
 pub fn propagation_with(function: &mut Function, state: &mut FineState, fold: bool) -> Report {
     let mut report = Report::new("propagation", &function.name);
     let FineState { graph, positions } = state;
